@@ -59,25 +59,45 @@ def cmd_validate(args) -> int:
     return EXIT_OK if overall.passed else EXIT_VALIDATION
 
 
-def _read_cochain(path: str, result_points) -> tuple:
-    doc = json.loads(Path(path).read_text())
+def _read_cochain(path: str, point_ids) -> tuple:
     try:
-        return tuple(parse_scalar(doc[p]) for p in result_points)
-    except KeyError as exc:
-        raise io_json.ParseError(path, f"cochain file misses point {exc}") from exc
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise io_json.ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    if not isinstance(doc, dict):
+        raise io_json.ParseError(path, "expected a JSON object {point-id: weight}")
+    values = []
+    for p in point_ids:
+        if p not in doc:
+            raise io_json.ParseError(path, f"cochain file misses point {p!r}")
+        try:
+            values.append(parse_scalar(doc[p]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise io_json.ParseError(f"{path}.{p}", str(exc)) from exc
+    return tuple(values)
+
+
+def _load_valid_pair(path_x: str, path_y: str, tol: float = 1e-9):
+    """Parse both inputs and validate them at `tol`; None after reporting
+    the first problem on stderr."""
+    try:
+        corr_x, corr_y = _load_pair(path_x, path_y)
+    except io_json.ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None
+    for name, corr in (("first", corr_x), ("second", corr_y)):
+        rep = validate(corr, tol=tol)
+        if not rep.passed:
+            print(f"{name} input fails validation:\n{rep.render()}", file=sys.stderr)
+            return None
+    return corr_x, corr_y
 
 
 def cmd_compose(args) -> int:
-    try:
-        corr_x, corr_y = _load_pair(args.path_x, args.path_y)
-    except io_json.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    pair = _load_valid_pair(args.path_x, args.path_y, args.tol)
+    if pair is None:
         return EXIT_VALIDATION
-    for name, corr in (("first", corr_x), ("second", corr_y)):
-        rep = validate(corr, tol=args.tol)
-        if not rep.passed:
-            print(f"{name} input fails validation:\n{rep.render()}", file=sys.stderr)
-            return EXIT_VALIDATION
+    corr_x, corr_y = pair
     b_values = None
     try:
         if args.cochain_file:
@@ -87,7 +107,10 @@ def cmd_compose(args) -> int:
             fp = fibre_product(corr_x.space.right, corr_y.space.left)
             b_values = _read_cochain(args.cochain_file, fp.point_ids)
         result = compose(corr_x, corr_y, b_values=b_values, tol=args.tol)
-    except (GroupoidMismatch, CompositionStageError, io_json.ParseError, GcorrError) as exc:
+    except io_json.ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (GroupoidMismatch, CompositionStageError, GcorrError) as exc:
         stage = getattr(exc, "stage", "input")
         print(f"composition failed at {stage}: {exc}", file=sys.stderr)
         return EXIT_COMPOSITION
@@ -99,14 +122,13 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        corr_x, corr_y = _load_pair(args.path_x, args.path_y)
-    except io_json.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    # inputs and the composition precondition run at the composition's own
+    # stage tolerance; --tol governs the theorem deviations below
+    pair = _load_valid_pair(args.path_x, args.path_y)
+    if pair is None:
         return EXIT_VALIDATION
+    corr_x, corr_y = pair
     try:
-        # the composition precondition runs at its own stage tolerance;
-        # --tol governs the theorem deviations below
         result = compose(corr_x, corr_y)
     except (GroupoidMismatch, CompositionStageError) as exc:
         stage = getattr(exc, "stage", "input")

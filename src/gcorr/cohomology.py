@@ -129,8 +129,9 @@ def invariant_probability_family(
     if any(not (f > 0) for f in F):
         raise NonPositive("F must be strictly positive")
     h = [ksum(F[g.src[a]] * haar.w(a) for a in g.fibre_dst[u]) for u in range(g.n_units)]
+    tol = 0.0 if all_exact(h) else 1e-12
     for a in range(g.n_arrows):  # h constant along arrows => constant on orbits
-        if adev(h[g.src[a]], h[g.dst[a]]) > (0.0 if all_exact(h) else 1e-12):
+        if adev(h[g.src[a]], h[g.dst[a]]) > tol:
             raise GcorrError(f"fibre mass is not orbit-constant at {g.arrow_ids[a]}")
     weight = tuple(
         F[g.src[a]] * haar.w(a) / h[g.dst[a]] for a in range(g.n_arrows)

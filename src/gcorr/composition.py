@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cohomology import (
@@ -94,6 +95,22 @@ class CompositionResult:
     @property
     def exact(self) -> bool:
         return self.mu.exact and all_exact(self.delta12.value)
+
+    @cached_property
+    def ell(self) -> tuple[float, ...]:
+        """Per-point weights b^{-1/2}·λ_π of the comparison map."""
+        return tuple(
+            float(self.b.value[z]) ** -0.5 * float(self.lambda_pi.weight[z])
+            for z in range(len(self.fp.pairs))
+        )
+
+    @cached_property
+    def pairs_by_x(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each point x of X, its (y, z) pairs with z = (x, y) in Z."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.corr_x.space.n_points)]
+        for z, (x, y) in enumerate(self.fp.pairs):
+            out[x].append((y, z))
+        return tuple(tuple(row) for row in out)
 
 
 def _require_chainable(corr_x: Correspondence, corr_y: Correspondence) -> None:
@@ -353,11 +370,12 @@ def compose(
     report.add("lambda_pi_rep_independence", rep_res == 0.0, rep_res)
 
     delta_z = stage("build_delta_z", build_delta_z, corr_y, fp, tg_z, tg_z_index)
-    chk = check_cocycle(delta_z, rel_tol=None if all_exact(delta_z.value) else tol)
+    exact_dz = all_exact(delta_z.value)
+    chk = check_cocycle(delta_z, rel_tol=None if exact_dz else tol)
     report.add("delta_z_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
     g1_res, g3_res = _z_invariance_residuals(delta_z.value, fp, z_bispace, tg_z_index)
-    report.add("delta_z_left_invariance", g1_res <= (0.0 if all_exact(delta_z.value) else tol), g1_res)
-    report.add("delta_z_right_invariance", g3_res <= (0.0 if all_exact(delta_z.value) else tol), g3_res)
+    report.add("delta_z_left_invariance", g1_res <= (0.0 if exact_dz else tol), g1_res)
+    report.add("delta_z_right_invariance", g3_res <= (0.0 if exact_dz else tol), g3_res)
 
     b = stage("build_b", build_b, delta_z, tg_z, chi, tol)
     if b_values is not None:
@@ -376,11 +394,12 @@ def compose(
         )
         report.add("override_b_ratio_orbit_constant", ratio_res <= tol, ratio_res)
         b = override
+    exact_b = all_exact(b.value)
     ratio_res = coboundary_residual(delta_z, b)
-    report.add("b_ratio_relation", ratio_res <= (0.0 if all_exact(b.value) else tol), ratio_res)
+    report.add("b_ratio_relation", ratio_res <= (0.0 if exact_b else tol), ratio_res)
     bg1, bg3 = _z_invariance_residuals(b.value, fp, z_bispace, None)
-    report.add("b_left_invariance", bg1 <= (0.0 if all_exact(b.value) else tol), bg1)
-    report.add("b_right_invariance", bg3 <= (0.0 if all_exact(b.value) else tol), bg3)
+    report.add("b_left_invariance", bg1 <= (0.0 if exact_b else tol), bg1)
+    report.add("b_right_invariance", bg3 <= (0.0 if exact_b else tol), bg3)
 
     if e is None:
         e = default_cutoff(chi)
@@ -390,7 +409,7 @@ def compose(
 
     omega = stage("omega_bispace", build_omega_bispace, corr_x, corr_y, fp, z_bispace, orbits)
     mu, sym_res, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, chi, tol)
-    exact_mu = mu.exact and all_exact(b.value)
+    exact_mu = mu.exact and exact_b
     report.add("bm_symmetric", sym_res <= (0.0 if exact_mu else tol), sym_res)
     report.add("mu_disintegration", dis_res <= (0.0 if exact_mu else tol), dis_res)
 

@@ -164,19 +164,21 @@ def lambda_prime(f: ModuleElement, g_el: ModuleElement, result: CompositionResul
 
     Integrates (f⊗g)·b^{-1/2} over each orbit against the family along the
     quotient map; the middle-arrow sum collapses onto the per-point
-    aggregated weights.
+    aggregated weights.  Only the fibre-product pairs of each x in the
+    support of f are visited.
     """
     if f.corr is not result.corr_x or g_el.corr is not result.corr_y:
         raise Mismatch("tensor legs belong to different correspondences")
+    ell, proj, pairs_by_x = result.ell, result.orbits.proj, result.pairs_by_x
+    g_coeff = g_el.coeff
     out: dict[int, complex] = {}
     for x, vx in f.coeff.items():
-        for y, vy in g_el.coeff.items():
-            z = result.fp.index.get((x, y))
-            if z is None:
+        for y, z in pairs_by_x[x]:
+            vy = g_coeff.get(y)
+            if vy is None:
                 continue
-            o = result.orbits.proj[z]
-            val = vx * vy * float(result.b.value[z]) ** -0.5 * float(result.lambda_pi.weight[z])
-            out[o] = out.get(o, 0j) + val
+            o = proj[z]
+            out[o] = out.get(o, 0j) + vx * vy * ell[z]
     return ModuleElement(result.composite, _clean(out))
 
 
@@ -332,10 +334,7 @@ def image_basis_gram(
     orbits = result.orbits
     g3 = result.composite.right
     act_or = result.composite.space.right
-    ell = [
-        float(result.b.value[z]) ** -0.5 * float(result.lambda_pi.weight[z])
-        for z in range(len(result.fp.pairs))
-    ]
+    ell = result.ell
     mu = [float(w) for w in result.mu.weight]
     r: dict[tuple[int, int, int], float] = {}
     for o in os_:
@@ -346,6 +345,16 @@ def image_basis_gram(
                 for j in orbits.members[o2]:
                     r[(i, j, gbar)] = li_mu * ell[j]
     return r
+
+
+def image_rank(result: CompositionResult) -> int:
+    """Rank of the |Ω|×|Z| image matrix of the point masses.
+
+    Column z holds ell[z] in row π(z) and zeros elsewhere, so the rank is
+    exactly the number of orbits that hold a point with finite ell[z] > 0.
+    """
+    proj = result.orbits.proj
+    return len({proj[z] for z, w in enumerate(result.ell) if 0 < w < math.inf})
 
 
 def verify_theorem(
@@ -373,7 +382,6 @@ def verify_theorem(
     g1, g3 = corr_x.left, corr_y.right
     fp, orbits = result.fp, result.orbits
     n_z = len(fp.pairs)
-    ell = [float(result.b.value[z]) ** -0.5 * float(result.lambda_pi.weight[z]) for z in range(n_z)]
 
     iso_dev, iso_wit = 0.0, None
     inter_dev, inter_wit = 0.0, None
@@ -468,13 +476,7 @@ def verify_theorem(
         checks += 1
 
     # -- (c) surjectivity: the image matrix has full rank -------------------
-    if orbits.n_orbits:
-        mat = np.zeros((orbits.n_orbits, max(n_z, 1)))
-        for z in range(n_z):
-            mat[orbits.proj[z], z] = ell[z]
-        rank = int(np.linalg.matrix_rank(mat))
-    else:
-        rank = 0
+    rank = image_rank(result)
 
     # -- positivity spot-checks ---------------------------------------------
     min_eig = math.inf

@@ -99,6 +99,8 @@ class FiniteGroupoid:
         return {aid: i for i, aid in enumerate(self.arrow_ids)}
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
         return (

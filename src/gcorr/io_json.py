@@ -163,13 +163,18 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
         p_idx = {p: i for i, p in enumerate(points)}
         g = left_haar.groupoid
         for k, entry in enumerate(doc["adjoining"]):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ParseError(f"{path}.adjoining[{k}]", "expected a triple")
             a, p, raw = entry
             if a not in g._arrow_lookup or p not in p_idx:
                 raise ParseError(f"{path}.adjoining[{k}]", f"unknown id in {entry}")
             key = (g.arrow_index(a), p_idx[p])
             if key not in tg_idx:
                 raise ParseError(f"{path}.adjoining[{k}]", "pair is not composable")
-            values[tg_idx[key]] = parse_scalar(raw)
+            try:
+                values[tg_idx[key]] = parse_scalar(raw)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"{path}.adjoining[{k}]", str(exc)) from exc
         if any(v is None for v in values):
             raise ParseError(f"{path}.adjoining", "cocycle values missing for some pairs")
         adjoining = tuple(values)

@@ -6,6 +6,13 @@ solver) switches to IEEE doubles.  Helpers here keep that split honest:
 `ksum` is exact on rationals and correctly rounded (hence order-independent)
 on floats, which is what lets several invariance sweeps compare float
 results for exact equality.
+
+The deviation helpers `adev` and `rdev` feed every residual sweep, so they
+keep one contract: the result is exactly 0.0 iff the arguments are equal
+(and finite), it is `math.inf` whenever either argument is a non-finite
+float (a NaN can never be dropped by a `d > worst` comparison), and
+otherwise it is the float of the exact deviation on exact inputs and the
+IEEE deviation on float ones.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ class GcorrError(Exception):
 
 
 def is_exact(x: Scalar) -> bool:
+    if type(x) in (int, Fraction):  # skips the ABC instance check
+        return True
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
@@ -51,21 +60,30 @@ def csum(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
+def _equal_dev(a: Scalar) -> float:
+    """The deviation of a value from itself: 0, or ∞ for a non-finite float."""
+    return math.inf if isinstance(a, float) and not math.isfinite(a) else 0.0
+
+
 def adev(a: Scalar, b: Scalar) -> float:
     """Absolute deviation |a - b| as a float (exact zero stays exact)."""
+    if a == b:
+        return _equal_dev(a)
     if is_exact(a) and is_exact(b):
-        return float(abs(Fraction(a) - Fraction(b)))
-    return abs(float(a) - float(b))
+        return float(abs(a - b))
+    d = abs(float(a) - float(b))
+    return d if d == d else math.inf
 
 
 def rdev(a: Scalar, b: Scalar) -> float:
     """Deviation |a - b| / max(1, |a|, |b|); 0 iff equal on exact inputs."""
+    if a == b:
+        return _equal_dev(a)
     if is_exact(a) and is_exact(b):
-        return 0.0 if Fraction(a) == Fraction(b) else float(
-            abs(Fraction(a) - Fraction(b)) / max(1, abs(Fraction(a)), abs(Fraction(b)))
-        )
+        return float(abs(a - b) / max(1, abs(a), abs(b)))
     fa, fb = float(a), float(b)
-    return abs(fa - fb) / max(1.0, abs(fa), abs(fb))
+    d = abs(fa - fb) / max(1.0, abs(fa), abs(fb))
+    return d if d == d else math.inf
 
 
 def cdev(a: complex, b: complex) -> float:
@@ -77,6 +95,7 @@ def parse_scalar(raw) -> Scalar:
 
     Strings are exact: "3/4" and "0.75" both become Fraction(3, 4).
     JSON numbers are taken as they come; a float marks the value inexact.
+    Non-finite floats (JSON `Infinity`, `NaN`) are rejected.
     """
     if isinstance(raw, str):
         return Fraction(raw)
@@ -85,6 +104,8 @@ def parse_scalar(raw) -> Scalar:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ValueError(f"weight must be finite, got {raw}")
         return raw
     raise ValueError(f"cannot parse scalar from {raw!r}")
 

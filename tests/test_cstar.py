@@ -336,6 +336,67 @@ class TestLambdaPrime:
         assert _dev(lhs.coeff, rhs.coeff) < 1e-9
 
 
+def dense_lambda_prime(f, g_el, result):
+    """The comparison map as first written: a double loop over all |X|·|Y|
+    pairs, kept as the reference for the fibre-product walk."""
+    out = {}
+    for x, vx in f.coeff.items():
+        for y, vy in g_el.coeff.items():
+            z = result.fp.index.get((x, y))
+            if z is None:
+                continue
+            o = result.orbits.proj[z]
+            val = vx * vy * float(result.b.value[z]) ** -0.5 * float(result.lambda_pi.weight[z])
+            out[o] = out.get(o, 0j) + val
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _sparse_map_instances():
+    for name in catalog.EXAMPLE_NAMES:
+        corr_x, corr_y, _ = catalog.example_pair(name)
+        yield name, corr_x, corr_y
+    for seed in (4, 17, 31):
+        corr_x, corr_y = random_pair(seed, max_x=12, max_y=12, max_mid=8, check=False)
+        yield f"random-{seed}", corr_x, corr_y
+
+
+class TestSparseComparisonMap:
+    def test_lambda_prime_matches_dense_reference(self):
+        for name, corr_x, corr_y in _sparse_map_instances():
+            res = compose(corr_x, corr_y)
+            rng = SplitMix64(8)
+            for _ in range(4):
+                f, g_ = rand_mod(rng, corr_x), rand_mod(rng, corr_y)
+                sparse = lambda_prime(f, g_, res).coeff
+                dense = dense_lambda_prime(f, g_, res)
+                assert sparse.keys() == dense.keys(), name
+                scale = max((abs(v) for v in dense.values()), default=1.0)
+                assert _dev(sparse, dense) <= 1e-14 * max(1.0, scale), name
+            for x in range(corr_x.space.n_points):  # point masses, on and off Z
+                for y in range(corr_y.space.n_points):
+                    f, g_ = delta_point(corr_x, x), delta_point(corr_y, y)
+                    sparse = lambda_prime(f, g_, res).coeff
+                    assert sparse.keys() == dense_lambda_prime(f, g_, res).keys(), name
+
+    def test_counted_rank_matches_matrix_rank(self):
+        from gcorr.cstar import image_rank
+
+        for name, corr_x, corr_y in _sparse_map_instances():
+            res = compose(corr_x, corr_y)
+            n_z = len(res.fp.pairs)
+            mat = np.zeros((res.orbits.n_orbits, max(n_z, 1)))
+            for z in range(n_z):
+                mat[res.orbits.proj[z], z] = res.ell[z]
+            assert image_rank(res) == int(np.linalg.matrix_rank(mat)), name
+            assert image_rank(res) == res.orbits.n_orbits, name
+
+    def test_pairs_by_x_indexes_the_fibre_product(self):
+        corr_x, corr_y = random_pair(4, max_x=12, max_y=12, max_mid=8, check=False)
+        res = compose(corr_x, corr_y)
+        flat = sorted((x, y, z) for x, row in enumerate(res.pairs_by_x) for y, z in row)
+        assert flat == sorted((x, y, z) for z, (x, y) in enumerate(res.fp.pairs))
+
+
 class TestVerifyTheorem:
     def test_basis_sweep_matches_operation_chain(self):
         """The sparse Gram assemblies agree entry-by-entry with the generic

@@ -204,6 +204,72 @@ class TestCliVerify:
         assert cli.main(["verify", str(x), str(y), "--trials", "5", "--threads", "3"]) == 0
 
 
+class TestCliRejectsBadInputs:
+    @pytest.fixture
+    def ind_files(self, tmp_path):
+        assert cli.main(["example", "induction-finite", str(tmp_path / "ind")]) == 0
+        return tmp_path / "ind.x.json", tmp_path / "ind.y.json"
+
+    def test_infinite_family_weights_exit_one_with_path(self, ind_files, capsys):
+        x, _ = ind_files
+        doc = json.loads(x.read_text())
+        fam = doc["correspondences"][0]["family"]
+        for p in fam:
+            fam[p] = float("inf")
+        x.write_text(json.dumps(doc))  # json writes the JSON extension `Infinity`
+        assert "Infinity" in x.read_text()
+        assert cli.main(["validate", str(x)]) == 1
+        err = capsys.readouterr().err
+        assert f"{x}.correspondences[0].family." in err
+        assert "finite" in err
+
+    @pytest.mark.parametrize("where", ["haar", "adjoining"])
+    def test_nonfinite_weights_rejected_at_load(self, ind_files, capsys, where):
+        _, y = ind_files
+        doc = json.loads(y.read_text())
+        if where == "haar":
+            haar = doc["groupoids"]["G0"]["haar"]
+            haar[sorted(haar)[0]] = float("nan")
+            path = f"{y}.groupoids.G0.haar."
+        else:
+            doc["correspondences"][0]["adjoining"][2][2] = float("inf")
+            path = f"{y}.correspondences[0].adjoining[2]"
+        y.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(y)]) == 1
+        assert path in capsys.readouterr().err
+
+    def test_nonfinite_cochain_rejected(self, ind_files, tmp_path, capsys):
+        x, y = ind_files
+        data_x, data_y = parse_instance(x.read_text()), parse_instance(y.read_text())
+        from gcorr.composition import compose
+
+        res = compose(data_x.correspondences[0][1], data_y.correspondences[0][1])
+        cochain = {pid: float(res.b.value[z]) for z, pid in enumerate(res.fp.point_ids)}
+        bad = res.fp.point_ids[0]
+        cochain[bad] = float("inf")
+        cfile = tmp_path / "cochain.json"
+        cfile.write_text(json.dumps(cochain))
+        code = cli.main([
+            "compose", str(x), str(y), str(tmp_path / "o.json"), "--cochain-file", str(cfile)
+        ])
+        assert code == 1
+        assert f"{cfile}.{bad}" in capsys.readouterr().err
+
+    def test_compose_and_verify_both_validate_inputs(self, ind_files, tmp_path, capsys):
+        # an identity arrow must carry adjoining value 1
+        x, y = ind_files
+        doc = json.loads(y.read_text())
+        corr = doc["correspondences"][0]
+        unit_arrows = set(doc["groupoids"][corr["left"]]["unit_arrows"].values())
+        entry = next(e for e in corr["adjoining"] if e[0] in unit_arrows)
+        entry[2] = "2"
+        y.write_text(json.dumps(doc))
+        assert cli.main(["compose", str(x), str(y), str(tmp_path / "o.json")]) == 1
+        assert "second input fails validation" in capsys.readouterr().err
+        assert cli.main(["verify", str(x), str(y), "--trials", "2"]) == 1
+        assert "second input fails validation" in capsys.readouterr().err
+
+
 class TestCliExampleRandom:
     def test_unknown_example(self, tmp_path):
         with pytest.raises(SystemExit):
