@@ -6,13 +6,19 @@ canonical invariant family of probability measures (built from the Haar
 system with the constant test function), which pins one specific cochain
 out of the orbit-constant ambiguity and makes downstream composites
 deterministic.
+
+The homomorphism sweep behind `check_cocycle` runs once per `Cocycle1`
+object: its worst deviation and first witness are cached on the object,
+so every check of the same cocycle (at any tolerance) shares one pass.
+On exact data the sweep compares cross-multiplied integer numerators and
+denominators, and builds `Fraction`s only at a failing pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .groupoids import FiniteGroupoid
@@ -46,6 +52,11 @@ class Cocycle1:
         if self.flavor == MULTIPLICATIVE and any(not (v > 0) for v in self.value):
             raise NonPositive("multiplicative cocycle values must be positive")
 
+    @cached_property
+    def _sweep(self) -> tuple[float, Optional[tuple[str, ...]]]:
+        """(worst deviation, its first witness) of the cocycle identity."""
+        return _sweep_cocycle(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Cochain0:
@@ -74,29 +85,60 @@ class CocycleCheck:
     witness: Optional[tuple[str, ...]]
 
 
+def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
+    """Worst `rdev` over the identities at units and the homomorphism
+    identity on all composable pairs, with the first pair attaining it."""
+    g = c.groupoid
+    value = c.value
+    additive = c.flavor == ADDITIVE
+    ident = 0 if additive else 1
+    worst = 0.0
+    witness = None
+
+    for u in range(g.n_units):
+        d = rdev(value[g.unit_arrow[u]], ident)
+        if d > worst:
+            worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
+
+    comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
+    if not all_exact(value):
+        for a in range(g.n_arrows):
+            for b in fibre_dst[src[a]]:
+                rhs = value[a] + value[b] if additive else value[a] * value[b]
+                d = rdev(value[comp[(a, b)]], rhs)
+                if d > worst:
+                    worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+        return worst, witness
+
+    # n_k/d_k against n_a/d_a ∘ n_b/d_b cross-multiplied (all d > 0); an
+    # equal pair has deviation 0, so only a mismatch needs its rdev
+    num = [v.numerator for v in value]
+    den = [v.denominator for v in value]
+    for a in range(g.n_arrows):
+        na, da = num[a], den[a]
+        for b in fibre_dst[src[a]]:
+            k = comp[(a, b)]
+            if additive:
+                equal = num[k] * da * den[b] == den[k] * (na * den[b] + num[b] * da)
+            else:
+                equal = num[k] * da * den[b] == den[k] * na * num[b]
+            if not equal:
+                rhs = value[a] + value[b] if additive else value[a] * value[b]
+                d = rdev(value[k], rhs)
+                if d > worst:
+                    worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+    return worst, witness
+
+
 def check_cocycle(c: Cocycle1, rel_tol: Optional[float] = None) -> CocycleCheck:
     """Homomorphism identity on all composable pairs, identities at units.
 
     Exact inputs are compared exactly; float inputs use `rel_tol`
     (default 1e-9, the post-exponentiation tolerance).
     """
-    g = c.groupoid
     exact = all_exact(c.value)
     tol = 0.0 if exact and rel_tol is None else (1e-9 if rel_tol is None else rel_tol)
-    ident = 0 if c.flavor == ADDITIVE else 1
-    worst = 0.0
-    witness = None
-
-    for u in range(g.n_units):
-        d = rdev(c.value[g.unit_arrow[u]], ident)
-        if d > worst:
-            worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
-    for a, b in g.composable_pairs():
-        lhs = c.value[g.comp[(a, b)]]
-        rhs = c.value[a] + c.value[b] if c.flavor == ADDITIVE else c.value[a] * c.value[b]
-        d = rdev(lhs, rhs)
-        if d > worst:
-            worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+    worst, witness = c._sweep
     return CocycleCheck(worst <= tol, worst, witness if worst > tol else None)
 
 
@@ -198,7 +240,7 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily, rel_tol: flo
     chk = check_cocycle(delta)
     if not chk.ok:
         raise NotACocycle(chk.witness, chk.max_deviation)
-    if all(is_exact(v) and Fraction(v) == 1 for v in delta.value):
+    if all(is_exact(v) and v == 1 for v in delta.value):
         return Cochain0(g, (ONE,) * g.n_units, MULTIPLICATIVE)
     logc = Cocycle1(g, tuple(math.log(float(v)) for v in delta.value), ADDITIVE)
     under = solve_coboundary_additive(logc, p)

@@ -164,12 +164,6 @@ def build_middle_groupoid(
     return tg, idx, make_haar(tg, weights)
 
 
-def build_lambda_pi(chi: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
-    """The family along π; weights of middle arrows landing on the same
-    point aggregate, matching the pushforward semantics."""
-    return quotient_family(chi, orbits)
-
-
 def lambda_pi_rep_independence(
     fp: FibreProduct, chi2: HaarSystem, lambda_pi: MeasureFamily
 ) -> float:
@@ -365,7 +359,9 @@ def compose(
     orbits = stage("orbit_space", orbit_space, fp.diagonal)
     report.notes["omega_points"] = orbits.n_orbits
 
-    lam_pi = stage("build_lambda_pi", build_lambda_pi, chi, orbits)
+    # the family along π: weights of middle arrows landing on the same
+    # point aggregate, matching the pushforward semantics
+    lam_pi = stage("build_lambda_pi", quotient_family, chi, orbits)
     rep_res = lambda_pi_rep_independence(fp, chi2, lam_pi)
     report.add("lambda_pi_rep_independence", rep_res == 0.0, rep_res)
 
@@ -489,12 +485,10 @@ def find_bispace_isomorphism(
     if n > max_points:
         raise ValueError(f"instance too large for the brute-force search ({n} points)")
 
+    # candidates are bucketed by momenta only: float weights that differ in
+    # the last ulp must still meet, and `verify` compares them to `tol`
     def signature(corr: Correspondence, p: int):
-        return (
-            corr.space.left.momentum[p],
-            corr.space.right.momentum[p],
-            float(corr.family.weight[p]),
-        )
+        return corr.space.left.momentum[p], corr.space.right.momentum[p]
 
     sig_b: dict[tuple, list[int]] = {}
     for q in range(n):

@@ -16,6 +16,7 @@ table is indexed by dense integers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -583,7 +584,7 @@ class ProperEvidence:
     """Finiteness evidence mirroring the compact-fibre hypothesis."""
 
     proper: bool
-    fibre_card: dict[tuple[str, str], int]  # (u, v) -> |arrows v -> u|
+    fibre_card: Counter[tuple[str, str]]  # (u, v) -> |arrows v -> u|, 0 when absent
 
     @property
     def max_card(self) -> int:
@@ -591,12 +592,10 @@ class ProperEvidence:
 
 
 def check_proper(g: FiniteGroupoid) -> ProperEvidence:
-    """Always proper at finite scale; returns all two-sided fibre sizes."""
-    card: dict[tuple[str, str], int] = {
-        (u, v): 0 for u in g.unit_ids for v in g.unit_ids
-    }
-    for a in range(g.n_arrows):
-        card[(g.unit_ids[g.dst[a]], g.unit_ids[g.src[a]])] += 1
+    """Always proper at finite scale; returns the two-sided fibre sizes
+    (only the nonempty fibres are stored)."""
+    ids = g.unit_ids
+    card = Counter((ids[g.dst[a]], ids[g.src[a]]) for a in range(g.n_arrows))
     return ProperEvidence(True, card)
 
 

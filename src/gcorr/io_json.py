@@ -2,8 +2,10 @@
 
 Weights travel as strings ("3/4" or "0.25") when exact and as JSON numbers
 when inexact; parsing is the mirror image, so a file round-trips to
-canonical form byte-identically.  All referential integrity problems raise
-ParseError with a path into the document.
+canonical form byte-identically.  All structural problems (a missing field,
+a container of the wrong JSON type, an entry of the wrong arity) and all
+referential integrity problems raise ParseError with a path into the
+document.
 """
 
 from __future__ import annotations
@@ -37,30 +39,65 @@ class InstanceData:
     correspondences: list[tuple[str, Correspondence]] = field(default_factory=list)
 
 
-def _need(obj: dict, key: str, path: str):
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, path: str):
+    """`value` if it has the JSON type `kind`, else a ParseError at `path`."""
+    if not isinstance(value, kind):
+        raise ParseError(path, f"expected {_KINDS[kind]}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _need(obj: dict, key: str, path: str, kind: type = object):
     if key not in obj:
         raise ParseError(path, f"missing field {key!r}")
-    return obj[key]
+    return _expect(obj[key], kind, f"{path}.{key}")
 
 
-def _parse_groupoid(name: str, doc: dict, path: str) -> HaarSystem:
-    units = _need(doc, "units", path)
-    arrows = _need(doc, "arrows", path)
+def _ids(value, path: str) -> list[str]:
+    """A list of string ids."""
+    for k, item in enumerate(_expect(value, list, path)):
+        _expect(item, str, f"{path}[{k}]")
+    return value
+
+
+def _id_map(value, path: str) -> dict[str, str]:
+    """An object mapping ids to ids."""
+    for key, item in _expect(value, dict, path).items():
+        _expect(item, str, f"{path}.{key}")
+    return value
+
+
+def _triples(value, path: str, n_ids: int = 3) -> list[list]:
+    """A list of entries of arity 3 whose first `n_ids` fields are ids."""
+    for k, entry in enumerate(_expect(value, list, path)):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ParseError(f"{path}[{k}]", "expected a triple")
+        _ids(entry[:n_ids], f"{path}[{k}]")
+    return value
+
+
+def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
+    _expect(doc, dict, path)
+    arrows = _ids(_need(doc, "arrows", path), f"{path}.arrows")
+    comp = _triples(_need(doc, "comp", path), f"{path}.comp")
+    unit_arrows = doc.get("unit_arrows")
     try:
         from .groupoids import build_groupoid
 
         g = build_groupoid(
-            units,
+            _ids(_need(doc, "units", path), f"{path}.units"),
             arrows,
-            _need(doc, "src", path),
-            _need(doc, "dst", path),
-            [tuple(entry) for entry in _need(doc, "comp", path)],
-            _need(doc, "inv", path),
-            doc.get("unit_arrows"),
+            _id_map(_need(doc, "src", path), f"{path}.src"),
+            _id_map(_need(doc, "dst", path), f"{path}.dst"),
+            [tuple(entry) for entry in comp],
+            _id_map(_need(doc, "inv", path), f"{path}.inv"),
+            None if unit_arrows is None else _id_map(unit_arrows, f"{path}.unit_arrows"),
         )
     except GroupoidAxiomError as exc:
         raise ParseError(path, str(exc)) from exc
-    haar_doc = _need(doc, "haar", path)
+    haar_doc = _need(doc, "haar", path, dict)
     weights = []
     for a in arrows:
         if a not in haar_doc:
@@ -84,13 +121,11 @@ def _parse_action(side, haar, points, momentum_doc, table_doc, path) -> GSpaceAc
     momentum = []
     for p in points:
         u = momentum_doc.get(p)
-        if u not in g._unit_lookup:
+        if not isinstance(u, str) or u not in g._unit_lookup:
             raise ParseError(f"{path}.momentum.{p}", f"unknown unit {u!r}")
         momentum.append(g.unit_index(u))
     table = {}
-    for k, entry in enumerate(table_doc):
-        if len(entry) != 3:
-            raise ParseError(f"{path}[{k}]", "expected a triple")
+    for k, entry in enumerate(_triples(table_doc, path)):
         if side == "left":
             a, p, q = entry
             if a not in g._arrow_lookup or p not in p_idx or q not in p_idx:
@@ -108,27 +143,28 @@ def _parse_action(side, haar, points, momentum_doc, table_doc, path) -> GSpaceAc
 
 
 def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondence]:
-    name = doc.get("name", f"corr{idx}")
-    left_name = _need(doc, "left", path)
-    right_name = _need(doc, "right", path)
+    _expect(doc, dict, path)
+    name = _expect(doc.get("name", f"corr{idx}"), str, f"{path}.name")
+    left_name = _need(doc, "left", path, str)
+    right_name = _need(doc, "right", path, str)
     for gname in (left_name, right_name):
         if gname not in groupoids:
             raise ParseError(path, f"unknown groupoid {gname!r}")
     left_haar = groupoids[left_name]
     right_haar = groupoids[right_name]
-    space_doc = _need(doc, "space", path)
-    points = _need(space_doc, "points", f"{path}.space")
+    space_doc = _need(doc, "space", path, dict)
+    points = _ids(_need(space_doc, "points", f"{path}.space"), f"{path}.space.points")
     if len(set(points)) != len(points):
         raise ParseError(f"{path}.space.points", "duplicate point ids")
     left = _parse_action(
         "left", left_haar, points,
-        _need(space_doc, "left_momentum", f"{path}.space"),
+        _need(space_doc, "left_momentum", f"{path}.space", dict),
         _need(space_doc, "left_action", f"{path}.space"),
         f"{path}.space.left_action",
     )
     right = _parse_action(
         "right", right_haar, points,
-        _need(space_doc, "right_momentum", f"{path}.space"),
+        _need(space_doc, "right_momentum", f"{path}.space", dict),
         _need(space_doc, "right_action", f"{path}.space"),
         f"{path}.space.right_action",
     )
@@ -137,7 +173,7 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
     except GroupoidAxiomError as exc:
         raise ParseError(f"{path}.space", str(exc)) from exc
 
-    fam_doc = _need(doc, "family", path)
+    fam_doc = _need(doc, "family", path, dict)
     weights = []
     for p in points:
         if p not in fam_doc:
@@ -162,9 +198,7 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
         values = [None] * len(tg_idx)
         p_idx = {p: i for i, p in enumerate(points)}
         g = left_haar.groupoid
-        for k, entry in enumerate(doc["adjoining"]):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError(f"{path}.adjoining[{k}]", "expected a triple")
+        for k, entry in enumerate(_triples(doc["adjoining"], f"{path}.adjoining", n_ids=2)):
             a, p, raw = entry
             if a not in g._arrow_lookup or p not in p_idx:
                 raise ParseError(f"{path}.adjoining[{k}]", f"unknown id in {entry}")
@@ -193,13 +227,14 @@ def parse_instance(text: str, source: str = "<instance>") -> InstanceData:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(source, f"not a {FORMAT} instance file")
-    if doc.get("version") != VERSION:
+    if doc.get("version") != VERSION or isinstance(doc.get("version"), bool):
         raise ParseError(source, f"unsupported version {doc.get('version')!r}")
     groupoids = {}
-    for name, gdoc in sorted(_need(doc, "groupoids", source).items()):
+    for name, gdoc in sorted(_need(doc, "groupoids", source, dict).items()):
         groupoids[name] = _parse_groupoid(name, gdoc, f"{source}.groupoids.{name}")
     data = InstanceData(groupoids)
-    for i, cdoc in enumerate(doc.get("correspondences", [])):
+    corr_docs = _expect(doc.get("correspondences", []), list, f"{source}.correspondences")
+    for i, cdoc in enumerate(corr_docs):
         data.correspondences.append(
             _parse_correspondence(i, cdoc, groupoids, f"{source}.correspondences[{i}]")
         )

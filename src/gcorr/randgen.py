@@ -146,10 +146,6 @@ def random_haar(rng: SplitMix64, g: FiniteGroupoid) -> HaarSystem:
     return haar_from_unit_weights(g, tuple(rng.fraction() for _ in range(g.n_units)))
 
 
-def random_cochain_floats(rng: SplitMix64, g: FiniteGroupoid) -> tuple[float, ...]:
-    return tuple(2 * rng.random() - 1 for _ in range(g.n_units))
-
-
 # ---------------------------------------------------------------------------
 # bispaces and correspondence pairs
 
@@ -348,7 +344,7 @@ def random_pair(
         corr_x, anchors = random_correspondence(rng, chi1, chi2, max_x, check=check)
         # anchor Y's left side on units whose orbits meet the image of s_X
         seeds = sorted({corr_x.space.right.momentum[p] for p in range(corr_x.space.n_points)})
-        y_space, _ = _anchored_left_bispace(rng, g2, g3, max_y, seeds)
+        y_space = _anchored_left_bispace(rng, g2, g3, max_y, seeds)
         fam_y = orbit_averaged_family(rng, y_space, g3)
         corr_y = make_correspondence(chi2, chi3, y_space, fam_y, check=check)
         n_z = sum(
@@ -368,7 +364,7 @@ def _anchored_left_bispace(
     g_right: FiniteGroupoid,
     max_points: int,
     anchor_units: Sequence[int],
-) -> tuple[Bispace, list[int]]:
+) -> Bispace:
     """Like random_bispace but anchoring the *left* pieces on given units:
     the piece out of u has left momenta covering the whole orbit of u, so
     anchoring on a unit met by the partner guarantees a nonempty fibre
@@ -385,4 +381,4 @@ def _anchored_left_bispace(
         total += len(piece.pts)
     if not pieces:
         pieces = [_fibre_piece(g_left, g_right, anchor_units[0], 0, "0.")]
-    return _assemble_bispace(g_left, g_right, pieces), []
+    return _assemble_bispace(g_left, g_right, pieces)

@@ -67,7 +67,7 @@ def _equal_dev(a: Scalar) -> float:
 
 def adev(a: Scalar, b: Scalar) -> float:
     """Absolute deviation |a - b| as a float (exact zero stays exact)."""
-    if a == b:
+    if a is b or a == b:
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
         return float(abs(a - b))
@@ -77,7 +77,7 @@ def adev(a: Scalar, b: Scalar) -> float:
 
 def rdev(a: Scalar, b: Scalar) -> float:
     """Deviation |a - b| / max(1, |a|, |b|); 0 iff equal on exact inputs."""
-    if a == b:
+    if a is b or a == b:
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
         return float(abs(a - b) / max(1, abs(a), abs(b)))

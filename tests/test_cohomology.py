@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcorr as gc
+from gcorr import catalog, cohomology
 from gcorr.cohomology import (
     ADDITIVE,
     MULTIPLICATIVE,
     NotACocycle,
+    _sweep_cocycle,
     coboundary_residual,
     probability_family_violation,
 )
+from gcorr.composition import compose
 from gcorr.groupoids import make_action, transformation_groupoid
-from gcorr.randgen import SplitMix64, random_groupoid, random_haar
+from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
+from gcorr.util import rdev
 
 
 class TestInvariantProbabilityFamily:
@@ -176,3 +180,94 @@ class TestDecomposeMultiplicative:
         bm = gc.unit_measure(pair2, tuple(b.value[u] * m.weight[u] for u in range(2)))
         chk = gc.is_symmetric(bm, haar, tol=1e-12)
         assert chk.symmetric
+
+
+def _sweep_oracle(c):
+    """The per-pair sweep of the cocycle identity on the values as they
+    are: a Fraction (or float) product or sum for every composable pair."""
+    g = c.groupoid
+    ident = 0 if c.flavor == ADDITIVE else 1
+    worst = 0.0
+    witness = None
+    for u in range(g.n_units):
+        d = rdev(c.value[g.unit_arrow[u]], ident)
+        if d > worst:
+            worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
+    for a, b in g.composable_pairs():
+        lhs = c.value[g.comp[(a, b)]]
+        rhs = c.value[a] + c.value[b] if c.flavor == ADDITIVE else c.value[a] * c.value[b]
+        d = rdev(lhs, rhs)
+        if d > worst:
+            worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+    return worst, witness
+
+
+def _pipeline_cocycles(pair):
+    corr_x, corr_y = pair
+    res = compose(corr_x, corr_y)
+    return [corr_x.adjoining, corr_y.adjoining, res.delta_z, res.delta12]
+
+
+PIPELINE_PAIRS = [f"catalog-{name}" for name in catalog.EXAMPLE_NAMES] + [
+    f"random-{i}" for i in range(10)
+]
+
+
+class TestCocycleSweep:
+    """The integer sweep gives the oracle's (worst, witness) bit for bit."""
+
+    @pytest.mark.parametrize("name", PIPELINE_PAIRS)
+    def test_pipeline_cocycles_match_oracle(self, name):
+        kind, _, arg = name.partition("-")
+        pair = catalog.example_pair(arg)[:2] if kind == "catalog" else random_pair(int(arg))
+        for c in _pipeline_cocycles(pair):
+            fresh = gc.Cocycle1(c.groupoid, c.value, c.flavor)  # no cached sweep
+            assert _sweep_cocycle(fresh) == _sweep_oracle(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
+        st.integers(0, 10**6),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6),
+    )
+    def test_perturbed_exact_cocycles_match_oracle(self, seed, flavor, where, shift):
+        rng = SplitMix64(seed)
+        g = random_groupoid(rng, 30)
+        # small values make equal deviations, so the first witness is tested
+        t = gc.Cochain0(g, tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(g.n_units)), flavor)
+        values = list(gc.d0(t).value)
+        k = where % g.n_arrows
+        if flavor == ADDITIVE:
+            values[k] += shift
+        else:
+            values[k] *= 1 + abs(shift)
+        c = gc.Cocycle1(g, tuple(values), flavor)
+        worst, witness = _sweep_cocycle(c)
+        assert (worst, witness) == _sweep_oracle(c)
+        assert (worst > 0) == (shift != 0)
+
+    def test_check_cocycle_applies_tolerance_to_the_cached_sweep(self, pair2):
+        c = gc.Cocycle1(pair2, (F(0), F(1, 10**12), F(0), F(0)), ADDITIVE)
+        assert not gc.check_cocycle(c).ok  # exact: no tolerance
+        loose = gc.check_cocycle(c, rel_tol=1e-9)
+        assert loose.ok and loose.witness is None
+        assert loose.max_deviation == gc.check_cocycle(c).max_deviation > 0
+
+
+class TestSweepRunsOncePerCocycle:
+    def test_composition_sweeps_each_cocycle_once(self, monkeypatch):
+        swept = []
+
+        def counting(c):
+            swept.append(c)
+            return _sweep_cocycle(c)
+
+        monkeypatch.setattr(cohomology, "_sweep_cocycle", counting)
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        res = compose(corr_x, corr_y)
+        assert any(v != 1 for v in res.delta_z.value)  # premise: nontrivial Δ
+        assert sum(c is res.delta_z for c in swept) == 1
+        for i, c in enumerate(swept):
+            assert not any(c is other for other in swept[i + 1:])
+

@@ -326,3 +326,30 @@ class TestCatalogEqualities:
             corr_x, corr_y, _ = catalog.example_pair(name)
             res = compose(corr_x, corr_y)
             assert res.report.passed, name
+
+
+class TestFloatIsomorphism:
+    """Float weights are matched to `tol`, not by exact equality."""
+
+    @staticmethod
+    def _moved_copy(corr, point, new_weight):
+        from gcorr.measures import MeasureFamily
+
+        weights = list(corr.family.weight)
+        weights[point] = new_weight
+        fam = MeasureFamily(corr.family.total_ids, corr.family.base_ids, corr.family.along, tuple(weights))
+        return gc.make_correspondence(
+            corr.left_haar, corr.right_haar, corr.space, fam, corr.adjoining.value, check=False
+        )
+
+    def test_last_ulp_matches_and_visible_shift_does_not(self):
+        corr_x, corr_y = weighted_middle_pair()
+        composite = compose(corr_x, corr_y).composite
+        w = composite.family.weight[0]
+        assert isinstance(w, float)  # premise: a float-mode composite
+        ulp = self._moved_copy(composite, 0, math.nextafter(w, math.inf))
+        assert ulp.family.weight[0] != w
+        assert find_bispace_isomorphism(composite, ulp) is not None
+        shifted = self._moved_copy(composite, 0, w + 1e-6)
+        assert find_bispace_isomorphism(composite, shifted) is None
+

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcorr import catalog, cli
 from gcorr.io_json import ParseError, parse_instance, serialize_instance
@@ -268,6 +273,134 @@ class TestCliRejectsBadInputs:
         assert "second input fails validation" in capsys.readouterr().err
         assert cli.main(["verify", str(x), str(y), "--trials", "2"]) == 1
         assert "second input fails validation" in capsys.readouterr().err
+
+
+class TestMalformedStructureExitsOne:
+    """Wrong container types and arities are parse errors with a path."""
+
+    @pytest.fixture
+    def ind_x(self, tmp_path):
+        assert cli.main(["example", "induction-finite", str(tmp_path / "ind")]) == 0
+        return tmp_path / "ind.x.json"
+
+    def _validate_mutated(self, x, mutate, capsys):
+        doc = json.loads(x.read_text())
+        mutate(doc)
+        x.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(x)]) == 1
+        return capsys.readouterr().err
+
+    def test_comp_entry_of_wrong_arity(self, ind_x, capsys):
+        def mutate(doc):
+            g = doc["groupoids"][sorted(doc["groupoids"])[0]]
+            g["comp"][0] = g["comp"][0][:2]
+
+        err = self._validate_mutated(ind_x, mutate, capsys)
+        assert f"{ind_x}.groupoids.G0.comp[0]" in err and "triple" in err
+
+    def test_groupoids_given_as_a_list(self, ind_x, capsys):
+        def mutate(doc):
+            doc["groupoids"] = list(doc["groupoids"].values())
+
+        err = self._validate_mutated(ind_x, mutate, capsys)
+        assert f"{ind_x}.groupoids:" in err and "object" in err
+
+    def test_points_given_as_a_number(self, ind_x, capsys):
+        def mutate(doc):
+            doc["correspondences"][0]["space"]["points"] = 3
+
+        err = self._validate_mutated(ind_x, mutate, capsys)
+        assert f"{ind_x}.correspondences[0].space.points:" in err and "list" in err
+
+    def test_name_and_version_of_the_wrong_type(self, ind_x, capsys):
+        def mutate(doc):
+            doc["correspondences"][0]["name"] = ["x"]
+
+        err = self._validate_mutated(ind_x, mutate, capsys)
+        assert f"{ind_x}.correspondences[0].name:" in err
+
+        def mutate(doc):
+            doc["version"] = True  # equal to 1, but not the number 1
+
+        assert "unsupported version" in self._validate_mutated(ind_x, mutate, capsys)
+
+
+def _catalog_docs(root):
+    docs = []
+    for name in catalog.EXAMPLE_NAMES:
+        assert cli.main(["example", name, str(root / name)]) == 0
+        for leg in ("x", "y"):
+            docs.append(json.loads((root / f"{name}.{leg}.json").read_text()))
+    return docs
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+_RETYPED = (None, True, 0, 2.5, "", "zz", [], ["a", "b"], {}, {"a": "b"})
+_NONFINITE = (float("inf"), float("-inf"), float("nan"))
+
+
+def _mutate(doc, path, kind, pick):
+    """One structural mutation of `doc` at `path` (in place); returns the
+    new document (a new root when the root itself is replaced).  A kind
+    that does not apply at the node (renaming a list element, changing
+    the arity of a scalar) retypes it instead."""
+    if not path:
+        return _RETYPED[pick % len(_RETYPED)] if kind != "nonfinite" else _NONFINITE[pick % 3]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "rename" and isinstance(parent, dict):
+        parent[f"{key}_renamed"] = parent.pop(key)
+    elif kind == "arity" and isinstance(node, list):
+        if node and pick % 2:
+            node.pop()
+        else:
+            node.append(copy.deepcopy(node[-1]) if node else "extra")
+    elif kind == "nonfinite":
+        parent[key] = _NONFINITE[pick % 3]
+    else:
+        parent[key] = copy.deepcopy(_RETYPED[pick % len(_RETYPED)])
+    return doc
+
+
+class TestMutatedCatalogFilesNeverRaise:
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("catalog")
+        return root, _catalog_docs(root)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_validate_exits_zero_or_one(self, docs, data):
+        root, originals = docs
+        k = data.draw(st.integers(0, len(originals) - 1), label="file")
+        doc = copy.deepcopy(originals[k])
+        paths = list(_node_paths(doc))
+        path = paths[data.draw(st.integers(0, len(paths) - 1), label="node")]
+        kind = data.draw(st.sampled_from(["drop", "rename", "retype", "arity", "nonfinite"]), label="kind")
+        doc = _mutate(doc, path, kind, data.draw(st.integers(0, 99), label="pick"))
+        target = root / "mutated.json"
+        target.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", str(target)])
+        assert code in (0, 1)
+        if code == 1:
+            # a parse error names a path in the document; a document that
+            # parses but fails a check prints the failing report instead
+            assert err.getvalue().startswith(f"parse error: {target}") or (
+                out.getvalue().rstrip().endswith("=> FAIL")
+            )
 
 
 class TestCliExampleRandom:
