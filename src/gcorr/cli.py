@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         return EXIT_COMPOSITION
     gram = cstar.verify_theorem(
         corr_x, corr_y, result,
-        trials=args.trials, seed=args.seed, tol=args.tol, threads=args.threads,
+        trials=args.trials, seed=args.seed, tol=args.tol,
     )
     _emit(gram.report(), args.json)
     return EXIT_OK if gram.passed else EXIT_THEOREM
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_y")
     p.add_argument("--trials", type=int, default=200, help="random vectors per instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(fn=cmd_verify)
 

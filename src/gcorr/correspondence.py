@@ -10,7 +10,9 @@ so builders derive it rather than ask for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .cohomology import MULTIPLICATIVE, Cocycle1, check_cocycle
@@ -64,6 +66,12 @@ class Correspondence:
 
     def adjoining_at(self, arrow: int, point: int) -> Scalar:
         return self.adjoining.value[self.left_tg_index[(arrow, point)]]
+
+    @cached_property
+    def sqrt_adjoining(self) -> dict[tuple[int, int], float]:
+        """(arrow, point) -> √Δ as a float, keyed like `left_tg_index`."""
+        value = self.adjoining.value
+        return {key: math.sqrt(float(value[k])) for key, k in self.left_tg_index.items()}
 
     @property
     def exact(self) -> bool:

@@ -9,12 +9,23 @@ correspondences induces an inner-product preserving, left-action
 intertwining map with full range from the balanced tensor product onto the
 composite's function space: at finite dimension that is exactly a unitary
 of Hilbert modules.
+
+The operations here are the floating-point side of the package.  They read
+float views of the exact tables that are built once per object and cached
+on it: `MeasureFamily.float_weight` for Haar weights, families and μ, and
+`Correspondence.sqrt_adjoining` for √Δ.  Each sum still runs in the order of
+the per-element loops, so the values do not depend on the caching.  The
+certificate's deviations are relative, |a − b| / max(1, |a|, |b|) per
+entry, with NaN or ∞ counted as an infinite deviation; inner products scale
+like the families, so an absolute bound would fail valid data that is
+merely large.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +36,7 @@ from .groupoids import FiniteGroupoid
 from .measures import HaarSystem
 from .randgen import SplitMix64
 from .report import Report
-from .util import GcorrError, cdev
+from .util import GcorrError, crdev
 
 
 class Mismatch(GcorrError):
@@ -79,9 +90,10 @@ def convolve(phi: AlgebraElement, psi: AlgebraElement, haar: HaarSystem) -> Alge
     g = haar.groupoid
     if phi.groupoid != g or psi.groupoid != g:
         raise GroupoidMismatch("convolution operands live on different groupoids")
+    w = haar.family.float_weight
     out: dict[int, complex] = {}
     for a, va in phi.coeff.items():
-        wa = va * float(haar.w(a))
+        wa = va * w[a]
         for b, vb in psi.coeff.items():
             if g.src[a] == g.dst[b]:
                 c = g.comp[(a, b)]
@@ -102,13 +114,17 @@ def left_action(phi: AlgebraElement, f: ModuleElement, corr: Correspondence) -> 
     if phi.groupoid != g:
         raise Mismatch("algebra element is not over the left groupoid")
     act = corr.space.left
+    table, momentum, src = act.table, act.momentum, g.src
+    w, sqrt_adj = corr.left_haar.family.float_weight, corr.sqrt_adjoining
+    by_unit: dict[int, list[tuple[int, complex]]] = {}  # f's points over each unit, in order
+    for z, vz in f.coeff.items():
+        by_unit.setdefault(momentum[z], []).append((z, vz))
     out: dict[int, complex] = {}
     for a, va in phi.coeff.items():
-        wa = va * float(corr.left_haar.w(a))
-        for z, vz in f.coeff.items():
-            if g.src[a] == act.momentum[z]:
-                x = act.table[(a, z)]
-                out[x] = out.get(x, 0j) + wa * vz * math.sqrt(float(corr.adjoining_at(a, z)))
+        wa = va * w[a]
+        for z, vz in by_unit.get(src[a], ()):
+            x = table[(a, z)]
+            out[x] = out.get(x, 0j) + wa * vz * sqrt_adj[(a, z)]
     return ModuleElement(corr, _clean(out))
 
 
@@ -120,12 +136,13 @@ def right_action(f: ModuleElement, psi: AlgebraElement, corr: Correspondence) ->
     if psi.groupoid != h:
         raise Mismatch("algebra element is not over the right groupoid")
     act = corr.space.right
+    w = corr.right_haar.family.float_weight
     out: dict[int, complex] = {}
     for z, vz in f.coeff.items():
         for k, vk in psi.coeff.items():
             if act.momentum[z] == h.dst[k]:
                 x = act.table[(z, k)]
-                out[x] = out.get(x, 0j) + vz * vk * float(corr.right_haar.w(h.inv[k]))
+                out[x] = out.get(x, 0j) + vz * vk * w[h.inv[k]]
     return ModuleElement(corr, _clean(out))
 
 
@@ -135,11 +152,13 @@ def inner_product(f: ModuleElement, g_el: ModuleElement, corr: Correspondence) -
         raise Mismatch("inner product operands belong to different correspondences")
     h = corr.right
     act = corr.space.right
+    table, momentum, fibre_dst = act.table, act.momentum, h.fibre_dst
+    lam, g_coeff = corr.family.float_weight, g_el.coeff
     out: dict[int, complex] = {}
     for x, vx in f.coeff.items():
-        lx = vx.conjugate() * float(corr.family.weight[x])
-        for eta in h.fibre_dst[act.momentum[x]]:
-            gx = g_el.coeff.get(act.table[(x, eta)])
+        lx = vx.conjugate() * lam[x]
+        for eta in fibre_dst[momentum[x]]:
+            gx = g_coeff.get(table[(x, eta)])
             if gx:
                 out[eta] = out.get(eta, 0j) + lx * gx
     return AlgebraElement(h, _clean(out))
@@ -194,8 +213,8 @@ def representation_matrices(
     """
     basis = g.fibre_src[u]
     pos = {a: i for i, a in enumerate(basis)}
-    unit_w = [float(haar.w(g.unit_arrow[v])) for v in range(g.n_units)]
-    d = np.array([math.sqrt(unit_w[g.dst[a]]) for a in basis])
+    w = haar.family.float_weight
+    d = np.array([math.sqrt(w[g.unit_arrow[g.dst[a]]]) for a in basis])
 
     def apply(phi: AlgebraElement) -> np.ndarray:
         if phi.groupoid != g:
@@ -206,7 +225,7 @@ def representation_matrices(
                 val = phi.coeff.get(eta)
                 if val:
                     j = pos[g.comp[(g.inv[eta], gamma)]]
-                    m[i, j] += val * float(haar.w(eta))
+                    m[i, j] += val * w[eta]
         return (d[:, None] * m) / d[None, :]
 
     return basis, apply
@@ -279,16 +298,18 @@ class GramReport:
 def _dict_dev(a: dict, b: dict) -> float:
     worst = 0.0
     for k in a.keys() | b.keys():
-        worst = max(worst, cdev(a.get(k, 0j), b.get(k, 0j)))
+        d = crdev(a.get(k, 0j), b.get(k, 0j))
+        if d > worst:
+            worst = d
     return worst
 
 
 def _random_module(rng: SplitMix64, corr: Correspondence) -> ModuleElement:
-    return ModuleElement(corr, {p: rng.cnum() for p in range(corr.space.n_points)})
+    return ModuleElement(corr, dict(enumerate(rng.cnums(corr.space.n_points))))
 
 
 def _random_algebra(rng: SplitMix64, g: FiniteGroupoid) -> AlgebraElement:
-    return AlgebraElement(g, {a: rng.cnum() for a in range(g.n_arrows)})
+    return AlgebraElement(g, dict(enumerate(rng.cnums(g.n_arrows))))
 
 
 def tensor_basis_gram(
@@ -301,27 +322,24 @@ def tensor_basis_gram(
     direct triple sum: keys are (basis i, basis j, arrow of the right
     groupoid), values the (real, positive-coefficient) inner product."""
     g2, g3 = corr_x.right, corr_y.right
-    chi2 = corr_x.right_haar
-    fp = result.fp
-    act_xr = corr_x.space.right
-    act_yl = corr_y.space.left
-    act_yr = corr_y.space.right
+    chi2 = corr_x.right_haar.family.float_weight
+    lam_x, lam_y = corr_x.family.float_weight, corr_y.family.float_weight
+    sqrt_adj = corr_y.sqrt_adjoining
+    pairs, index = result.fp.pairs, result.fp.index
+    xr_table = corr_x.space.right.table
+    yl_table, yl_momentum = corr_y.space.left.table, corr_y.space.left.momentum
+    yr_table, yr_momentum = corr_y.space.right.table, corr_y.space.right.momentum
     q: dict[tuple[int, int, int], float] = {}
     for i in zs:
-        x, y = fp.pairs[i]
-        ax_by = float(corr_x.family.weight[x]) * float(corr_y.family.weight[y])
-        for gbar in g3.fibre_dst[act_yr.momentum[y]]:
-            ygbar = act_yr.table[(y, gbar)]
-            for gam in g2.fibre_dst[act_yl.momentum[y]]:
-                x1 = act_xr.table[(x, gam)]
-                y1 = act_yl.table[(g2.inv[gam], ygbar)]
-                key = (i, fp.index[(x1, y1)], gbar)
-                val = (
-                    math.sqrt(float(corr_y.adjoining_at(gam, y1)))
-                    * ax_by
-                    * float(chi2.w(gam))
-                )
-                q[key] = q.get(key, 0.0) + val
+        x, y = pairs[i]
+        ax_by = lam_x[x] * lam_y[y]
+        for gbar in g3.fibre_dst[yr_momentum[y]]:
+            ygbar = yr_table[(y, gbar)]
+            for gam in g2.fibre_dst[yl_momentum[y]]:
+                x1 = xr_table[(x, gam)]
+                y1 = yl_table[(g2.inv[gam], ygbar)]
+                key = (i, index[(x1, y1)], gbar)
+                q[key] = q.get(key, 0.0) + sqrt_adj[(gam, y1)] * ax_by * chi2[gam]
     return q
 
 
@@ -335,7 +353,7 @@ def image_basis_gram(
     g3 = result.composite.right
     act_or = result.composite.space.right
     ell = result.ell
-    mu = [float(w) for w in result.mu.weight]
+    mu = result.mu.float_weight
     r: dict[tuple[int, int, int], float] = {}
     for o in os_:
         for gbar in g3.fibre_dst[act_or.momentum[o]]:
@@ -364,7 +382,6 @@ def verify_theorem(
     trials: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
-    threads: int = 1,
 ) -> GramReport:
     """Certify the composite against the balanced tensor product.
 
@@ -387,37 +404,11 @@ def verify_theorem(
     inter_dev, inter_wit = 0.0, None
 
     # -- (a) exhaustive basis sweep, sparse on both sides -------------------
-    def chunks(seq, k):
-        seq = list(seq)
-        if k <= 1 or len(seq) < 2 * k:
-            return [seq]
-        step = (len(seq) + k - 1) // k
-        return [seq[i : i + step] for i in range(0, len(seq), step)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            q_parts = list(
-                pool.map(
-                    lambda zs: tensor_basis_gram(corr_x, corr_y, result, zs),
-                    chunks(range(n_z), threads),
-                )
-            )
-            r_parts = list(
-                pool.map(
-                    lambda os_: image_basis_gram(result, os_),
-                    chunks(range(orbits.n_orbits), threads),
-                )
-            )
-        q = {k: v for part in q_parts for k, v in part.items()}
-        r = {k: v for part in r_parts for k, v in part.items()}
-    else:
-        q = tensor_basis_gram(corr_x, corr_y, result, range(n_z))
-        r = image_basis_gram(result, range(orbits.n_orbits))
+    q = tensor_basis_gram(corr_x, corr_y, result, range(n_z))
+    r = image_basis_gram(result, range(orbits.n_orbits))
 
     for key in q.keys() | r.keys():
-        d = abs(q.get(key, 0.0) - r.get(key, 0.0))
+        d = crdev(q.get(key, 0.0), r.get(key, 0.0))
         if d > iso_dev:
             i, j, gbar = key
             iso_dev = d
@@ -425,33 +416,37 @@ def verify_theorem(
     iso_pairs = n_z * n_z
 
     # point masses off the fibre product map to zero on both sides
-    off = [
+    off = (
         (x, y)
         for x in range(corr_x.space.n_points)
         for y in range(corr_y.space.n_points)
         if (x, y) not in fp.index
-    ][:3]
-    for x, y in off:
+    )
+    for x, y in islice(off, 3):
         f, g_ = delta_point(corr_x, x), delta_point(corr_y, y)
         if lambda_prime(f, g_, result).coeff or tensor_inner_product(f, g_, f, g_, corr_x, corr_y).coeff:
             iso_dev = max(iso_dev, 1.0)
             iso_wit = f"off-product basis ({corr_x.space.point_ids[x]}, {corr_y.space.point_ids[y]})"
 
     # -- (b) intertwining on the basis --------------------------------------
+    # the basis images λ'(δx ⊗ δy) do not depend on the arrow: one per z
+    zs_over: dict[int, list[int]] = {}  # left unit -> the z = (x, y) with x over it
+    images = []
+    for z, (x, y) in enumerate(fp.pairs):
+        zs_over.setdefault(corr_x.space.left.momentum[x], []).append(z)
+        images.append(lambda_prime(delta_point(corr_x, x), delta_point(corr_y, y), result))
     checks = 0
     for a1 in range(g1.n_arrows):
         phi = delta_arrow(g1, a1)
-        for z in range(n_z):
+        for z in zs_over.get(g1.src[a1], ()):
             x, y = fp.pairs[z]
-            if g1.src[a1] != corr_x.space.left.momentum[x]:
-                continue
             checks += 1
             lhs = lambda_prime(
                 left_action(phi, delta_point(corr_x, x), corr_x),
                 delta_point(corr_y, y),
                 result,
             )
-            rhs = left_action(phi, lambda_prime(delta_point(corr_x, x), delta_point(corr_y, y), result), composite)
+            rhs = left_action(phi, images[z], composite)
             d = _dict_dev(lhs.coeff, rhs.coeff)
             if d > inter_dev:
                 inter_dev = d

@@ -52,6 +52,11 @@ class MeasureFamily:
             out[b].append(t)
         return tuple(tuple(f) for f in out)
 
+    @cached_property
+    def float_weight(self) -> tuple[float, ...]:
+        """The weights as floats, converted once for the float-side readers."""
+        return tuple(float(w) for w in self.weight)
+
     def mass(self, b: int) -> Scalar:
         return ksum(self.weight[t] for t in self.fibres[b])
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .correspondence import Correspondence, make_correspondence
 from .groupoids import (
     Bispace,
@@ -69,6 +71,31 @@ class SplitMix64:
 
     def cnum(self) -> complex:
         return complex(2 * self.random() - 1, 2 * self.random() - 1)
+
+    # below this many draws the numpy call overhead outweighs the loop
+    BLOCK_MIN = 8
+
+    def cnums(self, n: int) -> list[complex]:
+        """`[self.cnum() for _ in range(n)]`, drawn as one uint64 block.
+
+        The 2n states are state + k·γ (k = 1..2n, wrapping mod 2^64), mixed
+        elementwise; uint64 array arithmetic wraps exactly like the masks of
+        `next_u64`.  Real and imaginary parts are stored separately, since
+        `re + 1j*im` could turn a signed zero around.
+        """
+        if n < max(self.BLOCK_MIN, 1):
+            return [self.cnum() for _ in range(n)]
+        k = np.arange(1, 2 * n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + k * np.uint64(_GAMMA)
+        self.state = (self.state + 2 * n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        u = 2 * ((z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) - 1
+        out = np.empty(n, dtype=np.complex128)
+        out.real = u[0::2]
+        out.imag = u[1::2]
+        return out.tolist()
 
     def spawn(self) -> "SplitMix64":
         return SplitMix64(self.next_u64())

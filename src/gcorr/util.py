@@ -86,8 +86,11 @@ def rdev(a: Scalar, b: Scalar) -> float:
     return d if d == d else math.inf
 
 
-def cdev(a: complex, b: complex) -> float:
-    return abs(complex(a) - complex(b))
+def crdev(a: complex, b: complex) -> float:
+    """Deviation |a - b| / max(1, |a|, |b|) of complex (or float) values;
+    `math.inf` whenever either one is NaN or ∞, as for `rdev`."""
+    d = abs(a - b) / max(1.0, abs(a), abs(b))
+    return d if d == d else math.inf
 
 
 def parse_scalar(raw) -> Scalar:

@@ -485,17 +485,183 @@ class TestVerifyTheorem:
         assert not gram.intertwining_ok
         assert gram.intertwining_witness is not None
 
-    def test_threads_agree_with_serial(self):
-        corr_x, corr_y = random_pair(23, max_x=10, max_y=10, max_mid=8, check=False)
-        res = compose(corr_x, corr_y)
-        g1 = verify_theorem(corr_x, corr_y, res, trials=10, seed=3, threads=1)
-        g2 = verify_theorem(corr_x, corr_y, res, trials=10, seed=3, threads=4)
-        assert g1.isometry_max_dev == g2.isometry_max_dev
-        assert g1.passed and g2.passed
-
     def test_mismatched_module_elements_raise(self):
         corr_x, corr_y, _ = catalog.example_pair("fn-compose")
         with pytest.raises(Mismatch):
             inner_product(
                 ModuleElement(corr_x, {0: 1j}), ModuleElement(corr_x, {0: 1j}), corr_y
             )
+
+
+# ---------------------------------------------------------------------------
+# float views: the per-element loops as first written, kept as oracles
+
+
+def oracle_left_action(phi, f, corr):
+    g, act = corr.left, corr.space.left
+    out = {}
+    for a, va in phi.coeff.items():
+        wa = va * float(corr.left_haar.w(a))
+        for z, vz in f.coeff.items():
+            if g.src[a] == act.momentum[z]:
+                x = act.table[(a, z)]
+                out[x] = out.get(x, 0j) + wa * vz * math.sqrt(float(corr.adjoining_at(a, z)))
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def oracle_inner_product(f, g_el, corr):
+    h, act = corr.right, corr.space.right
+    out = {}
+    for x, vx in f.coeff.items():
+        lx = vx.conjugate() * float(corr.family.weight[x])
+        for eta in h.fibre_dst[act.momentum[x]]:
+            gx = g_el.coeff.get(act.table[(x, eta)])
+            if gx:
+                out[eta] = out.get(eta, 0j) + lx * gx
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def oracle_tensor_basis_gram(corr_x, corr_y, result, zs):
+    g2, g3 = corr_x.right, corr_y.right
+    chi2, fp = corr_x.right_haar, result.fp
+    act_xr, act_yl, act_yr = corr_x.space.right, corr_y.space.left, corr_y.space.right
+    q = {}
+    for i in zs:
+        x, y = fp.pairs[i]
+        ax_by = float(corr_x.family.weight[x]) * float(corr_y.family.weight[y])
+        for gbar in g3.fibre_dst[act_yr.momentum[y]]:
+            ygbar = act_yr.table[(y, gbar)]
+            for gam in g2.fibre_dst[act_yl.momentum[y]]:
+                x1 = act_xr.table[(x, gam)]
+                y1 = act_yl.table[(g2.inv[gam], ygbar)]
+                key = (i, fp.index[(x1, y1)], gbar)
+                val = math.sqrt(float(corr_y.adjoining_at(gam, y1))) * ax_by * float(chi2.w(gam))
+                q[key] = q.get(key, 0.0) + val
+    return q
+
+
+def _bits(d: dict) -> list:
+    """Keys in order with the exact bit patterns of the values."""
+    return [(k, complex(v).real.hex(), complex(v).imag.hex()) for k, v in d.items()]
+
+
+def _float_view_instances():
+    for name in catalog.EXAMPLE_NAMES:
+        corr_x, corr_y, _ = catalog.example_pair(name)
+        yield name, corr_x, corr_y
+    for seed in range(10):
+        corr_x, corr_y = random_pair(seed)
+        yield f"random-{seed}", corr_x, corr_y
+
+
+class TestFloatViewsBitForBit:
+    """The table-reading operations reproduce the per-element loops exactly:
+    the same values, bit for bit, in the same key order."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return [
+            (name, corr_x, corr_y, compose(corr_x, corr_y))
+            for name, corr_x, corr_y in _float_view_instances()
+        ]
+
+    def test_left_action_and_inner_product(self, instances):
+        rng = SplitMix64(5)
+        for name, corr_x, corr_y, res in instances:
+            for corr in (corr_x, corr_y, res.composite):
+                n_pts = corr.space.n_points
+                elements = [rand_mod(rng, corr) for _ in range(3)]
+                elements += [delta_point(corr, p) for p in range(n_pts)]
+                algebra = [rand_alg(rng, corr.left) for _ in range(3)]
+                algebra += [delta_arrow(corr.left, a) for a in range(corr.left.n_arrows)]
+                for phi in algebra:
+                    for f in elements:
+                        got = left_action(phi, f, corr).coeff
+                        assert _bits(got) == _bits(oracle_left_action(phi, f, corr)), name
+                for f in elements:
+                    for g_ in elements[:11]:
+                        got = inner_product(f, g_, corr).coeff
+                        assert _bits(got) == _bits(oracle_inner_product(f, g_, corr)), name
+
+    def test_tensor_basis_gram(self, instances):
+        from gcorr.cstar import tensor_basis_gram
+
+        for name, corr_x, corr_y, res in instances:
+            zs = range(len(res.fp.pairs))
+            got = tensor_basis_gram(corr_x, corr_y, res, zs)
+            assert _bits(got) == _bits(oracle_tensor_basis_gram(corr_x, corr_y, res, zs)), name
+
+
+class TestIntertwiningSweep:
+    def test_basis_images_once_per_z(self, monkeypatch):
+        import gcorr.cstar as cstar
+
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        res = compose(corr_x, corr_y)
+        calls = []
+        original = cstar.lambda_prime
+
+        def counting(f, g_el, result):
+            calls.append(1)
+            return original(f, g_el, result)
+
+        monkeypatch.setattr(cstar, "lambda_prime", counting)
+        gram = verify_theorem(corr_x, corr_y, res, trials=0, seed=0)
+        n_z = len(res.fp.pairs)
+        n_off = min(3, corr_x.space.n_points * corr_y.space.n_points - n_z)
+        assert gram.intertwining_checks > n_z  # several arrows act on each z
+        # one image per z, one left-hand side per check, one per off-product probe
+        assert len(calls) == n_z + gram.intertwining_checks + n_off
+
+
+# ---------------------------------------------------------------------------
+# scale-relative, NaN-safe deviations
+
+
+def scaled_quiver(scale: int):
+    """The `quiver` catalog pair with both exact families multiplied by scale."""
+    from gcorr.correspondence import from_span
+
+    xs, vs = ("q1", "q2", "q3", "q4"), ("v1", "v2", "v3")
+    f = {"q1": "zA", "q2": "zB", "q3": "zA", "q4": "zB"}
+    g = {"q1": "yA", "q2": "yA", "q3": "yB", "q4": "yB"}
+    k = {"v1": "yA", "v2": "yB", "v3": "yB"}
+    l_ = {"v1": "wA", "v2": "wA", "v3": "wA"}
+    lam1 = {"q1": F(1, 2), "q2": F(3), "q3": F(2), "q4": F(5, 3)}
+    lam2 = {"v1": F(4), "v2": F(1, 3), "v3": F(7, 2)}
+    first = from_span(("zA", "zB"), ("yA", "yB"), xs, f, g, {p: w * scale for p, w in lam1.items()})
+    second = from_span(("yA", "yB"), ("wA",), vs, k, l_, {p: w * scale for p, w in lam2.items()})
+    return first, second
+
+
+class TestRelativeDeviations:
+    @pytest.mark.parametrize("scale", [10**5, 10**9])
+    def test_scaled_pair_passes(self, scale):
+        corr_x, corr_y = scaled_quiver(scale)
+        res = compose(corr_x, corr_y)
+        assert res.report.passed
+        gram = verify_theorem(corr_x, corr_y, res, trials=200, seed=0)
+        assert gram.passed, gram.report().render()
+        assert gram.isometry_max_dev < 1e-12
+
+    @pytest.mark.parametrize("scale", [10**5, 10**9])
+    def test_planted_relative_error_fails_with_witness(self, scale):
+        import dataclasses
+
+        corr_x, corr_y = scaled_quiver(scale)
+        res = compose(corr_x, corr_y)
+        bad_b = list(res.b.value)
+        bad_b[0] = float(bad_b[0]) * (1 + 1e-6)  # one image entry off by ~1e-6, relatively
+        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b), res.b.flavor))
+        gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
+        assert not gram.isometry_ok
+        assert 1e-7 < gram.isometry_max_dev < 1e-5
+        assert gram.isometry_witness is not None and gram.isometry_witness.startswith("basis")
+
+    def test_nan_entry_is_not_dropped(self):
+        from gcorr.cstar import _dict_dev
+
+        assert _dict_dev({0: math.nan}, {0: 0j}) == math.inf
+        assert _dict_dev({0: 0j}, {1: complex(0, math.nan)}) == math.inf
+        assert _dict_dev({0: 0.5 + 0j}, {0: 0.25 + 0j}) == 0.25  # magnitudes ≤ 1: absolute
+        assert _dict_dev({0: 4e6 + 0j}, {0: 4e6 - 4 + 0j}) == pytest.approx(1e-6, rel=1e-12)

@@ -204,10 +204,6 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_threads_flag(self, fn_files):
-        x, y = fn_files
-        assert cli.main(["verify", str(x), str(y), "--trials", "5", "--threads", "3"]) == 0
-
 
 class TestCliRejectsBadInputs:
     @pytest.fixture

@@ -82,3 +82,14 @@ def test_is_exact():
 def test_parse_scalar_rejects_nonfinite(raw):
     with pytest.raises(ValueError, match="finite"):
         parse_scalar(raw)
+
+
+def test_crdev_is_scale_relative_and_nan_safe():
+    from gcorr.util import crdev
+
+    assert crdev(0.5, 0.25) == 0.25  # within the unit ball: absolute
+    assert crdev(1e9 + 1, 1e9) == pytest.approx(1e-9)
+    assert crdev(2 + 1j, 2 + 1j) == 0.0
+    for bad in (math.nan, complex(math.nan, 0), complex(0, math.nan), math.inf):
+        assert crdev(bad, 0j) == math.inf
+        assert crdev(0.0, bad) == math.inf
