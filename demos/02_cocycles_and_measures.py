@@ -28,11 +28,11 @@ b = gc.solve_coboundary_additive(c, p)
 print("cochain recovered:", b.value, "(t shifted by the orbit mean)")
 print("residual |c - b∘src + b∘dst|:", coboundary_residual(c, b))
 
-# -- multiplicative version: b is a weighted geometric mean ------------------
+# -- multiplicative version: b is the p-average of Δ⁻¹, still exact ----------
 q = gc.Cochain0(pg, (F(1), F(4)), "multiplicative")
 delta = gc.d0(q)
 bmul = gc.decompose_multiplicative(delta, p)
-print("\nmultiplicative split of q∘src/q∘dst, q=(1,4):", bmul.value)
+print("\nmultiplicative split of q∘src/q∘dst, q=(1,4):", tuple(map(str, bmul.value)))
 print("ratio residual:", coboundary_residual(delta, bmul))
 
 # -- measures: induced measures, symmetry, push-down -------------------------

@@ -2,8 +2,9 @@
 """The full composition pipeline on a weighted instance, stage by stage.
 
 A point group feeds Z/2, which feeds another point group; the second leg
-carries weights (1, 3), so the middle obstruction cocycle is nontrivial
-and the canonical cochain is irrational (a square root of 3).
+carries weights (1, 3), so the middle obstruction cocycle is nontrivial.
+The canonical cochain averages its reciprocal over each middle fibre,
+b = ((1 + 3)/2, (1 + 1/3)/2) = (2, 2/3), so every stage stays exact.
 
 Run:  python demos/03_composition_pipeline.py
 """
@@ -49,8 +50,8 @@ print("\nfibre product points:", result.fp.point_ids)
 print("orbits:", result.orbits.orbit_ids)
 print("product family m:", result.m.weight)
 print("family along the quotient:", result.lambda_pi.weight)
-print("middle cochain b (geometric means):", tuple(f"{float(v):.6f}" for v in result.b.value))
-print("composite family mu:", tuple(f"{float(v):.6f}" for v in result.mu.weight))
+print("middle cochain b (fibre averages of 1/Δ):", result.b.value)
+print("composite family mu:", result.mu.weight)
 print("composite adjoining cocycle:", result.delta12.value)
 print()
 print(result.report.render())

@@ -6,7 +6,7 @@ The package is organized around the pipeline
 
 with `cli` (plus `io_json`, `catalog`, `randgen`) wrapping it for batch
 verification.  Everything is immutable after construction; weights stay
-exact rationals until a solver has to exponentiate.
+exact rationals on rational input, through every stage of `compose`.
 """
 
 from .groupoids import (

@@ -1,11 +1,12 @@
 """1-cocycles on finite groupoids and the canonical coboundary solver.
 
 Every finite groupoid is proper, so every real-valued 1-cocycle is the
-coboundary of a 0-cochain.  The solver integrates the cocycle against the
-canonical invariant family of probability measures (built from the Haar
-system with the constant test function), which pins one specific cochain
-out of the orbit-constant ambiguity and makes downstream composites
-deterministic.
+coboundary of a 0-cochain.  The solvers integrate against the canonical
+invariant family of probability measures (built from the Haar system with
+the constant test function), which pins one specific cochain out of the
+orbit-constant ambiguity and makes downstream composites deterministic.
+The additive solver averages the cocycle; the multiplicative one averages
+its reciprocal, so rational data gives a rational cochain.
 
 The homomorphism sweep behind `check_cocycle` runs once per `Cocycle1`
 object: its worst deviation and first witness are cached on the object,
@@ -16,14 +17,13 @@ denominators, and builds `Fraction`s only at a failing pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem
-from .util import GcorrError, ONE, Scalar, adev, all_exact, is_exact, ksum, rdev
+from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -134,7 +134,7 @@ def check_cocycle(c: Cocycle1, rel_tol: Optional[float] = None) -> CocycleCheck:
     """Homomorphism identity on all composable pairs, identities at units.
 
     Exact inputs are compared exactly; float inputs use `rel_tol`
-    (default 1e-9, the post-exponentiation tolerance).
+    (default 1e-9).
     """
     exact = all_exact(c.value)
     tol = 0.0 if exact and rel_tol is None else (1e-9 if rel_tol is None else rel_tol)
@@ -227,12 +227,14 @@ def coboundary_residual(c: Cocycle1, b: Cochain0) -> float:
     return worst
 
 
-def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily, rel_tol: float = 1e-9) -> Cochain0:
-    """Positive b with b∘src / b∘dst = delta.
+def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
+    """Positive b with b∘src / b∘dst = delta: the p-average of delta⁻¹,
+    b(u) = Σ_{γ∈G^u} p(γ)·delta(γ)⁻¹, exact on rational data.
 
-    Goes through log/exp in double precision, except that the trivial
-    cocycle keeps the pipeline exact (b ≡ 1).  The ratio identity is
-    re-verified to `rel_tol`.
+    Lemma: for γ: s -> t, η ↦ γ∘η maps the range fibre G^s onto G^t, so
+    left invariance of p and the cocycle identity give
+    b(t) = Σ_{η∈G^s} p(η)·delta(γ)⁻¹·delta(η)⁻¹ = b(s) / delta(γ).
+    Raises NotACocycle if delta fails the homomorphism sweep.
     """
     if delta.flavor != MULTIPLICATIVE:
         raise ValueError("expected a multiplicative cocycle")
@@ -240,12 +242,8 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily, rel_tol: flo
     chk = check_cocycle(delta)
     if not chk.ok:
         raise NotACocycle(chk.witness, chk.max_deviation)
-    if all(is_exact(v) and v == 1 for v in delta.value):
-        return Cochain0(g, (ONE,) * g.n_units, MULTIPLICATIVE)
-    logc = Cocycle1(g, tuple(math.log(float(v)) for v in delta.value), ADDITIVE)
-    under = solve_coboundary_additive(logc, p)
-    b = Cochain0(g, tuple(math.exp(v) for v in under.value), MULTIPLICATIVE)
-    res = coboundary_residual(delta, b)
-    if res > rel_tol:
-        raise NotACocycle(None, res)
-    return b
+    vals = tuple(
+        ksum(p.weight[a] / delta.value[a] for a in g.fibre_dst[u])
+        for u in range(g.n_units)
+    )
+    return Cochain0(g, vals, MULTIPLICATIVE)

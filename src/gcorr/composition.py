@@ -48,6 +48,7 @@ from .measures import (
     HaarSystem,
     MeasureFamily,
     NotInvariant,
+    SymmetryCheck,
     cutoff_from_profile,
     cutoff_residual,
     default_cutoff,
@@ -149,7 +150,7 @@ def build_m(corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_
     m = MeasureFamily(fp.point_ids, corr_y.right.unit_ids, z_bispace.right.momentum, weight)
     worst = 0.0
     for i, c in z_bispace.right.pairs():
-        worst = max(worst, adev(m.weight[z_bispace.right.table[(i, c)]], m.weight[i]))
+        worst = max(worst, rdev(m.weight[z_bispace.right.table[(i, c)]], m.weight[i]))
     return m, worst
 
 
@@ -229,13 +230,11 @@ def _z_invariance_residuals(
     return g1_worst, g3_worst
 
 
-def build_b(
-    delta_z: Cocycle1, tg_z: FiniteGroupoid, chi: HaarSystem, rel_tol: float = 1e-9
-) -> Cochain0:
+def build_b(delta_z: Cocycle1, tg_z: FiniteGroupoid, chi: HaarSystem) -> Cochain0:
     """Split the obstruction cocycle with the canonical probability family
-    (constant profile); stays exact when the cocycle is trivial."""
+    (constant profile); exact whenever δ_Z and χ are."""
     p = invariant_probability_family(tg_z, chi)
-    return decompose_multiplicative(delta_z, p, rel_tol=rel_tol)
+    return decompose_multiplicative(delta_z, p)
 
 
 def build_mu(
@@ -247,9 +246,10 @@ def build_mu(
     omega: Bispace,
     chi: HaarSystem,
     tol: float = 1e-9,
-) -> tuple[MeasureFamily, float, float]:
-    """Push e·b·m down to Ω; returns (μ, symmetry residual, disintegration
-    residual).  Raises NotInvariant when b·m fails the symmetry check."""
+) -> tuple[MeasureFamily, SymmetryCheck, float]:
+    """Push e·b·m down to Ω; returns (μ, the symmetry check of b·m, the
+    disintegration residual).  Raises NotInvariant when b·m fails the
+    symmetry check."""
     bm = unit_measure(chi.groupoid, tuple(b.value[z] * m.weight[z] for z in range(len(m.weight))))
     sym = is_symmetric(bm, chi, tol)
     if not sym.symmetric:
@@ -264,7 +264,7 @@ def build_mu(
         lhs = b.value[z] * m.weight[z]
         rhs = mu.weight[orbits.proj[z]] * lambda_pi.weight[z]
         worst = max(worst, rdev(lhs, rhs))
-    return mu, sym.residual, worst
+    return mu, sym, worst
 
 
 def build_omega_bispace(
@@ -299,7 +299,6 @@ def build_delta12(
     orbits: OrbitSpace,
     omega: Bispace,
     b: Cochain0,
-    rel_tol: float = 1e-9,
 ) -> tuple[Cocycle1, FiniteGroupoid, dict[tuple[int, int], int], float]:
     """The composite adjoining cocycle on G₁⋉Ω, evaluated at stored orbit
     representatives, plus the worst disagreement over all other
@@ -353,7 +352,7 @@ def compose(
     z_bispace = stage("z_bispace", build_z_bispace, corr_x, corr_y, fp)
 
     m, m_res = stage("build_m", build_m, corr_x, corr_y, fp, z_bispace)
-    report.add("m_right_invariance", m_res == 0.0, m_res)
+    report.add("m_right_invariance", m_res <= (0.0 if m.exact else tol), m_res)
 
     tg_z, tg_z_index, chi = stage("middle_groupoid", build_middle_groupoid, fp, chi2)
     orbits = stage("orbit_space", orbit_space, fp.diagonal)
@@ -373,7 +372,7 @@ def compose(
     report.add("delta_z_left_invariance", g1_res <= (0.0 if exact_dz else tol), g1_res)
     report.add("delta_z_right_invariance", g3_res <= (0.0 if exact_dz else tol), g3_res)
 
-    b = stage("build_b", build_b, delta_z, tg_z, chi, tol)
+    b = stage("build_b", build_b, delta_z, tg_z, chi)
     if b_values is not None:
         override = Cochain0(tg_z, tuple(b_values), MULTIPLICATIVE)
         res = coboundary_residual(delta_z, override)
@@ -404,9 +403,10 @@ def compose(
     report.add("cutoff_normalized", e_res == 0.0 if all_exact(e) and chi.exact else e_res <= tol, e_res)
 
     omega = stage("omega_bispace", build_omega_bispace, corr_x, corr_y, fp, z_bispace, orbits)
-    mu, sym_res, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, chi, tol)
+    mu, sym, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, chi, tol)
     exact_mu = mu.exact and exact_b
-    report.add("bm_symmetric", sym_res <= (0.0 if exact_mu else tol), sym_res)
+    # `is_symmetric` judges the residual against tol scaled by the largest weight
+    report.add("bm_symmetric", sym.symmetric, sym.residual)
     report.add("mu_disintegration", dis_res <= (0.0 if exact_mu else tol), dis_res)
 
     # independence of the cutoff: rebuild with a deterministic second profile
@@ -422,11 +422,11 @@ def compose(
     # G₃-invariance of μ on the orbit space
     mu_res = 0.0
     for o, c in omega.right.pairs():
-        mu_res = max(mu_res, adev(mu.weight[omega.right.table[(o, c)]], mu.weight[o]))
-    report.add("mu_right_invariance", mu_res == 0.0, mu_res)
+        mu_res = max(mu_res, rdev(mu.weight[omega.right.table[(o, c)]], mu.weight[o]))
+    report.add("mu_right_invariance", mu_res <= (0.0 if exact_mu else tol), mu_res)
 
     delta12, tg_omega, tg_omega_idx, wd_res = stage(
-        "build_delta12", build_delta12, corr_x, fp, z_bispace, orbits, omega, b, tol
+        "build_delta12", build_delta12, corr_x, fp, z_bispace, orbits, omega, b
     )
     exact12 = all_exact(delta12.value)
     report.add("delta12_well_defined", wd_res <= (0.0 if exact12 else tol), wd_res)

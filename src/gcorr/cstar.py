@@ -18,7 +18,8 @@ the per-element loops, so the values do not depend on the caching.  The
 certificate's deviations are relative, |a − b| / max(1, |a|, |b|) per
 entry, with NaN or ∞ counted as an infinite deviation; inner products scale
 like the families, so an absolute bound would fail valid data that is
-merely large.
+merely large.  For the same reason positivity divides the smallest
+eigenvalue of each representation matrix by max(1, its spectral norm).
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ from .measures import HaarSystem
 from .randgen import SplitMix64
 from .report import Report
 from .util import GcorrError, crdev
+
+
+POSITIVITY_TOL = 1e-10  # lower bound −tol on `relative_min_eig`
+
+
+def relative_min_eig(m: np.ndarray) -> float:
+    """λ_min / max(1, ‖M‖₂) of the Hermitian part of M."""
+    ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return float(ev[0]) / max(1.0, float(np.abs(ev).max()))
 
 
 class Mismatch(GcorrError):
@@ -67,14 +77,6 @@ class ModuleElement:
 
 def _clean(d: dict[int, complex]) -> dict[int, complex]:
     return {k: v for k, v in d.items() if v != 0}
-
-
-def algebra_element(g: FiniteGroupoid, coeff: dict[int, complex]) -> AlgebraElement:
-    return AlgebraElement(g, _clean(dict(coeff)))
-
-
-def module_element(corr: Correspondence, coeff: dict[int, complex]) -> ModuleElement:
-    return ModuleElement(corr, _clean(dict(coeff)))
 
 
 def delta_arrow(g: FiniteGroupoid, arrow: int) -> AlgebraElement:
@@ -247,7 +249,7 @@ class GramReport:
     intertwining_witness: Optional[str]
     surjectivity_rank: int
     omega_dim: int
-    positivity_min_eig: float
+    positivity_min_eig: float  # min over matrices M of λ_min(M) / max(1, ‖M‖₂)
 
     @property
     def isometry_ok(self) -> bool:
@@ -263,7 +265,7 @@ class GramReport:
 
     @property
     def positive_ok(self) -> bool:
-        return self.positivity_min_eig >= -1e-10
+        return self.positivity_min_eig >= -POSITIVITY_TOL
 
     @property
     def passed(self) -> bool:
@@ -287,7 +289,11 @@ class GramReport:
             f"surjectivity (rank {self.surjectivity_rank} of {self.omega_dim})",
             self.surjective,
         )
-        rep.add("inner-product positivity", self.positive_ok, None if self.positivity_min_eig >= 0 else -self.positivity_min_eig)
+        rep.add(
+            "inner-product positivity (relative min eigenvalue)",
+            self.positive_ok,
+            None if self.positivity_min_eig >= 0 else -self.positivity_min_eig,
+        )
         rep.notes["certifies"] = (
             "inner-product preservation + full rank: at finite dimension the induced "
             "map of Hilbert modules is unitary and intertwines the left actions"
@@ -482,7 +488,7 @@ def verify_theorem(
         for _, apply in reps:
             m = apply(gram)
             if m.size:
-                min_eig = min(min_eig, float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()))
+                min_eig = min(min_eig, relative_min_eig(m))
     if min_eig is math.inf:
         min_eig = 0.0
 

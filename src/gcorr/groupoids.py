@@ -360,12 +360,6 @@ class GSpaceAction:
     def n_points(self) -> int:
         return len(self.point_ids)
 
-    def left_apply(self, arrow: int, point: int) -> int:
-        return self.table[(arrow, point)]
-
-    def right_apply(self, point: int, arrow: int) -> int:
-        return self.table[(point, arrow)]
-
     @cached_property
     def points_at(self) -> tuple[tuple[int, ...], ...]:
         """Points grouped by momentum unit."""

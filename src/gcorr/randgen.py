@@ -97,9 +97,6 @@ class SplitMix64:
         out.imag = u[1::2]
         return out.tolist()
 
-    def spawn(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())
-
 
 # ---------------------------------------------------------------------------
 # groups, actions, groupoids

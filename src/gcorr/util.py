@@ -1,11 +1,11 @@
 """Scalar helpers shared across the package.
 
-Weights are exact `Fraction`s whenever the input data is rational; any
-operation that has to go through exp/log (only the multiplicative cochain
-solver) switches to IEEE doubles.  Helpers here keep that split honest:
-`ksum` is exact on rationals and correctly rounded (hence order-independent)
-on floats, which is what lets several invariance sweeps compare float
-results for exact equality.
+Weights are exact `Fraction`s whenever the input data is rational, and
+every construction keeps them so; IEEE doubles come only from float input
+(and from the certificate in `cstar`).  Helpers here keep that split
+honest: `ksum` is exact on rationals and correctly rounded (hence
+order-independent) on floats, which is what lets several invariance sweeps
+compare float results for exact equality.
 
 The deviation helpers `adev` and `rdev` feed every residual sweep, so they
 keep one contract: the result is exactly 0.0 iff the arguments are equal
@@ -52,12 +52,6 @@ def ksum(values: Iterable[Scalar]) -> Scalar:
     if all_exact(vals):
         return sum(vals, ZERO)
     return math.fsum(float(v) for v in vals)
-
-
-def csum(values: Iterable[complex]) -> complex:
-    """Order-independent complex sum (fsum on real and imaginary parts)."""
-    vals = [complex(v) for v in values]
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
 def _equal_dev(a: Scalar) -> float:

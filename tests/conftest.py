@@ -38,3 +38,43 @@ def translation_correspondence(lam=(1, 3)):
     space = make_bispace(left, right)
     fam = MeasureFamily(pts, pt.unit_ids, (0, 0), tuple(Fraction(v) for v in lam))
     return gc.make_correspondence(counting_haar(z2), counting_haar(pt), space, fam)
+
+
+# the family caps of the benchmark's random-mix pairs (bench/workloads.py)
+MIX_CAPS = {"max_x": 28, "max_y": 28, "max_mid": 16, "max_outer": 8}
+
+
+def scaled_family(corr, c, exact=True):
+    """corr with its family multiplied by c.  With exact=False the family
+    and the adjoining cocycle are the floats a JSON file would carry."""
+    weights = tuple(c * w if exact else float(c * w) for w in corr.family.weight)
+    adjoining = corr.adjoining.value if exact else tuple(float(v) for v in corr.adjoining.value)
+    fam = MeasureFamily(corr.family.total_ids, corr.family.base_ids, corr.family.along, weights)
+    return gc.make_correspondence(corr.left_haar, corr.right_haar, corr.space, fam, adjoining)
+
+
+def ladder_pair(n):
+    """The ladder at n: the regular Z/n bimodule of Z/n, then Z/n acting
+    on itself over the one-point groupoid with family weights 1..n."""
+    zn = gc.cyclic_group(n)
+    pt = gc.cyclic_group(1, unit_id="pt")
+    shift = {(a, p): (a + p) % n for a in range(n) for p in range(n)}
+    xs = tuple(f"x{k}" for k in range(n))
+    corr_x = gc.make_correspondence(
+        counting_haar(zn), counting_haar(zn),
+        make_bispace(
+            make_action("left", zn, xs, (0,) * n, shift),
+            make_action("right", zn, xs, (0,) * n, {(p, a): (p + a) % n for a, p in shift}),
+        ),
+        MeasureFamily(xs, zn.unit_ids, (0,) * n, (Fraction(1),) * n),
+    )
+    ys = tuple(f"y{k}" for k in range(n))
+    corr_y = gc.make_correspondence(
+        counting_haar(zn), counting_haar(pt),
+        make_bispace(
+            make_action("left", zn, ys, (0,) * n, shift),
+            make_action("right", pt, ys, (0,) * n, {(p, 0): p for p in range(n)}),
+        ),
+        MeasureFamily(ys, pt.unit_ids, (0,) * n, tuple(Fraction(k + 1) for k in range(n))),
+    )
+    return corr_x, corr_y

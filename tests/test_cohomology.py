@@ -142,13 +142,14 @@ class TestDecomposeMultiplicative:
         assert b.value == (F(1),) and isinstance(b.value[0], F)
 
     def test_pair_groupoid_geometric_mean(self, pair2):
-        # Δ = q∘src / q∘dst with q = (1, 4): b = q / geomean(q) = (1/2, 2)
+        # Δ = q∘src / q∘dst with q = (1, 4): b(u) averages Δ⁻¹ over the two
+        # arrows into u, b = ((1 + 1/4)/2, (1 + 4)/2) = (5/8, 5/2)
         p = gc.invariant_probability_family(pair2, gc.counting_haar(pair2))
         q = gc.Cochain0(pair2, (F(1), F(4)), MULTIPLICATIVE)
         delta = gc.d0(q)
         b = gc.decompose_multiplicative(delta, p)
-        assert b.value == pytest.approx((0.5, 2.0))
-        assert coboundary_residual(delta, b) < 1e-12
+        assert b.value == (F(5, 8), F(5, 2))
+        assert coboundary_residual(delta, b) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

@@ -17,11 +17,12 @@ from gcorr.composition import (
 )
 from gcorr.measures import cutoff_from_profile
 from gcorr.randgen import SplitMix64, random_pair
+from tests.conftest import MIX_CAPS, ladder_pair
 
 
-def weighted_middle_pair():
+def weighted_middle_pair(y_weights=(F(1), F(3))):
     """Point group -> (Z/2, counting) -> point group with a weighted second
-    family: the smallest instance whose middle cochain is irrational."""
+    family: the smallest instance whose middle cochain is nontrivial."""
     z2 = gc.cyclic_group(2)
     pt1 = gc.cyclic_group(1, unit_id="L")
     pt2 = gc.cyclic_group(1, unit_id="R")
@@ -46,7 +47,7 @@ def weighted_middle_pair():
     corr_y = gc.make_correspondence(
         gc.counting_haar(z2), gc.counting_haar(pt2),
         make_bispace(left_y, right_y),
-        MeasureFamily(ys, pt2.unit_ids, (0, 0), (F(1), F(3))),
+        MeasureFamily(ys, pt2.unit_ids, (0, 0), tuple(y_weights)),
     )
     return corr_x, corr_y
 
@@ -108,10 +109,10 @@ class TestStageBehaviour:
     def test_b_geometric_means_on_two_point_orbits(self):
         corr_x, corr_y = weighted_middle_pair()
         res = compose(corr_x, corr_y)
-        # weights (1, 3) along the free middle orbit: b = sqrt(3)^{±1}
+        # weights (1, 3) along the free middle orbit: b is the average of
+        # Δ⁻¹ ∈ {1, 3^{±1}}, i.e. (1 + 3)/2 = 2 and (1 + 1/3)/2 = 2/3
         for z, (x, y) in enumerate(res.fp.pairs):
-            expected = math.sqrt(3.0) if y == 0 else 1 / math.sqrt(3.0)
-            assert res.b.value[z] == pytest.approx(expected, rel=1e-12)
+            assert res.b.value[z] == (F(2) if y == 0 else F(2, 3))
 
     def test_mu_equals_bm_when_middle_trivial(self):
         corr_x, corr_y, _ = catalog.example_pair("quiver")
@@ -220,9 +221,9 @@ class TestStabilizerAggregation:
         res = compose(corr_x, corr_y)
         gram = verify_theorem(corr_x, corr_y, res, trials=50, seed=77)
         assert gram.passed, gram.report().render()
-        # nontrivial irrational cochain went through the aggregated path
+        # a nontrivial cochain went through the aggregated path, exactly
         assert set(res.delta_z.value) != {F(1)}
-        assert not res.mu.exact
+        assert res.mu.exact
 
 
 class TestPipeline:
@@ -343,7 +344,7 @@ class TestFloatIsomorphism:
         )
 
     def test_last_ulp_matches_and_visible_shift_does_not(self):
-        corr_x, corr_y = weighted_middle_pair()
+        corr_x, corr_y = weighted_middle_pair(y_weights=(1.0, 3.0))
         composite = compose(corr_x, corr_y).composite
         w = composite.family.weight[0]
         assert isinstance(w, float)  # premise: a float-mode composite
@@ -353,3 +354,48 @@ class TestFloatIsomorphism:
         shifted = self._moved_copy(composite, 0, w + 1e-6)
         assert find_bispace_isomorphism(composite, shifted) is None
 
+
+
+class TestExactRegime:
+    """The middle cochain is the p-average of Δ⁻¹, so rational input gives
+    a rational composite, obstruction cocycle or not."""
+
+    @pytest.mark.parametrize("name", catalog.EXAMPLE_NAMES)
+    def test_catalog_composites_are_exact(self, name):
+        corr_x, corr_y, _ = catalog.example_pair(name)
+        res = compose(corr_x, corr_y)
+        assert res.exact and res.report.notes["scalar_mode"] == "exact"
+
+    def test_mixed_random_composites_are_exact(self):
+        for i in range(40):
+            res = compose(*random_pair(i, **MIX_CAPS))
+            assert res.exact, i
+
+    def test_ladder_composite_is_exact(self):
+        res = compose(*ladder_pair(10))
+        assert set(res.delta_z.value) != {F(1)}
+        assert res.exact
+
+
+def _wobbled_group_hom(eps):
+    """The `group-hom` pair with the second family (1.0, 1 + eps) in floats,
+    adjoining cocycle derived, not validated."""
+    from gcorr.measures import MeasureFamily
+
+    corr_x, corr_y, _ = catalog.example_pair("group-hom")
+    fam = corr_y.family
+    wobbled = MeasureFamily(fam.total_ids, fam.base_ids, fam.along, (1.0, 1.0 + eps))
+    return corr_x, gc.make_correspondence(
+        corr_y.left_haar, corr_y.right_haar, corr_y.space, wobbled, check=False
+    )
+
+
+class TestFloatRightInvariance:
+    def test_last_digits_wobble_composes(self):
+        res = compose(*_wobbled_group_hom(3e-13))
+        m_res = {c.name: c.residual for c in res.report.checks}["m_right_invariance"]
+        assert 0 < m_res < 1e-12
+
+    def test_visible_wobble_fails(self):
+        with pytest.raises(CompositionStageError, match="m_right_invariance"):
+            compose(*_wobbled_group_hom(1e-6))

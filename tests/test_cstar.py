@@ -26,7 +26,7 @@ from gcorr.cstar import (
     verify_theorem,
 )
 from gcorr.randgen import SplitMix64, random_pair
-from tests.conftest import translation_correspondence
+from tests.conftest import MIX_CAPS, scaled_family, translation_correspondence
 
 
 def _dev(a: dict, b: dict) -> float:
@@ -665,3 +665,32 @@ class TestRelativeDeviations:
         assert _dict_dev({0: 0j}, {1: complex(0, math.nan)}) == math.inf
         assert _dict_dev({0: 0.5 + 0j}, {0: 0.25 + 0j}) == 0.25  # magnitudes ≤ 1: absolute
         assert _dict_dev({0: 4e6 + 0j}, {0: 4e6 - 4 + 0j}) == pytest.approx(1e-6, rel=1e-12)
+
+
+class TestRelativePositivity:
+    @pytest.mark.parametrize("i", [24, 28, 30, 34])
+    def test_families_scaled_by_1e6_pass(self, i):
+        corr_x, corr_y = random_pair(i, **MIX_CAPS)
+        sx, sy = scaled_family(corr_x, 10**6), scaled_family(corr_y, 10**6)
+        gram = verify_theorem(sx, sy, compose(sx, sy), trials=20, seed=0)
+        assert gram.positive_ok, gram.report().render()
+        assert gram.passed
+
+    def test_eigenvalue_is_judged_against_the_norm(self):
+        from gcorr.cstar import POSITIVITY_TOL, relative_min_eig
+
+        assert relative_min_eig(np.diag([1e6, -1e-5])) == pytest.approx(-1e-11)
+        assert relative_min_eig(np.diag([1e6, -1.0])) == pytest.approx(-1e-6)
+        assert relative_min_eig(np.diag([0.5, -1e-6])) == pytest.approx(-1e-6)  # norm < 1: absolute
+        assert relative_min_eig(np.diag([1e6, -1e-5])) >= -POSITIVITY_TOL
+
+    def test_relative_minus_1e6_fails(self):
+        import dataclasses
+
+        corr_x, corr_y, _ = catalog.example_pair("quiver")
+        gram = verify_theorem(corr_x, corr_y, compose(corr_x, corr_y), trials=5, seed=0)
+        assert gram.positive_ok
+        bad = dataclasses.replace(gram, positivity_min_eig=-1e-6)
+        assert not bad.positive_ok and not bad.passed
+        line = bad.report().checks[-1]
+        assert "relative" in line.name and not line.passed and line.residual == pytest.approx(1e-6)

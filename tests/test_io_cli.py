@@ -176,6 +176,15 @@ class TestCliCompose:
         ])
         assert code == 2
 
+    def test_float_family_wobble_in_last_digits_composes(self, tmp_path, capsys):
+        cli.main(["example", "group-hom", str(tmp_path / "gh")])
+        x, y = tmp_path / "gh.x.json", tmp_path / "gh.y.json"
+        doc = json.loads(y.read_text())
+        doc["correspondences"][0]["family"] = {"g0": 1.0, "g1": 1.0000000000003}
+        y.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(y)]) == 0
+        assert cli.main(["compose", str(x), str(y), str(tmp_path / "out.json")]) == 0
+
 
 class TestCliVerify:
     def test_catalog_pair_passes(self, fn_files):
