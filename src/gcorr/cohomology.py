@@ -11,8 +11,10 @@ its reciprocal, so rational data gives a rational cochain.
 The homomorphism sweep behind `check_cocycle` runs once per `Cocycle1`
 object: its worst deviation and first witness are cached on the object,
 so every check of the same cocycle (at any tolerance) shares one pass.
-On exact data the sweep compares cross-multiplied integer numerators and
-denominators, and builds `Fraction`s only at a failing pair.
+So does the O(arrows) split residual of a cochain against a cocycle
+(`coboundary_residual`), once per pair of objects.  On exact data both
+compare cross-multiplied integer numerators and denominators, and build
+`Fraction`s only at a failing pair or arrow.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class Cocycle1:
     def _sweep(self) -> tuple[float, Optional[tuple[str, ...]]]:
         """(worst deviation, its first witness) of the cocycle identity."""
         return _sweep_cocycle(self)
+
+    @cached_property
+    def _splits(self) -> dict["Cochain0", tuple[float, Optional[str]]]:
+        """Cochain -> (split residual, first arrow attaining it)."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +222,48 @@ def solve_coboundary_additive(c: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     return Cochain0(g, vals, ADDITIVE)
 
 
-def coboundary_residual(c: Cocycle1, b: Cochain0) -> float:
-    """max over arrows of |c - (b∘src - b∘dst)| (or the ratio version)."""
+def _split_sweep(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
+    """Worst deviation of c from the coboundary of b, arrow by arrow, and
+    the first arrow attaining it."""
     g = c.groupoid
-    worst = 0.0
+    src, dst = g.src, g.dst
+    additive = c.flavor == ADDITIVE
+    worst, witness = 0.0, None
+
+    def deviation(a: int) -> float:
+        if additive:
+            return adev(c.value[a], b.value[src[a]] - b.value[dst[a]])
+        return rdev(c.value[a] * b.value[dst[a]], b.value[src[a]])
+
+    if all_exact(c.value) and all_exact(b.value):
+        # n/d against b_s and b_t cross-multiplied (all denominators > 0);
+        # an equal arrow has deviation 0, so only a mismatch needs its dev
+        num, den = [v.numerator for v in c.value], [v.denominator for v in c.value]
+        bn, bd = [v.numerator for v in b.value], [v.denominator for v in b.value]
+        for a in range(g.n_arrows):
+            s, t = src[a], dst[a]
+            if additive:
+                equal = num[a] * bd[s] * bd[t] == den[a] * (bn[s] * bd[t] - bn[t] * bd[s])
+            else:
+                equal = num[a] * bn[t] * bd[s] == den[a] * bd[t] * bn[s]
+            if not equal:
+                d = deviation(a)
+                if d > worst:
+                    worst, witness = d, g.arrow_ids[a]
+        return worst, witness
     for a in range(g.n_arrows):
-        if c.flavor == ADDITIVE:
-            worst = max(worst, adev(c.value[a], b.value[g.src[a]] - b.value[g.dst[a]]))
-        else:
-            worst = max(worst, rdev(c.value[a] * b.value[g.dst[a]], b.value[g.src[a]]))
-    return worst
+        d = deviation(a)
+        if d > worst:
+            worst, witness = d, g.arrow_ids[a]
+    return worst, witness
+
+
+def coboundary_residual(c: Cocycle1, b: Cochain0) -> float:
+    """max over arrows of |c - (b∘src - b∘dst)| (or the ratio version);
+    computed once per (c, b) pair of objects."""
+    if b not in c._splits:
+        c._splits[b] = _split_sweep(c, b)
+    return c._splits[b][0]
 
 
 def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
@@ -234,16 +273,20 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     Lemma: for γ: s -> t, η ↦ γ∘η maps the range fibre G^s onto G^t, so
     left invariance of p and the cocycle identity give
     b(t) = Σ_{η∈G^s} p(η)·delta(γ)⁻¹·delta(η)⁻¹ = b(s) / delta(γ).
-    Raises NotACocycle if delta fails the homomorphism sweep.
+    Conversely a split cocycle is a coboundary, hence a cocycle.  So the
+    guard is the O(arrows) split residual of b (0 on exact data, 1e-9 on
+    float data), not the sweep over composable pairs; it raises
+    NotACocycle naming the first arrow that b does not split.
     """
     if delta.flavor != MULTIPLICATIVE:
         raise ValueError("expected a multiplicative cocycle")
     g = delta.groupoid
-    chk = check_cocycle(delta)
-    if not chk.ok:
-        raise NotACocycle(chk.witness, chk.max_deviation)
     vals = tuple(
         ksum(p.weight[a] / delta.value[a] for a in g.fibre_dst[u])
         for u in range(g.n_units)
     )
-    return Cochain0(g, vals, MULTIPLICATIVE)
+    b = Cochain0(g, vals, MULTIPLICATIVE)
+    res = coboundary_residual(delta, b)
+    if res > (0.0 if all_exact(delta.value) and all_exact(vals) else 1e-9):
+        raise NotACocycle((delta._splits[b][1],), res)
+    return b

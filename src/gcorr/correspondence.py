@@ -31,7 +31,7 @@ from .groupoids import (
 )
 from .measures import HaarSystem, MeasureFamily, check_haar, counting_haar
 from .report import Report
-from .util import GcorrError, ONE, Scalar, adev, all_exact, rdev
+from .util import GcorrError, ONE, Scalar, all_exact, rdev
 
 
 class NotWellDefined(GcorrError):
@@ -173,11 +173,12 @@ def quasi_invariance_residual_dense(
 
 
 def family_invariance_residual(space: Bispace, family: MeasureFamily) -> tuple[float, Optional[str]]:
-    """Right invariance: λ(x·η) = λ(x) for every composable pair."""
+    """Right invariance: λ(x·η) = λ(x) for every composable pair, as the
+    worst relative deviation `rdev`."""
     worst, witness = 0.0, None
     for p, a in space.right.pairs():
         q = space.right.table[(p, a)]
-        d = adev(family.weight[q], family.weight[p])
+        d = rdev(family.weight[q], family.weight[p])
         if d > worst:
             worst, witness = d, f"({space.point_ids[p]}, {space.right.groupoid.arrow_ids[a]})"
     return worst, witness
@@ -191,14 +192,23 @@ def make_correspondence(
     adjoining_values: Optional[Sequence[Scalar]] = None,
     check: bool = True,
     tol: float = 1e-9,
+    left_tg: Optional[tuple[FiniteGroupoid, dict[tuple[int, int], int]]] = None,
 ) -> Correspondence:
-    """Assemble a correspondence, deriving the adjoining cocycle if absent."""
+    """Assemble a correspondence, deriving the adjoining cocycle if absent.
+
+    Given values are indexed like `transformation_groupoid(space.left)`;
+    a caller that already built that groupoid for them passes it as
+    `left_tg`.
+    """
     if space.left.groupoid != left_haar.groupoid or space.right.groupoid != right_haar.groupoid:
         raise GcorrError("bispace actions do not match the given groupoids")
     if family.along != space.right.momentum or family.total_ids != space.point_ids:
         raise GcorrError("family must run along the right momentum map")
-    derived, tg, idx = derive_adjoining(left_haar, space, family)
-    values = tuple(adjoining_values) if adjoining_values is not None else derived
+    if adjoining_values is None:
+        values, tg, idx = derive_adjoining(left_haar, space, family)
+    else:
+        tg, idx = left_tg or transformation_groupoid(space.left)
+        values = tuple(adjoining_values)
     adj = Cocycle1(tg, values, MULTIPLICATIVE)
     corr = Correspondence(left_haar, right_haar, space, family, adj, tg, idx)
     if check:

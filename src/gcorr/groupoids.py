@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -49,7 +50,7 @@ class FiniteGroupoid:
     arrow_ids: tuple[str, ...]
     src: tuple[int, ...]
     dst: tuple[int, ...]
-    comp: dict[tuple[int, int], int]  # (a, b) -> a∘b, iff src[a] == dst[b]
+    comp: Mapping[tuple[int, int], int]  # (a, b) -> a∘b, iff src[a] == dst[b]
     inv: tuple[int, ...]
     unit_arrow: tuple[int, ...]  # unit -> its identity arrow
 
@@ -537,12 +538,60 @@ def make_bispace(left: GSpaceAction, right: GSpaceAction) -> Bispace:
 # transformation groupoids, properness, fibre products, orbit spaces
 
 
+class ActionComposition(Mapping):
+    """The composition of an action groupoid, computed on demand.
+
+    Right actions: (z, γ)∘(zγ, η) = (z, γ∘η); left actions:
+    (γ, ηx)∘(η, x) = (γ∘η, x).  Only the action table and G's composition
+    are read, so the action groupoid needs no memory per composable pair.
+    Iteration follows the arrow order, then G's fibre order, as a stored
+    table built arrow by arrow would.
+    """
+
+    def __init__(self, act: GSpaceAction, keys: Sequence[tuple[int, int]],
+                 index: dict[tuple[int, int], int], src: Sequence[int], dst: Sequence[int]):
+        self._act, self._keys, self._index = act, keys, index
+        self._src, self._dst = src, dst
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        try:
+            i, j = key
+            if i < 0 or j < 0 or self._src[i] != self._dst[j]:
+                raise KeyError(key)
+        except (TypeError, ValueError, IndexError):
+            raise KeyError(key) from None
+        gcomp = self._act.groupoid.comp
+        if self._act.side == "right":
+            (p, a), (_, b) = self._keys[i], self._keys[j]
+            return self._index[(p, gcomp[(a, b)])]
+        (a, _), (b, q) = self._keys[i], self._keys[j]
+        return self._index[(gcomp[(a, b)], q)]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        act, index, g = self._act, self._index, self._act.groupoid
+        for i, key in enumerate(self._keys):
+            moved = act.table[key]
+            if act.side == "right":
+                for b in g.fibre_dst[g.src[key[1]]]:
+                    yield i, index[(moved, b)]
+            else:
+                for b in g.fibre_src[g.dst[key[0]]]:
+                    yield index[(b, moved)], i
+
+    def __len__(self) -> int:
+        g = self._act.groupoid
+        if self._act.side == "right":
+            return sum(len(g.fibre_dst[g.src[a]]) for _, a in self._keys)
+        return sum(len(g.fibre_src[g.dst[a]]) for a, _ in self._keys)
+
+
 def transformation_groupoid(act: GSpaceAction) -> tuple[FiniteGroupoid, dict[tuple[int, int], int]]:
     """The action groupoid; units are the points.
 
     Right actions: arrow (z, γ) runs z·γ -> z and (z,γ)∘(zγ,η) = (z, γ∘η).
     Left actions: arrow (γ, x) runs x -> γ·x and (γ, ηx)∘(η, x) = (γ∘η, x).
-    Also returns the lookup from table keys to arrow indices.
+    Also returns the lookup from table keys to arrow indices.  Every table
+    is O(arrows): the composition is an `ActionComposition`.
     """
     g = act.groupoid
     keys = list(act.pairs())
@@ -553,22 +602,13 @@ def transformation_groupoid(act: GSpaceAction) -> tuple[FiniteGroupoid, dict[tup
         dst = tuple(k[0] for k in keys)  # z
         inv = tuple(idx[(act.table[k], g.inv[k[1]])] for k in keys)
         unit_arrow = tuple(idx[(p, g.unit_arrow[act.momentum[p]])] for p in range(act.n_points))
-        comp = {}
-        for i, (p, a) in enumerate(keys):
-            pa = act.table[(p, a)]
-            for b in g.fibre_dst[g.src[a]]:
-                comp[(i, idx[(pa, b)])] = idx[(p, g.comp[(a, b)])]
     else:
         arrow_ids = tuple(f"({g.arrow_ids[a]};{act.point_ids[p]})" for a, p in keys)
         src = tuple(k[1] for k in keys)  # x
         dst = tuple(act.table[k] for k in keys)  # γ·x
         inv = tuple(idx[(g.inv[k[0]], act.table[k])] for k in keys)
         unit_arrow = tuple(idx[(g.unit_arrow[act.momentum[p]], p)] for p in range(act.n_points))
-        comp = {}
-        for i, (a, p) in enumerate(keys):
-            ap = act.table[(a, p)]
-            for b in g.fibre_src[g.dst[a]]:  # b with src(b) = dst(a): b∘a defined
-                comp[(idx[(b, ap)], i)] = idx[(g.comp[(b, a)], p)]
+    comp = ActionComposition(act, keys, idx, src, dst)
     tg = FiniteGroupoid(act.point_ids, arrow_ids, src, dst, comp, inv, unit_arrow)
     return tg, idx
 

@@ -19,6 +19,7 @@ from .groupoids import (
     GroupoidAxiomError,
     make_action,
     make_bispace,
+    transformation_groupoid,
 )
 from .measures import HaarSystem, MeasureFamily, make_haar
 from .util import GcorrError, format_scalar, parse_scalar
@@ -190,11 +191,10 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
     except ValueError as exc:
         raise ParseError(f"{path}.family", str(exc)) from exc
 
-    adjoining = None
+    adjoining = left_tg = None
     if "adjoining" in doc:
-        from .groupoids import transformation_groupoid
-
-        _, tg_idx = transformation_groupoid(space.left)
+        left_tg = transformation_groupoid(space.left)
+        tg_idx = left_tg[1]
         values = [None] * len(tg_idx)
         p_idx = {p: i for i, p in enumerate(points)}
         g = left_haar.groupoid
@@ -214,7 +214,7 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
         adjoining = tuple(values)
 
     try:
-        corr = make_correspondence(left_haar, right_haar, space, family, adjoining, check=False)
+        corr = make_correspondence(left_haar, right_haar, space, family, adjoining, check=False, left_tg=left_tg)
     except GcorrError as exc:
         raise ParseError(path, str(exc)) from exc
     return name, corr

@@ -18,7 +18,7 @@ weights; measure families are made right-invariant by orbit averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -162,8 +162,11 @@ def random_groupoid(rng: SplitMix64, max_arrows: int = 24, max_order: int = 6) -
                 break
     if not parts:
         parts = [cyclic_group(1)]
-    out = disjoint_union(*parts) if len(parts) > 1 else parts[0]
-    return out
+    if len(parts) > 1:
+        return disjoint_union(*parts)
+    # a stored composition table: the generated groupoid is an input, and
+    # validation reads its composition once per composable triple
+    return replace(parts[0], comp=dict(parts[0].comp))
 
 
 def random_haar(rng: SplitMix64, g: FiniteGroupoid) -> HaarSystem:

@@ -163,6 +163,22 @@ class TestDecomposeMultiplicative:
         b = gc.decompose_multiplicative(delta, p)
         assert coboundary_residual(delta, b) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_non_cocycle_fails_the_split_guard(self, seed):
+        """On exact data the p-average splits δ iff δ is a cocycle, so the
+        O(arrows) split residual rejects exactly what the pair sweep does."""
+        rng = SplitMix64(seed)
+        g = random_groupoid(rng, 30)
+        p = gc.invariant_probability_family(g, random_haar(rng, g))
+        t = gc.Cochain0(g, tuple(rng.fraction() for _ in range(g.n_units)), MULTIPLICATIVE)
+        values = list(gc.d0(t).value)
+        values[rng.randint(0, g.n_arrows - 1)] *= F(3, 2)
+        delta = gc.Cocycle1(g, tuple(values), MULTIPLICATIVE)
+        assert not gc.check_cocycle(delta).ok
+        with pytest.raises(NotACocycle) as info:
+            gc.decompose_multiplicative(delta, p)
+        assert info.value.deviation > 0 and info.value.witness[0] in g.arrow_ids
+
     def test_bm_symmetric_for_quasi_invariant_m(self, pair2):
         """The split cochain turns a strongly quasi-invariant measure into a
         symmetric one."""
@@ -268,7 +284,9 @@ class TestSweepRunsOncePerCocycle:
         corr_x, corr_y, _ = catalog.example_pair("induction-finite")
         res = compose(corr_x, corr_y)
         assert any(v != 1 for v in res.delta_z.value)  # premise: nontrivial Δ
-        assert sum(c is res.delta_z for c in swept) == 1
+        # δ_Z is certified by transport from Y's adjoining cocycle
+        assert sum(c is res.delta_z for c in swept) == 0
+        assert sum(c is corr_y.adjoining for c in swept) <= 1
         for i, c in enumerate(swept):
             assert not any(c is other for other in swept[i + 1:])
 

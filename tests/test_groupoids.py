@@ -17,7 +17,7 @@ from gcorr.groupoids import (
     translation_action,
     unit_action,
 )
-from gcorr.randgen import SplitMix64, random_groupoid
+from gcorr.randgen import SplitMix64, random_groupoid, random_pair
 
 
 def pair_tables(units):
@@ -117,6 +117,32 @@ class TestTransformationGroupoid:
         assert not groupoid_violations(g)
         tg, _ = gc.transformation_groupoid(unit_action(g))
         assert not groupoid_violations(tg)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_composition_on_demand_matches_the_stored_table(self, seed, side):
+        """The on-demand composition equals, in iteration order too, the
+        table built arrow by arrow from the action and G's composition."""
+        corr_x, _ = random_pair(seed)
+        act = corr_x.space.left if side == "left" else corr_x.space.right
+        tg, idx = gc.transformation_groupoid(act)
+        g, keys = act.groupoid, list(idx)
+        stored = {}
+        for i, key in enumerate(keys):
+            moved = act.table[key]
+            if side == "right":
+                (p, a) = key
+                for b in g.fibre_dst[g.src[a]]:
+                    stored[(i, idx[(moved, b)])] = idx[(p, g.comp[(a, b)])]
+            else:
+                (a, p) = key
+                for b in g.fibre_src[g.dst[a]]:
+                    stored[(idx[(b, moved)], i)] = idx[(g.comp[(b, a)], p)]
+        assert list(tg.comp.items()) == list(stored.items())
+        assert len(tg.comp) == len(stored) and tg.comp == stored
+        off = [(i, j) for i in range(tg.n_arrows) for j in range(tg.n_arrows) if tg.src[i] != tg.dst[j]]
+        for key in off[:20] + [(-1, 0), (0, tg.n_arrows), ("a", 0), (0,)]:
+            assert key not in tg.comp and tg.comp.get(key) is None
 
 
 class TestCheckProper:

@@ -29,6 +29,27 @@ class TestRoundTrip:
         text2 = serialize_instance(data.correspondences)
         assert text == text2
 
+    def test_one_transformation_groupoid_per_parsed_correspondence(self, monkeypatch):
+        from gcorr import correspondence, groupoids, io_json
+
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        text = serialize_instance([("x", corr_x), ("y", corr_y)])
+        original = groupoids.transformation_groupoid
+        built = []
+
+        def counting(act):
+            built.append(act)
+            return original(act)
+
+        for module in (groupoids, correspondence, io_json):
+            monkeypatch.setattr(module, "transformation_groupoid", counting)
+        parsed = [corr for _, corr in parse_instance(text).correspondences]
+        assert len(built) == 2
+        for corr, again in zip((corr_x, corr_y), parsed):
+            assert again.left_tg.arrow_ids == corr.left_tg.arrow_ids
+            assert again.left_tg_index == corr.left_tg_index
+            assert again.adjoining.value == corr.adjoining.value
+
     def test_shared_middle_groupoid_dedupes(self):
         corr_x, corr_y, _ = catalog.example_pair("group-hom")
         doc = json.loads(serialize_instance([("x", corr_x), ("y", corr_y)]))
@@ -103,6 +124,28 @@ class TestCliValidate:
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps(doc))
         assert cli.main(["validate", str(bad)]) == 1
+
+    @staticmethod
+    def _group_hom_y_family(tmp_path, family):
+        cli.main(["example", "group-hom", str(tmp_path / "gh")])
+        y = tmp_path / "gh.y.json"
+        doc = json.loads(y.read_text())
+        doc["correspondences"][0]["family"] = family
+        y.write_text(json.dumps(doc))
+        return y
+
+    def test_large_float_family_wobble_in_last_digits_passes(self, tmp_path, capsys):
+        y = self._group_hom_y_family(tmp_path, {"g0": 1e6, "g1": 1e6 * (1 + 3e-13)})
+        assert cli.main(["validate", str(y)]) == 0
+
+    def test_relative_family_wobble_fails_right_invariance(self, tmp_path, capsys):
+        y = self._group_hom_y_family(tmp_path, {"g0": 1e6, "g1": 1e6 * (1 + 1e-6)})
+        capsys.readouterr()
+        assert cli.main(["validate", str(y), "--json"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        line = next(c for name, c in checks.items() if name.endswith("family_right_invariance"))
+        assert not line["passed"] and line["witness"]
+        assert line["residual"] == pytest.approx(1e-6, rel=1e-5)
 
     def test_json_reports(self, fn_files, capsys):
         x, _ = fn_files
