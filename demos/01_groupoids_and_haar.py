@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import gcorr as gc
 from gcorr.groupoids import groupoid_violations, translation_action, unit_action
-from gcorr.measures import fibre_masses
+from gcorr.measures import fibre_integral
 
 # -- a pair groupoid and a cyclic group -------------------------------------
 pg = gc.pair_groupoid(["1", "2", "3"])
@@ -25,7 +25,7 @@ print("\nHaar weights by arrow:")
 for a in range(pg.n_arrows):
     print(f"  {pg.arrow_ids[a]:8} -> {haar.w(a)}")
 print("left-invariance check:", gc.check_haar(pg, haar.family))
-print("range-fibre masses   :", fibre_masses(haar))
+print("range-fibre masses   :", fibre_integral(haar))
 
 # breaking invariance is detected with a witness pair
 try:

@@ -12,19 +12,22 @@ The homomorphism sweep behind `check_cocycle` runs once per `Cocycle1`
 object: its worst deviation and first witness are cached on the object,
 so every check of the same cocycle (at any tolerance) shares one pass.
 So does the O(arrows) split residual of a cochain against a cocycle
-(`coboundary_residual`), once per pair of objects.  On exact data both
-compare cross-multiplied integer numerators and denominators, and build
-`Fraction`s only at a failing pair or arrow.
+(`coboundary_residual`), once per pair of objects.  Both compare
+cross-multiplied integer numerators and denominators, of exact and float
+values alike, and evaluate a deviation only at an unequal pair or arrow:
+an equal one has deviation 0 on floats too, because an exact float sum
+or product is representable, so IEEE arithmetic returns it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .groupoids import FiniteGroupoid
-from .measures import HaarSystem
+from .measures import HaarSystem, fibre_integral
 from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
 
 ADDITIVE = "additive"
@@ -92,6 +95,21 @@ class CocycleCheck:
     witness: Optional[tuple[str, ...]]
 
 
+def _ratios(values: Sequence[Scalar]) -> tuple[list, list]:
+    """Numerators and denominators (> 0) of ints, Fractions and finite
+    floats alike.  A non-finite float gets numerator NaN, which makes every
+    cross-multiplied comparison it enters unequal, so its `rdev` (∞) is
+    taken there."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):  # ∞ or NaN
+        ratios = [
+            (math.nan, 1) if isinstance(v, float) and not math.isfinite(v) else v.as_integer_ratio()
+            for v in values
+        ]
+    return [n for n, _ in ratios], [d for _, d in ratios]
+
+
 def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     """Worst `rdev` over the identities at units and the homomorphism
     identity on all composable pairs, with the first pair attaining it."""
@@ -108,19 +126,7 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
             worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
 
     comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
-    if not all_exact(value):
-        for a in range(g.n_arrows):
-            for b in fibre_dst[src[a]]:
-                rhs = value[a] + value[b] if additive else value[a] * value[b]
-                d = rdev(value[comp[(a, b)]], rhs)
-                if d > worst:
-                    worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
-        return worst, witness
-
-    # n_k/d_k against n_a/d_a ∘ n_b/d_b cross-multiplied (all d > 0); an
-    # equal pair has deviation 0, so only a mismatch needs its rdev
-    num = [v.numerator for v in value]
-    den = [v.denominator for v in value]
+    num, den = _ratios(value)
     for a in range(g.n_arrows):
         na, da = num[a], den[a]
         for b in fibre_dst[src[a]]:
@@ -177,7 +183,7 @@ def invariant_probability_family(
         F = (ONE,) * g.n_units
     if any(not (f > 0) for f in F):
         raise NonPositive("F must be strictly positive")
-    h = [ksum(F[g.src[a]] * haar.w(a) for a in g.fibre_dst[u]) for u in range(g.n_units)]
+    h = fibre_integral(haar, F)
     tol = 0.0 if all_exact(h) else 1e-12
     for a in range(g.n_arrows):  # h constant along arrows => constant on orbits
         if adev(h[g.src[a]], h[g.dst[a]]) > tol:
@@ -224,37 +230,28 @@ def solve_coboundary_additive(c: Cocycle1, p: ProbabilityFamily) -> Cochain0:
 
 def _split_sweep(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
     """Worst deviation of c from the coboundary of b, arrow by arrow, and
-    the first arrow attaining it."""
+    the first arrow attaining it: `adev` of c against b∘src - b∘dst, or
+    `rdev` of c·(b∘dst) against b∘src."""
     g = c.groupoid
     src, dst = g.src, g.dst
     additive = c.flavor == ADDITIVE
+    cv, bv = c.value, b.value
     worst, witness = 0.0, None
-
-    def deviation(a: int) -> float:
-        if additive:
-            return adev(c.value[a], b.value[src[a]] - b.value[dst[a]])
-        return rdev(c.value[a] * b.value[dst[a]], b.value[src[a]])
-
-    if all_exact(c.value) and all_exact(b.value):
-        # n/d against b_s and b_t cross-multiplied (all denominators > 0);
-        # an equal arrow has deviation 0, so only a mismatch needs its dev
-        num, den = [v.numerator for v in c.value], [v.denominator for v in c.value]
-        bn, bd = [v.numerator for v in b.value], [v.denominator for v in b.value]
-        for a in range(g.n_arrows):
-            s, t = src[a], dst[a]
-            if additive:
-                equal = num[a] * bd[s] * bd[t] == den[a] * (bn[s] * bd[t] - bn[t] * bd[s])
-            else:
-                equal = num[a] * bn[t] * bd[s] == den[a] * bd[t] * bn[s]
-            if not equal:
-                d = deviation(a)
-                if d > worst:
-                    worst, witness = d, g.arrow_ids[a]
-        return worst, witness
+    num, den = _ratios(cv)
+    bn, bd = _ratios(bv)
     for a in range(g.n_arrows):
-        d = deviation(a)
-        if d > worst:
-            worst, witness = d, g.arrow_ids[a]
+        s, t = src[a], dst[a]
+        if additive:
+            equal = num[a] * bd[s] * bd[t] == den[a] * (bn[s] * bd[t] - bn[t] * bd[s])
+        else:
+            equal = num[a] * bn[t] * bd[s] == den[a] * bd[t] * bn[s]
+        if not equal:
+            if additive:
+                d = adev(cv[a], bv[s] - bv[t])
+            else:
+                d = rdev(cv[a] * bv[t], bv[s])
+            if d > worst:
+                worst, witness = d, g.arrow_ids[a]
     return worst, witness
 
 

@@ -32,7 +32,9 @@ the composable pairs of Z⋊G₂:
     reads too (`decompose_multiplicative`).
 
 Each identity implies the sweep it replaces, given valid inputs; the
-sweeps themselves are kept in the tests as oracles.
+sweeps themselves are kept in the tests as oracles.  Residual lines pass
+under `Report.check` (0 on exact data, `tol` on float data), except those
+that the report module names as keeping their own rule.
 """
 
 from __future__ import annotations
@@ -76,12 +78,15 @@ from .measures import (
     cutoff_from_profile,
     cutoff_residual,
     default_cutoff,
+    disintegration_residual,
+    invariance_residual,
     is_symmetric,
+    push_down,
     quotient_family,
     unit_measure,
 )
 from .report import Report
-from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
+from .util import GcorrError, ONE, Scalar, adev, all_exact, rdev
 
 
 class GroupoidMismatch(GcorrError):
@@ -214,16 +219,16 @@ def check_z_product(corr_x: Correspondence, corr_y: Correspondence, fp: FibrePro
             "action defined off the composable pairs", ())
 
 
-def build_m(corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_bispace: Bispace) -> tuple[MeasureFamily, float]:
-    """The product family on Z along s_Z, with its invariance residual."""
+def build_m(
+    corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_bispace: Bispace
+) -> tuple[MeasureFamily, tuple[float, Optional[str]]]:
+    """The product family on Z along s_Z, with its G₃ invariance residual
+    and witness."""
     weight = tuple(
         corr_x.family.weight[x] * corr_y.family.weight[y] for x, y in fp.pairs
     )
     m = MeasureFamily(fp.point_ids, corr_y.right.unit_ids, z_bispace.right.momentum, weight)
-    worst = 0.0
-    for i, c in z_bispace.right.pairs():
-        worst = max(worst, rdev(m.weight[z_bispace.right.table[(i, c)]], m.weight[i]))
-    return m, worst
+    return m, invariance_residual(z_bispace.right, weight)
 
 
 def build_middle_groupoid(
@@ -345,14 +350,12 @@ def delta_z_invariance_residuals(
     return g1, (worst, witness)
 
 
-def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: Bispace) -> tuple[float, float]:
-    """Invariance of a function on Z under the outer G₁ and G₃ actions."""
-    g1_worst = g3_worst = 0.0
-    for a1, z in z_bispace.left.pairs():
-        g1_worst = max(g1_worst, rdev(values[z_bispace.left.table[(a1, z)]], values[z]))
-    for z, a3 in z_bispace.right.pairs():
-        g3_worst = max(g3_worst, rdev(values[z_bispace.right.table[(z, a3)]], values[z]))
-    return g1_worst, g3_worst
+def _z_invariance_residuals(
+    values: Sequence[Scalar], z_bispace: Bispace
+) -> tuple[tuple[float, Optional[str]], tuple[float, Optional[str]]]:
+    """(worst, witness) of the invariance of a function on Z under the
+    outer G₁ and under the outer G₃ action."""
+    return invariance_residual(z_bispace.left, values), invariance_residual(z_bispace.right, values)
 
 
 def build_b(delta_z: Cocycle1, tg_z: FiniteGroupoid, chi: HaarSystem) -> Cochain0:
@@ -360,16 +363,6 @@ def build_b(delta_z: Cocycle1, tg_z: FiniteGroupoid, chi: HaarSystem) -> Cochain
     (constant profile); exact whenever δ_Z and χ are."""
     p = invariant_probability_family(tg_z, chi)
     return decompose_multiplicative(delta_z, p)
-
-
-def push_down(
-    m: MeasureFamily, b: Cochain0, e: Sequence[Scalar], orbits: OrbitSpace
-) -> tuple[Scalar, ...]:
-    """μ(o) = Σ_{z ∈ o} e(z)·b(z)·m(z), the push-down sum of e·b·m."""
-    return tuple(
-        ksum(e[z] * b.value[z] * m.weight[z] for z in orbits.members[o])
-        for o in range(orbits.n_orbits)
-    )
 
 
 def build_mu(
@@ -382,20 +375,17 @@ def build_mu(
     chi: HaarSystem,
     tol: float = 1e-9,
 ) -> tuple[MeasureFamily, SymmetryCheck, float]:
-    """Push e·b·m down to Ω; returns (μ, the symmetry check of b·m, the
-    disintegration residual).  Raises NotInvariant when b·m fails the
-    symmetry check."""
-    bm = unit_measure(chi.groupoid, tuple(b.value[z] * m.weight[z] for z in range(len(m.weight))))
-    sym = is_symmetric(bm, chi, tol)
+    """Push b·m down to Ω with the cutoff e, as the sum of m against e·b;
+    returns (μ, the symmetry check of b·m, the disintegration residual of
+    b·m against μ∘λ_π).  Raises NotInvariant when b·m fails the symmetry
+    check."""
+    bm = tuple(b.value[z] * m.weight[z] for z in range(len(m.weight)))
+    sym = is_symmetric(unit_measure(chi.groupoid, bm), chi, tol)
     if not sym.symmetric:
         raise NotInvariant(sym.residual, "b·m is not symmetric")
-    mu = MeasureFamily(orbits.orbit_ids, m.base_ids, omega.right.momentum, push_down(m, b, e, orbits))
-    worst = 0.0
-    for z in range(len(m.weight)):
-        lhs = b.value[z] * m.weight[z]
-        rhs = mu.weight[orbits.proj[z]] * lambda_pi.weight[z]
-        worst = max(worst, rdev(lhs, rhs))
-    return mu, sym, worst
+    weight = push_down(m.weight, tuple(x * y for x, y in zip(e, b.value)), orbits)
+    mu = MeasureFamily(orbits.orbit_ids, m.base_ids, omega.right.momentum, weight)
+    return mu, sym, disintegration_residual(weight, lambda_pi.weight, bm, orbits)
 
 
 def build_omega_bispace(
@@ -430,10 +420,11 @@ def build_delta12(
     orbits: OrbitSpace,
     omega: Bispace,
     b: Cochain0,
-) -> tuple[Cocycle1, FiniteGroupoid, dict[tuple[int, int], int], float]:
-    """The composite adjoining cocycle on G₁⋉Ω, evaluated at stored orbit
-    representatives, plus the worst disagreement over all other
-    representatives (well-definedness residual)."""
+) -> tuple[tuple[Scalar, ...], FiniteGroupoid, dict[tuple[int, int], int], float]:
+    """The values of the composite adjoining cocycle on G₁⋉Ω, evaluated at
+    stored orbit representatives, with G₁⋉Ω, its index and the worst
+    disagreement over all other representatives (well-definedness
+    residual)."""
     tg_omega, idx = transformation_groupoid(omega.left)
     values = [ONE] * tg_omega.n_arrows
 
@@ -449,24 +440,22 @@ def build_delta12(
         for z in orbits.members[o]:
             if z != rep:
                 worst = max(worst, rdev(candidate(a, z), values[k]))
-    return Cocycle1(tg_omega, tuple(values), MULTIPLICATIVE), tg_omega, idx, worst
+    return tuple(values), tg_omega, idx, worst
 
 
 def compose(
     corr_x: Correspondence,
     corr_y: Correspondence,
-    e: Optional[Sequence[Scalar]] = None,
     b_values: Optional[Sequence[Scalar]] = None,
     tol: float = 1e-9,
 ) -> CompositionResult:
     """Run the whole pipeline and certify every step.
 
-    `e` overrides the default cutoff (it must be normalized), `b_values`
-    overrides the canonical middle cochain (it must split the obstruction
-    cocycle; the report then records the positive ratio to the canonical
-    one, which is constant on middle orbits).  Raises
+    `b_values` overrides the canonical middle cochain (it must split the
+    obstruction cocycle; the report then records the positive ratio to the
+    canonical one, which is constant on middle orbits).  Raises
     CompositionStageError on a failing stage; numerical residuals land in
-    the report.
+    the report, judged as the module docstring says.
     """
     _require_chainable(corr_x, corr_y)
     report = Report("composition")
@@ -483,8 +472,8 @@ def compose(
     z_bispace = stage("z_bispace", build_z_bispace, corr_x, corr_y, fp)
     stage("z_bispace", check_z_product, corr_x, corr_y, fp, z_bispace)
 
-    m, m_res = stage("build_m", build_m, corr_x, corr_y, fp, z_bispace)
-    report.add("m_right_invariance", m_res <= (0.0 if m.exact else tol), m_res)
+    m, (m_res, m_wit) = stage("build_m", build_m, corr_x, corr_y, fp, z_bispace)
+    report.check("m_right_invariance", m_res, m.exact, tol, m_wit)
 
     tg_z, tg_z_index, chi = stage("middle_groupoid", build_middle_groupoid, fp, chi2)
     stage("middle_groupoid", check_chi_pullback, chi, tg_z_index, chi2)
@@ -506,84 +495,66 @@ def compose(
     witness = pull_wit or (str(chk.witness) if chk.witness else None)
     report.add("delta_z_cocycle", chk.ok and pull_wit is None, max(chk.max_deviation, pull_res), witness)
     (g1_res, g1_wit), (g3_res, g3_wit) = delta_z_invariance_residuals(corr_y, fp, z_bispace)
-    report.add("delta_z_left_invariance", g1_res <= (0.0 if exact_dz else tol), g1_res, g1_wit)
-    report.add("delta_z_right_invariance", g3_res <= (0.0 if exact_dz else tol), g3_res, g3_wit)
+    report.check("delta_z_left_invariance", g1_res, exact_dz, tol, g1_wit)
+    report.check("delta_z_right_invariance", g3_res, exact_dz, tol, g3_wit)
 
     b = stage("build_b", build_b, delta_z, tg_z, chi)
     if b_values is not None:
         override = Cochain0(tg_z, tuple(b_values), MULTIPLICATIVE)
         res = coboundary_residual(delta_z, override)
-        report.add("override_b_splits_delta", res <= tol, res)
-        if res > tol:
+        if not report.check("override_b_splits_delta", res, exact_dz and all_exact(override.value), tol).passed:
             raise CompositionStageError("build_b", GcorrError("supplied cochain does not split the obstruction cocycle"), report)
         ratio = tuple(b.value[z] / override.value[z] for z in range(tg_z.n_units))
         ratio_res = max(
-            (
-                rdev(ratio[z], ratio[orbits.reps[orbits.proj[z]]])
-                for z in range(tg_z.n_units)
-            ),
+            (rdev(ratio[z], ratio[orbits.reps[orbits.proj[z]]]) for z in range(tg_z.n_units)),
             default=0.0,
         )
-        report.add("override_b_ratio_orbit_constant", ratio_res <= tol, ratio_res)
+        report.check("override_b_ratio_orbit_constant", ratio_res, all_exact(ratio), tol)
         b = override
     exact_b = all_exact(b.value)
     # the split residual of b, already computed by the guard of
     # `decompose_multiplicative` (or above, for an override)
-    ratio_res = coboundary_residual(delta_z, b)
-    report.add("b_ratio_relation", ratio_res <= (0.0 if exact_b else tol), ratio_res)
-    bg1, bg3 = _z_invariance_residuals(b.value, z_bispace)
-    report.add("b_left_invariance", bg1 <= (0.0 if exact_b else tol), bg1)
-    report.add("b_right_invariance", bg3 <= (0.0 if exact_b else tol), bg3)
+    report.check("b_ratio_relation", coboundary_residual(delta_z, b), exact_b, tol)
+    (bg1, bg1_wit), (bg3, bg3_wit) = _z_invariance_residuals(b.value, z_bispace)
+    report.check("b_left_invariance", bg1, exact_b, tol, bg1_wit)
+    report.check("b_right_invariance", bg3, exact_b, tol, bg3_wit)
 
-    if e is None:
-        e = default_cutoff(chi)
-    e = tuple(e)
-    e_res = cutoff_residual(chi, e)
-    report.add("cutoff_normalized", e_res == 0.0 if all_exact(e) and chi.exact else e_res <= tol, e_res)
+    e = default_cutoff(chi)
+    report.check("cutoff_normalized", cutoff_residual(chi, e), all_exact(e) and chi.exact, tol)
 
     omega = stage("omega_bispace", build_omega_bispace, corr_x, corr_y, fp, z_bispace, orbits)
     mu, sym, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, chi, tol)
     exact_mu = mu.exact and exact_b
     # `is_symmetric` judges the residual against tol scaled by the largest weight
     report.add("bm_symmetric", sym.symmetric, sym.residual)
-    report.add("mu_disintegration", dis_res <= (0.0 if exact_mu else tol), dis_res)
+    report.check("mu_disintegration", dis_res, exact_mu, tol)
 
     # independence of the cutoff: push down again with a deterministic
     # second profile (the symmetry and disintegration checks do not read e)
     profile = tuple(ONE + Fraction(z % 3, 2) for z in range(tg_z.n_units))
     e2 = cutoff_from_profile(chi, profile)
-    if tuple(e2) != e:
-        mu2 = push_down(m, b, e2, orbits)
-        mu_dev = max(
-            (rdev(a_, b_) for a_, b_ in zip(mu.weight, mu2)), default=0.0
-        )
-        report.add("mu_cutoff_independence", mu_dev <= (0.0 if exact_mu else tol), mu_dev)
+    if e2 != e:
+        mu2 = push_down(m.weight, tuple(x * y for x, y in zip(e2, b.value)), orbits)
+        mu_dev = max((rdev(a_, b_) for a_, b_ in zip(mu.weight, mu2)), default=0.0)
+        report.check("mu_cutoff_independence", mu_dev, exact_mu, tol)
 
-    # G₃-invariance of μ on the orbit space
-    mu_res = 0.0
-    for o, c in omega.right.pairs():
-        mu_res = max(mu_res, rdev(mu.weight[omega.right.table[(o, c)]], mu.weight[o]))
-    report.add("mu_right_invariance", mu_res <= (0.0 if exact_mu else tol), mu_res)
+    mu_res, mu_wit = invariance_residual(omega.right, mu.weight)  # G₃-invariance of μ
+    report.check("mu_right_invariance", mu_res, exact_mu, tol, mu_wit)
 
-    delta12, tg_omega, tg_omega_idx, wd_res = stage(
+    values12, tg_omega, tg_omega_idx, wd_res = stage(
         "build_delta12", build_delta12, corr_x, fp, z_bispace, orbits, omega, b
     )
-    exact12 = all_exact(delta12.value)
-    report.add("delta12_well_defined", wd_res <= (0.0 if exact12 else tol), wd_res)
+    exact12 = all_exact(values12)
+    report.check("delta12_well_defined", wd_res, exact12, tol)
+    # Δ₁₂ is the composite's adjoining cocycle itself, so the final
+    # `validate` reads the sweep that the delta12_cocycle line caches
+    composite = stage(
+        "assemble", make_correspondence, corr_x.left_haar, corr_y.right_haar,
+        omega, mu, values12, False, left_tg=(tg_omega, tg_omega_idx),
+    )
+    delta12 = composite.adjoining
     chk = check_cocycle(delta12, rel_tol=None if exact12 else tol)
     report.add("delta12_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
-
-    composite = stage(
-        "assemble",
-        make_correspondence,
-        corr_x.left_haar,
-        corr_y.right_haar,
-        omega,
-        mu,
-        tuple(delta12.value),
-        False,
-        left_tg=(tg_omega, tg_omega_idx),
-    )
     final = validate(composite, tol=tol)
     final.checks = [c.__class__("composite_" + c.name, c.passed, c.residual, c.witness) for c in final.checks]
     report.extend(final)

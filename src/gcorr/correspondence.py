@@ -29,7 +29,7 @@ from .groupoids import (
     trivial_action,
     units_only_groupoid,
 )
-from .measures import HaarSystem, MeasureFamily, check_haar, counting_haar
+from .measures import HaarSystem, MeasureFamily, check_haar, counting_haar, invariance_residual
 from .report import Report
 from .util import GcorrError, ONE, Scalar, all_exact, rdev
 
@@ -172,18 +172,6 @@ def quasi_invariance_residual_dense(
     )
 
 
-def family_invariance_residual(space: Bispace, family: MeasureFamily) -> tuple[float, Optional[str]]:
-    """Right invariance: λ(x·η) = λ(x) for every composable pair, as the
-    worst relative deviation `rdev`."""
-    worst, witness = 0.0, None
-    for p, a in space.right.pairs():
-        q = space.right.table[(p, a)]
-        d = rdev(family.weight[q], family.weight[p])
-        if d > worst:
-            worst, witness = d, f"({space.point_ids[p]}, {space.right.groupoid.arrow_ids[a]})"
-    return worst, witness
-
-
 def make_correspondence(
     left_haar: HaarSystem,
     right_haar: HaarSystem,
@@ -238,8 +226,8 @@ def validate(corr: Correspondence, tol: float = 1e-9) -> Report:
     rep.add("right_action_proper", evidence.proper)
     rep.notes["properness_max_fibre"] = evidence.max_card
 
-    res, wit = family_invariance_residual(corr.space, corr.family)
-    rep.add("family_right_invariance", res == 0.0 if corr.family.exact else res <= tol, res, wit)
+    res, wit = invariance_residual(corr.space.right, corr.family.weight)
+    rep.check("family_right_invariance", res, corr.family.exact, tol, wit)
 
     chk = check_cocycle(corr.adjoining, rel_tol=None if corr.exact else tol)
     rep.add("adjoining_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
@@ -247,7 +235,7 @@ def validate(corr: Correspondence, tol: float = 1e-9) -> Report:
     res, wit = quasi_invariance_residual(
         corr.left_haar, corr.space, corr.family, corr.adjoining_at
     )
-    rep.add("adjoining_identity", res == 0.0 if corr.exact else res <= tol, res, wit)
+    rep.check("adjoining_identity", res, corr.exact, tol, wit)
     rep.notes["scalar_mode"] = "exact" if corr.exact else "float"
     return rep
 

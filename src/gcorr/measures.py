@@ -4,6 +4,11 @@ A family of measures along f: T -> B is stored as one strictly positive
 weight per point of T; the measure attached to b in B is the restriction of
 that weight table to the fibre f⁻¹(b).  Haar systems are the special case
 T = arrows, f = dst, subject to left invariance.
+
+`compose` reads the helpers shared with the stand-alone push-down here:
+the fibre integral behind every cutoff, the push-down sum with its
+disintegration residual, and the (worst, witness) invariance residual of
+a function on a G-space, which the report judges by `Report.check`.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .groupoids import FiniteGroupoid, OrbitSpace
-from .util import GcorrError, Scalar, adev, all_exact, ksum
+from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
+from .util import GcorrError, Scalar, adev, all_exact, ksum, rdev
 
 
 class NotHaar(GcorrError):
@@ -203,15 +208,19 @@ def quotient_family(haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
     return MeasureFamily(g.unit_ids, orbits.orbit_ids, orbits.proj, tuple(weight))
 
 
-def fibre_masses(haar: HaarSystem) -> tuple[Scalar, ...]:
-    """Total Haar mass of each range fibre; constant along unit orbits."""
-    g = haar.groupoid
-    return tuple(ksum(haar.w(a) for a in g.fibre_dst[u]) for u in range(g.n_units))
+def fibre_integral(haar: HaarSystem, f: Optional[Sequence[Scalar]] = None) -> tuple[Scalar, ...]:
+    """u ↦ Σ_{γ∈G^u} f(src γ)·w(γ), the integral of f∘src over each range
+    fibre; with f = 1 (the default) the fibre masses, constant along unit
+    orbits."""
+    w, src = haar.family.weight, haar.groupoid.src
+    if f is None:
+        return tuple(ksum(w[a] for a in fibre) for fibre in haar.groupoid.fibre_dst)
+    return tuple(ksum(f[src[a]] * w[a] for a in fibre) for fibre in haar.groupoid.fibre_dst)
 
 
 def default_cutoff(haar: HaarSystem) -> tuple[Scalar, ...]:
     """e = 1/h with h the range-fibre mass; normalizes to 1 on every fibre."""
-    return tuple(1 / h for h in fibre_masses(haar))
+    return tuple(1 / h for h in fibre_integral(haar))
 
 
 def cutoff_from_profile(haar: HaarSystem, profile: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -220,22 +229,45 @@ def cutoff_from_profile(haar: HaarSystem, profile: Sequence[Scalar]) -> tuple[Sc
     h_F(u) sums F(src γ) against the fibre at u and is constant along
     orbits, which is exactly what makes e integrate to one on every fibre.
     """
-    g = haar.groupoid
-    h = [
-        ksum(profile[g.src[a]] * haar.w(a) for a in g.fibre_dst[u])
-        for u in range(g.n_units)
-    ]
-    return tuple(profile[u] / h[u] for u in range(g.n_units))
+    h = fibre_integral(haar, profile)
+    return tuple(profile[u] / h[u] for u in range(len(h)))
 
 
 def cutoff_residual(haar: HaarSystem, e: Sequence[Scalar]) -> float:
     """How far e is from satisfying sum over the fibre of e(src γ)·λ(γ) = 1."""
-    g = haar.groupoid
-    worst = 0.0
-    for u in range(g.n_units):
-        total = ksum(e[g.src[a]] * haar.w(a) for a in g.fibre_dst[u])
-        worst = max(worst, adev(total, 1))
-    return worst
+    return max((adev(total, 1) for total in fibre_integral(haar, e)), default=0.0)
+
+
+def push_down(m: Sequence[Scalar], e: Sequence[Scalar], orbits: OrbitSpace) -> tuple[Scalar, ...]:
+    """μ(o) = Σ_{v∈o} e(v)·m(v), the push-down sum of the weights m with
+    the cutoff e."""
+    return tuple(ksum(e[v] * m[v] for v in members) for members in orbits.members)
+
+
+def disintegration_residual(
+    mu: Sequence[Scalar], ql: Sequence[Scalar], m: Sequence[Scalar], orbits: OrbitSpace
+) -> float:
+    """Worst `rdev` of m(v) from μ(π v)·ql(v): how far μ∘[λ] is from m,
+    where ql is the quotient family along π."""
+    proj = orbits.proj
+    return max((rdev(m[v], mu[proj[v]] * ql[v]) for v in range(len(m))), default=0.0)
+
+
+def invariance_residual(action: GSpaceAction, values: Sequence[Scalar]) -> tuple[float, Optional[str]]:
+    """Worst `rdev` of a function on the points from its translate,
+    values(moved point) against values(point), over the composable pairs
+    of the action; and the first pair attaining it, named (arrow, point)
+    for a left action and (point, arrow) for a right one (None if 0)."""
+    table, at = action.table, 1 if action.side == "left" else 0
+    worst, key = 0.0, None
+    for pair in action.pairs():
+        d = rdev(values[table[pair]], values[pair[at]])
+        if d > worst:
+            worst, key = d, pair
+    if key is None:
+        return worst, None
+    arrow, point = action.groupoid.arrow_ids[key[1 - at]], action.point_ids[key[at]]
+    return worst, f"({arrow}, {point})" if at else f"({point}, {arrow})"
 
 
 def push_measure_down(
@@ -249,9 +281,9 @@ def push_measure_down(
 
     Returns the unique measure μ with μ∘[λ] = m.  Requires m symmetric
     (within `tol` on float data) and e a normalized cutoff; the result does
-    not depend on the choice of e.
+    not depend on the choice of e.  The postcondition μ∘[λ] = m is the
+    `disintegration_residual`: 0 on exact data, at most `tol` on float.
     """
-    g = haar.groupoid
     sym = is_symmetric(m, haar, tol)
     if not sym.symmetric:
         raise NotInvariant(sym.residual)
@@ -259,16 +291,9 @@ def push_measure_down(
         e = default_cutoff(haar)
     if cutoff_residual(haar, e) > (0.0 if all_exact(e) and haar.exact else tol):
         raise ValueError("cutoff is not normalized on every fibre")
-    weights = tuple(
-        ksum(m.weight[v] * e[v] for v in orbits.members[o])
-        for o in range(orbits.n_orbits)
-    )
-    mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, weights)
-    # postcondition μ∘[λ] = m
+    mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, push_down(m.weight, e, orbits))
     ql = quotient_family(haar, orbits)
-    worst = 0.0
-    for v in range(g.n_units):
-        worst = max(worst, adev(mu.weight[orbits.proj[v]] * ql.weight[v], m.weight[v]))
+    worst = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
     if worst > (0.0 if mu.exact and ql.exact and m.exact else tol):
         raise NotInvariant(worst, "push-down failed to disintegrate m")
     return mu

@@ -1,4 +1,14 @@
-"""Pass/fail reporting shared by validation, composition and the CLI."""
+"""Pass/fail reporting shared by validation, composition and the CLI.
+
+`Report.check` is the pass rule for a residual: 0 on exact data, at most
+`tol` on float data; a NaN residual fails.  Every residual line of
+`compose` and `validate` uses it, except those that record the verdict of
+a check with a rule of its own via `Report.add`: the Haar lines and
+`lambda_pi_rep_independence` (exact equality on any data), the cocycle
+lines (`check_cocycle` at `rel_tol`), `bm_symmetric` (`is_symmetric`,
+whose `tol` is scaled by the largest weight), and the axiom and
+properness lines, which have no residual.
+"""
 
 from __future__ import annotations
 
@@ -41,6 +51,10 @@ class Report:
         res = CheckResult(name, bool(passed), None if residual is None else float(residual), witness)
         self.checks.append(res)
         return res
+
+    def check(self, name: str, residual, exact: bool, tol: float, witness=None) -> CheckResult:
+        """Record a residual under the pass rule: 0 on exact data, `tol` on float."""
+        return self.add(name, residual <= (0.0 if exact else tol), residual, witness)
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

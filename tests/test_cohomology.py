@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from gcorr.cohomology import (
     ADDITIVE,
     MULTIPLICATIVE,
     NotACocycle,
+    _split_sweep,
     _sweep_cocycle,
     coboundary_residual,
     probability_family_violation,
@@ -19,7 +21,8 @@ from gcorr.cohomology import (
 from gcorr.composition import compose
 from gcorr.groupoids import make_action, transformation_groupoid
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
-from gcorr.util import rdev
+from gcorr.util import adev, rdev
+from tests.conftest import scaled_family
 
 
 class TestInvariantProbabilityFamily:
@@ -219,10 +222,52 @@ def _sweep_oracle(c):
     return worst, witness
 
 
-def _pipeline_cocycles(pair):
-    corr_x, corr_y = pair
-    res = compose(corr_x, corr_y)
+def _split_oracle(c, b):
+    """The per-arrow split deviation on the values as they are: a Fraction
+    (or float) difference or product for every arrow."""
+    g = c.groupoid
+    worst, witness = 0.0, None
+    for a in range(g.n_arrows):
+        s, t = g.src[a], g.dst[a]
+        if c.flavor == ADDITIVE:
+            d = adev(c.value[a], b.value[s] - b.value[t])
+        else:
+            d = rdev(c.value[a] * b.value[t], b.value[s])
+        if d > worst:
+            worst, witness = d, g.arrow_ids[a]
+    return worst, witness
+
+
+def _pipeline(name, exact=True):
+    """(corr_x, corr_y, composite) of a named pair; its float copy, the
+    families and adjoining cocycles as JSON floats, with exact=False."""
+    kind, _, arg = name.partition("-")
+    corr_x, corr_y = catalog.example_pair(arg)[:2] if kind == "catalog" else random_pair(int(arg))
+    if not exact:
+        corr_x, corr_y = scaled_family(corr_x, 1, exact=False), scaled_family(corr_y, 1, exact=False)
+    return corr_x, corr_y, compose(corr_x, corr_y)
+
+
+def _pipeline_cocycles(name, exact=True):
+    corr_x, corr_y, res = _pipeline(name, exact)
     return [corr_x.adjoining, corr_y.adjoining, res.delta_z, res.delta12]
+
+
+def _random_cocycle(seed, flavor, exact, where, shift):
+    """d0 of a seeded cochain on a random groupoid, its value at arrow
+    `where` moved by `shift` (added, or multiplied in by 1 + |shift|)."""
+    rng = SplitMix64(seed)
+    g = random_groupoid(rng, 30)
+    # small values make equal deviations, so the first witness is tested
+    units = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(g.n_units))
+    t = gc.Cochain0(g, units if exact else tuple(float(v) for v in units), flavor)
+    values = list(gc.d0(t).value)
+    k = where % g.n_arrows
+    if flavor == ADDITIVE:
+        values[k] += shift
+    else:
+        values[k] *= 1 + abs(shift)
+    return gc.Cocycle1(g, tuple(values), flavor), t
 
 
 PIPELINE_PAIRS = [f"catalog-{name}" for name in catalog.EXAMPLE_NAMES] + [
@@ -235,11 +280,28 @@ class TestCocycleSweep:
 
     @pytest.mark.parametrize("name", PIPELINE_PAIRS)
     def test_pipeline_cocycles_match_oracle(self, name):
-        kind, _, arg = name.partition("-")
-        pair = catalog.example_pair(arg)[:2] if kind == "catalog" else random_pair(int(arg))
-        for c in _pipeline_cocycles(pair):
+        for c in _pipeline_cocycles(name):
             fresh = gc.Cocycle1(c.groupoid, c.value, c.flavor)  # no cached sweep
             assert _sweep_cocycle(fresh) == _sweep_oracle(fresh)
+
+    @pytest.mark.parametrize("name", PIPELINE_PAIRS)
+    def test_float_pipeline_cocycles_match_oracle(self, name):
+        for c in _pipeline_cocycles(name, exact=False):
+            assert all(isinstance(v, float) for v in c.value)
+            fresh = gc.Cocycle1(c.groupoid, c.value, c.flavor)
+            assert _sweep_cocycle(fresh) == _sweep_oracle(fresh)
+
+    @pytest.mark.parametrize("name", PIPELINE_PAIRS)
+    def test_perturbed_and_infinite_float_cocycles_match_oracle(self, name):
+        for c in _pipeline_cocycles(name, exact=False):
+            for k in {0, c.groupoid.n_arrows // 2, c.groupoid.n_arrows - 1}:
+                for bad in (c.value[k] * (1 + 3e-13), c.value[k] * 1.5, math.inf):
+                    values = list(c.value)
+                    values[k] = bad
+                    tampered = gc.Cocycle1(c.groupoid, tuple(values), c.flavor)
+                    worst, witness = _sweep_cocycle(tampered)
+                    assert (worst, witness) == _sweep_oracle(tampered)
+                    assert worst == math.inf if bad == math.inf else worst < math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -249,20 +311,24 @@ class TestCocycleSweep:
         st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6),
     )
     def test_perturbed_exact_cocycles_match_oracle(self, seed, flavor, where, shift):
-        rng = SplitMix64(seed)
-        g = random_groupoid(rng, 30)
-        # small values make equal deviations, so the first witness is tested
-        t = gc.Cochain0(g, tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(g.n_units)), flavor)
-        values = list(gc.d0(t).value)
-        k = where % g.n_arrows
-        if flavor == ADDITIVE:
-            values[k] += shift
-        else:
-            values[k] *= 1 + abs(shift)
-        c = gc.Cocycle1(g, tuple(values), flavor)
+        c, _ = _random_cocycle(seed, flavor, True, where, shift)
         worst, witness = _sweep_cocycle(c)
         assert (worst, witness) == _sweep_oracle(c)
         assert (worst > 0) == (shift != 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 1e-13, -0.25, 2.0, math.inf]),
+    )
+    def test_float_cocycles_match_oracle(self, seed, flavor, where, shift):
+        """Float d0 values carry rounding, so many pairs differ by an ulp."""
+        c, _ = _random_cocycle(seed, flavor, False, where, shift)
+        worst, witness = _sweep_cocycle(c)
+        assert (worst, witness) == _sweep_oracle(c)
+        assert (worst == math.inf) == (shift == math.inf)
 
     def test_check_cocycle_applies_tolerance_to_the_cached_sweep(self, pair2):
         c = gc.Cocycle1(pair2, (F(0), F(1, 10**12), F(0), F(0)), ADDITIVE)
@@ -270,6 +336,36 @@ class TestCocycleSweep:
         loose = gc.check_cocycle(c, rel_tol=1e-9)
         assert loose.ok and loose.witness is None
         assert loose.max_deviation == gc.check_cocycle(c).max_deviation > 0
+
+
+class TestSplitSweep:
+    """The integer split sweep gives the float/Fraction oracle's (worst,
+    witness) bit for bit."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("name", PIPELINE_PAIRS)
+    def test_pipeline_split_matches_oracle(self, name, exact):
+        _, _, res = _pipeline(name, exact)
+        assert _split_sweep(res.delta_z, res.b) == _split_oracle(res.delta_z, res.b)
+        values = list(res.b.value)
+        for k in {0, len(values) - 1}:
+            for bad in (values[k] * (1 + 3e-13), values[k] * 2, math.inf):
+                tampered = gc.Cochain0(res.b.groupoid, tuple(values[:k] + [bad] + values[k + 1:]), MULTIPLICATIVE)
+                assert _split_sweep(res.delta_z, tampered) == _split_oracle(res.delta_z, tampered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
+        st.booleans(),
+        st.integers(0, 10**6),
+        st.sampled_from([F(0), F(1, 3), F(-2), F(1, 10**13), math.inf]),
+    )
+    def test_random_split_matches_oracle(self, seed, flavor, exact, where, shift):
+        c, t = _random_cocycle(seed, flavor, exact, where, shift)
+        worst, witness = _split_sweep(c, t)
+        assert (worst, witness) == _split_oracle(c, t)
+        assert (worst == math.inf) == (shift == math.inf)
 
 
 class TestSweepRunsOncePerCocycle:
@@ -289,4 +385,9 @@ class TestSweepRunsOncePerCocycle:
         assert sum(c is corr_y.adjoining for c in swept) <= 1
         for i, c in enumerate(swept):
             assert not any(c is other for other in swept[i + 1:])
+        # Δ₁₂ is the composite's adjoining cocycle, swept once for both the
+        # delta12_cocycle line and the final validate
+        assert res.delta12 is res.composite.adjoining
+        assert len(swept) == 3
+        assert {id(c) for c in swept} == {id(corr_x.adjoining), id(corr_y.adjoining), id(res.delta12)}
 

@@ -166,6 +166,19 @@ class TestStageBehaviour:
         with pytest.raises(CompositionStageError):
             compose(corr_x, corr_y, b_values=tuple(bad))
 
+    def test_exact_override_off_by_1e_12_fails_at_build_b(self):
+        """The override lines take the exact pass rule on exact data: a b
+        with one entry times 1 + 10⁻¹² no longer passes them within tol."""
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        bad = list(compose(corr_x, corr_y).b.value)
+        bad[0] *= 1 + F(1, 10**12)
+        with pytest.raises(CompositionStageError) as info:
+            compose(corr_x, corr_y, b_values=tuple(bad))
+        assert info.value.stage == "build_b"
+        line = info.value.report.checks[-1]
+        assert line.name == "override_b_splits_delta" and not line.passed
+        assert line.residual == pytest.approx(1e-12)
+
 
 def coset_pair():
     """A pair whose middle acts with stabilizers on both legs.

@@ -11,12 +11,12 @@ from gcorr.correspondence import (
     NotAHomomorphism,
     NotASubgroup,
     NotWellDefined,
-    family_invariance_residual,
     quasi_invariance_residual,
     quasi_invariance_residual_dense,
     subgroup_groupoid,
 )
 from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
+from gcorr.measures import invariance_residual
 from gcorr.randgen import SplitMix64, random_pair
 from tests.conftest import translation_correspondence
 
@@ -82,7 +82,7 @@ class TestValidate:
         )
         space = make_bispace(left, right)
         fam = MeasureFamily(pts, z2.unit_ids, (0, 0), (F(1), F(2)))  # not constant on the orbit
-        res, wit = family_invariance_residual(space, fam)
+        res, wit = invariance_residual(space.right, fam.weight)
         assert res == 0.5 and wit is not None  # |2 - 1| / max(1, 1, 2)
         with pytest.raises(NotWellDefined):
             gc.make_correspondence(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcorr as gc
-from gcorr.groupoids import orbit_space, unit_action
+from gcorr.groupoids import orbit_space, translation_action, unit_action
 from gcorr.measures import (
     MeasureFamily,
     NotHaar,
@@ -15,7 +15,8 @@ from gcorr.measures import (
     compose_with_quotient,
     cutoff_residual,
     default_cutoff,
-    fibre_masses,
+    fibre_integral,
+    invariance_residual,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar
 
@@ -190,4 +191,26 @@ def test_default_cutoff_normalized(z3):
     haar = gc.haar_from_unit_weights(z3, (F(3, 7),))
     e = default_cutoff(haar)
     assert cutoff_residual(haar, e) == 0
-    assert fibre_masses(haar) == (F(9, 7),)
+    assert fibre_integral(haar) == (F(9, 7),)
+
+
+class TestInvarianceResidual:
+    """One tampered value: the worst `rdev` and the first pair comparing it."""
+
+    def test_left_action_names_arrow_then_point(self):
+        g = gc.pair_groupoid(["1", "2", "3"])
+        act = unit_action(g)
+        assert invariance_residual(act, (F(2),) * 3) == (0.0, None)
+        # (1,2)·2 = 1 is the first pair that moves the tampered unit 2
+        assert invariance_residual(act, (F(2), F(3), F(2))) == (1 / 3, "((1,2), 2)")
+
+    def test_right_action_names_point_then_arrow(self, z3):
+        act = translation_action("right", z3)
+        assert invariance_residual(act, (1.5,) * 3) == (0.0, None)
+        # g0·g2 = g2 is the first pair that reaches the tampered point g2
+        assert invariance_residual(act, (F(1), F(1), F(5))) == (0.8, "(g0, g2)")
+
+    def test_float_values_use_rdev(self, z3):
+        act = translation_action("right", z3)
+        worst, witness = invariance_residual(act, (1e6, 1e6 * (1 + 3e-13), 1e6))
+        assert 0 < worst < 1e-12 and witness == "(g0, g1)"
