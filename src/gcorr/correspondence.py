@@ -222,14 +222,12 @@ def validate(corr: Correspondence, tol: float = 1e-9) -> Report:
         return rep
 
     tg_right, _ = transformation_groupoid(corr.space.right)
-    evidence = check_proper(tg_right)
-    rep.add("right_action_proper", evidence.proper)
-    rep.notes["properness_max_fibre"] = evidence.max_card
+    rep.notes["properness_max_fibre"] = check_proper(tg_right).max_card
 
     res, wit = invariance_residual(corr.space.right, corr.family.weight)
     rep.check("family_right_invariance", res, corr.family.exact, tol, wit)
 
-    chk = check_cocycle(corr.adjoining, rel_tol=None if corr.exact else tol)
+    chk = check_cocycle(corr.adjoining, rel_tol=None if all_exact(corr.adjoining.value) else tol)
     rep.add("adjoining_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
 
     res, wit = quasi_invariance_residual(

@@ -615,9 +615,9 @@ def transformation_groupoid(act: GSpaceAction) -> tuple[FiniteGroupoid, dict[tup
 
 @dataclass(frozen=True)
 class ProperEvidence:
-    """Finiteness evidence mirroring the compact-fibre hypothesis."""
+    """Finiteness evidence mirroring the compact-fibre hypothesis; every
+    finite groupoid is proper, so only the fibre sizes are recorded."""
 
-    proper: bool
     fibre_card: Counter[tuple[str, str]]  # (u, v) -> |arrows v -> u|, 0 when absent
 
     @property
@@ -626,11 +626,10 @@ class ProperEvidence:
 
 
 def check_proper(g: FiniteGroupoid) -> ProperEvidence:
-    """Always proper at finite scale; returns the two-sided fibre sizes
-    (only the nonempty fibres are stored)."""
+    """The two-sided fibre sizes (only the nonempty fibres are stored)."""
     ids = g.unit_ids
     card = Counter((ids[g.dst[a]], ids[g.src[a]]) for a in range(g.n_arrows))
-    return ProperEvidence(True, card)
+    return ProperEvidence(card)
 
 
 @dataclass(frozen=True)

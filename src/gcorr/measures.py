@@ -29,9 +29,11 @@ class NotHaar(GcorrError):
 
 
 class NotInvariant(GcorrError):
-    def __init__(self, residual, message="measure is not symmetric"):
+    def __init__(self, residual, message="measure is not symmetric", witness=None):
         self.residual = residual
-        super().__init__(f"{message} (residual {residual})")
+        self.witness = witness
+        at = f" at {witness}" if witness else ""
+        super().__init__(f"{message}{at} (residual {residual})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +172,21 @@ def induced_measure(m: MeasureFamily, haar: HaarSystem, direction: str) -> Group
 class SymmetryCheck:
     symmetric: bool
     residual: float
+    witness: Optional[str] = None  # the first arrow attaining the residual
 
 
 def is_symmetric(m: MeasureFamily, haar: HaarSystem, tol: float = 0.0) -> SymmetryCheck:
-    """Whether m∘λ = m∘λ⁻¹ arrow by arrow; residual is the worst |difference|."""
+    """Whether m∘λ = m∘λ⁻¹ arrow by arrow; residual is the worst |difference|,
+    judged against `tol` scaled by the largest weight (0 on exact data)."""
     fwd = induced_measure(m, haar, "forward").weight
     inv = induced_measure(m, haar, "inverse").weight
+    devs = [adev(a, b) for a, b in zip(fwd, inv)]
+    residual = max(devs, default=0.0)
+    witness = haar.groupoid.arrow_ids[devs.index(residual)] if residual else None
     if all_exact(fwd) and all_exact(inv):
-        residual = max((adev(a, b) for a, b in zip(fwd, inv)), default=0.0)
-        return SymmetryCheck(residual == 0.0, residual)
-    residual = 0.0
-    scale = 1.0
-    for a, b in zip(fwd, inv):
-        residual = max(residual, adev(a, b))
-        scale = max(scale, abs(float(a)), abs(float(b)))
-    return SymmetryCheck(residual <= tol * scale, residual)
+        return SymmetryCheck(residual == 0.0, residual, witness)
+    scale = max((abs(float(w)) for w in fwd + inv), default=1.0)
+    return SymmetryCheck(residual <= tol * max(scale, 1.0), residual, witness)
 
 
 def quotient_family(haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
@@ -286,7 +288,7 @@ def push_measure_down(
     """
     sym = is_symmetric(m, haar, tol)
     if not sym.symmetric:
-        raise NotInvariant(sym.residual)
+        raise NotInvariant(sym.residual, witness=sym.witness)
     if e is None:
         e = default_cutoff(haar)
     if cutoff_residual(haar, e) > (0.0 if all_exact(e) and haar.exact else tol):

@@ -5,9 +5,8 @@
 `compose` and `validate` uses it, except those that record the verdict of
 a check with a rule of its own via `Report.add`: the Haar lines and
 `lambda_pi_rep_independence` (exact equality on any data), the cocycle
-lines (`check_cocycle` at `rel_tol`), `bm_symmetric` (`is_symmetric`,
-whose `tol` is scaled by the largest weight), and the axiom and
-properness lines, which have no residual.
+lines (`check_cocycle` at `rel_tol`), and the axiom lines, which have no
+residual.
 """
 
 from __future__ import annotations

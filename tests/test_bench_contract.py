@@ -3,9 +3,10 @@
 `bench/tracer.py` wraps named functions of gcorr's modules from outside
 the package and reports a layer's metrics as absent when its target is
 gone.  This test runs the tracer over one `compose` and one `verify` of a
-small ladder and requires that no target is missing and that every
-traced layer is reached, so a rename in `src/` fails here rather than
-silently dropping a per-layer metric.
+small ladder, and of `quiver`, whose middle groupoid has only identity
+arrows, and requires that no target is missing and that every traced
+layer is reached, so a rename in `src/` fails here rather than silently
+dropping a per-layer metric.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import gcorr.cli as cli
+from gcorr import catalog
 from gcorr.io_json import serialize_instance
 from tests.conftest import ladder_pair
 
@@ -28,8 +32,12 @@ def _load_tracer():
     return module
 
 
-def test_every_trace_target_is_defined_and_called(tmp_path, capsys):
-    corr_x, corr_y = ladder_pair(3)
+PAIRS = {"ladder-3": lambda: ladder_pair(3), "quiver": lambda: catalog.example_pair("quiver")[:2]}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_every_trace_target_is_defined_and_called(pair, tmp_path, capsys):
+    corr_x, corr_y = PAIRS[pair]()
     x, y, out = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "out.json"
     x.write_text(serialize_instance([("x", corr_x)]))
     y.write_text(serialize_instance([("y", corr_y)]))

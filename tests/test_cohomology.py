@@ -385,8 +385,8 @@ class TestSweepRunsOncePerCocycle:
         assert sum(c is corr_y.adjoining for c in swept) <= 1
         for i, c in enumerate(swept):
             assert not any(c is other for other in swept[i + 1:])
-        # Δ₁₂ is the composite's adjoining cocycle, swept once for both the
-        # delta12_cocycle line and the final validate
+        # Δ₁₂ is the composite's adjoining cocycle, swept once by the final
+        # validate
         assert res.delta12 is res.composite.adjoining
         assert len(swept) == 3
         assert {id(c) for c in swept} == {id(corr_x.adjoining), id(corr_y.adjoining), id(res.delta12)}

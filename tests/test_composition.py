@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcorr as gc
-from gcorr import catalog
+from gcorr import catalog, composition
 from gcorr.composition import (
     CompositionStageError,
     GroupoidMismatch,
@@ -136,7 +136,7 @@ class TestStageBehaviour:
         e2 = cutoff_from_profile(res.chi, profile)
         from gcorr.composition import build_mu
 
-        mu2, _, _ = build_mu(res.m, res.b, e2, res.lambda_pi, res.orbits, res.omega, res.chi)
+        mu2, _ = build_mu(res.m, res.b, e2, res.lambda_pi, res.orbits, res.omega, res.chi)
         for o in range(res.orbits.n_orbits):
             assert float(mu2.weight[o]) == pytest.approx(float(res.mu.weight[o]), rel=1e-9)
 
@@ -412,3 +412,82 @@ class TestFloatRightInvariance:
     def test_visible_wobble_fails(self):
         with pytest.raises(CompositionStageError, match="m_right_invariance"):
             compose(*_wobbled_group_hom(1e-6))
+
+
+BUMP = 1 + F(1, 10**12)
+
+
+def _bumped(values):
+    """`values` with its first entry times 1 + 10⁻¹², still exact."""
+    return (values[0] * BUMP,) + tuple(values[1:])
+
+
+def _tampered(name):
+    """A stand-in for the builder `composition.<name>` that returns its
+    result with one entry times 1 + 10⁻¹²; the b of `build_b` bypasses the
+    split guard of `decompose_multiplicative`."""
+    from gcorr.cohomology import Cochain0
+    from gcorr.measures import MeasureFamily
+
+    original = getattr(composition, name)
+    if name == "default_cutoff":
+        return lambda chi: _bumped(original(chi))
+    if name == "quotient_family":
+        def quotient(chi, orbits):
+            f = original(chi, orbits)
+            return MeasureFamily(f.total_ids, f.base_ids, f.along, _bumped(f.weight))
+        return quotient
+
+    def build_b(*args):
+        b = original(*args)
+        return Cochain0(b.groupoid, _bumped(b.value), b.flavor)
+    return build_b
+
+
+class TestExactPassRule:
+    """The lines that certify the cutoff, λ_π and b keep the exact half of
+    the pass rule: on exact data one entry off by 10⁻¹², far inside `tol`,
+    still fails them."""
+
+    @pytest.mark.parametrize("pair", ["induction-finite", "ladder-5"])
+    @pytest.mark.parametrize("builder, stage, failing", [
+        ("default_cutoff", "certification", {"mu_disintegration", "composite_adjoining_identity"}),
+        ("quotient_family", "certification", {"lambda_pi_rep_independence", "mu_disintegration"}),
+        ("build_b", "build_mu", {"b_ratio_relation", "b_left_invariance"}),
+    ])
+    def test_one_entry_off_by_1e_12_fails(self, monkeypatch, pair, builder, stage, failing):
+        corr_x, corr_y = ladder_pair(5) if pair == "ladder-5" else catalog.example_pair(pair)[:2]
+        monkeypatch.setattr(composition, builder, _tampered(builder))
+        with pytest.raises(CompositionStageError) as info:
+            compose(corr_x, corr_y)
+        assert info.value.stage == stage
+        failures = info.value.report.failures()
+        assert {c.name for c in failures} == failing
+        assert all(0 < c.residual < 1e-11 for c in failures)
+
+
+class TestSymmetryWitness:
+    def test_asymmetric_bm_names_a_middle_arrow(self):
+        """Δ₂ times the coboundary of t(u) = u + 2 is still a cocycle, so
+        b still splits δ_Z, but b·m is no longer symmetric: the build_mu
+        stage error names the arrow of Z⋊G₂ that attains the residual."""
+        from gcorr.cohomology import MULTIPLICATIVE, Cochain0, d0
+        from gcorr.composition import build_middle_groupoid
+        from gcorr.groupoids import fibre_product
+
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        tg = corr_y.left_tg
+        t = Cochain0(tg, tuple(F(u + 2) for u in range(tg.n_units)), MULTIPLICATIVE)
+        values = tuple(v * w for v, w in zip(corr_y.adjoining.value, d0(t).value))
+        bad_y = gc.make_correspondence(
+            corr_y.left_haar, corr_y.right_haar, corr_y.space, corr_y.family, values, check=False
+        )
+        with pytest.raises(CompositionStageError) as info:
+            compose(corr_x, bad_y)
+        assert info.value.stage == "build_mu"
+        cause = info.value.cause
+        assert cause.residual == pytest.approx(11 / 12)
+        fp = fibre_product(corr_x.space.right, bad_y.space.left)
+        tg_z, _, _ = build_middle_groupoid(fp, corr_x.right_haar)
+        assert cause.witness in tg_z.arrow_ids
+        assert f"at {cause.witness}" in str(info.value)

@@ -16,7 +16,7 @@ from gcorr.correspondence import (
     subgroup_groupoid,
 )
 from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
-from gcorr.measures import invariance_residual
+from gcorr.measures import MeasureFamily, invariance_residual
 from gcorr.randgen import SplitMix64, random_pair
 from tests.conftest import translation_correspondence
 
@@ -102,6 +102,24 @@ class TestValidate:
         )
         failed = {c.name for c in rep.failures()}
         assert "adjoining_identity" in failed or "adjoining_cocycle" in failed
+
+    def test_exact_adjoining_judged_exactly_beside_float_family(self):
+        """The cocycle line takes the exact rule whenever Δ is exact, even
+        with a float family: one entry off by 10⁻¹² fails it, while the
+        identity line, judged at tol on the float family, passes."""
+        corr = translation_correspondence()
+        tg = corr.left_tg
+        k = next(k for k in range(tg.n_arrows) if k not in tg.unit_arrow)
+        values = list(corr.adjoining.value)
+        values[k] *= 1 + F(1, 10**12)
+        fam = corr.family
+        float_fam = MeasureFamily(fam.total_ids, fam.base_ids, fam.along, tuple(float(w) for w in fam.weight))
+        bad = gc.make_correspondence(
+            corr.left_haar, corr.right_haar, corr.space, float_fam, values, check=False
+        )
+        failures = gc.validate(bad).failures()
+        assert [c.name for c in failures] == ["adjoining_cocycle"]
+        assert failures[0].residual == pytest.approx(1e-12)
 
     def test_dense_identity_oracle(self):
         corr = translation_correspondence(lam=(1, 3))

@@ -6,6 +6,11 @@ alters any serialized composite, or any check name, verdict or residual
 of the composition report, on these pairs fails here.  Re-record them
 only for a change that means to alter those outputs, and say so.
 
+The report digests were re-recorded when seven lines that restate a
+fact certified by another line or stage were deleted; on every pair the
+new (name, passed, residual) list is the old one with those names
+removed, and no composite digest changed.
+
 The entries of the five pairs with a nontrivial obstruction cocycle
 (`CHANGED`) were re-recorded when the middle cochain b became the
 p-average of Δ⁻¹ instead of the exp/log geometric mean.  The former
@@ -35,63 +40,63 @@ from gcorr.util import ksum
 DIGESTS = {
     'fn-compose': (
         '43d27615c855575e88fd2a2eb0ef60b1a8e1b4373f32cffc229b2206e5d1d70f',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'quiver': (
         'febb5140d99a5d199a007a4eb07f2e812fb619779578d0643660f14a2275a667',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'group-hom': (
         'e964dd40d352b66f6969ea13b499c13dc5d13c9065c41125ab8a998dd2bd46ba',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'subgroup': (
         '00e09a711bb1b4c20e35e36a8e5b6bc99554c296fda41aed2ab52a4ca7b745e4',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'induction-finite': (
         '692697798be051b03f93300ff2a3408cb7d833ecabf81332acc91a8b70094c03',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-0': (
         'e7e4be69008dcdeda2e141cdaa266b3ea5a179c36decc564c5b53a136ec38a1d',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-1': (
         '8bd5932fd0190176646bec7dd03accba243f413049cc83d2bd85b3361f49ea18',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-2': (
         'aeda1a1c1ea0c4118a5674c178ceba2f162d9ef8ee4a3f28240d6b6d9ad1c5b5',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-3': (
         '489971a2cfb40ab75b583a106d99937dbecca8300820765acf9ee572e263649f',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-4': (
         '485f0e3ff36929e4d597d3628ea018802cf4129752cea461efcf792b6aadccdf',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-5': (
         'fbcf630d27baf5601f01d8338fbbf573e79d1506e5086217c4d33a32bcf79261',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-6': (
         'c644a419264ab7dfaf0ce85f9127bc361f83c4272c7e2323012df2b188a58271',
-        '1e77cfc967f5af18c24f705b855f8b12a93660bae7863f28f1c0e0771eda2be1',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-7': (
         '4b916cd14092a62203365907c92de6cd7ba317e12fce3f97af89e5f4b4f57cc9',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-8': (
         '99c3b06f2673cf41ef27090bd08bb5bae074b65bc063e66be8afc146b2676e6a',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
     'random-9': (
         '868dea4f9cbfbd68724fa36de9dae5c0ad42d5e6c85d909070b703b95a0405ec',
-        'f6167188a95209e9b658fc175d2bb5a8702532157fda458b8d451a78ee0ea33c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
     ),
 }
 
