@@ -11,6 +11,11 @@ fact certified by another line or stage were deleted; on every pair the
 new (name, passed, residual) list is the old one with those names
 removed, and no composite digest changed.
 
+`FLOAT_DIGESTS` pins the same two digests on pairs whose report
+residuals are not all 0: float copies of the catalog pairs and of four
+mixed random pairs, at scale 1 and with both families scaled by 10^±9,
+so that a change to the arithmetic of a check moves a digest.
+
 The entries of the five pairs with a nontrivial obstruction cocycle
 (`CHANGED`) were re-recorded when the middle cochain b became the
 p-average of Δ⁻¹ instead of the exp/log geometric mean.  The former
@@ -34,6 +39,7 @@ from gcorr.composition import compose
 from gcorr.io_json import serialize_instance
 from gcorr.randgen import random_pair
 from gcorr.util import ksum
+from tests.conftest import MIX_CAPS, scaled_family
 
 # name -> (sha256 of serialize_instance output, sha256 of the report's
 # (name, passed, residual) list)
@@ -100,6 +106,117 @@ DIGESTS = {
     ),
 }
 
+# `float_pair(name)` -> the same two digests, on pairs with float residuals
+FLOAT_DIGESTS = {
+    'fn-compose/float': (
+        '17d95fcfc9c44e152be13644dcf32a09eee54f6fafeddc13761f6feff332e1ae',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'fn-compose/float-1e9': (
+        '9a095fa731456d08b990fa4113b7ec258c511c2ec234562fada25f4c7507369d',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'fn-compose/float-1e-9': (
+        '19a0acd96c9178df9cb0fd6c3491251e3891f0ed8a5a751de37602b25f3e8f35',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'quiver/float': (
+        '2f5a5b98ef488a4b43c6d1c3223b8b5da750795dc512dfdc6994b325d0a0ae54',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'quiver/float-1e9': (
+        '0d5fb24f8631e8fc4880a9da58448a783dd09d2b933064711d541dd22204771e',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'quiver/float-1e-9': (
+        '563ac9d1ffc46e2449e4c81508beb5595fbfd284e22baed8b511f1710d267525',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'group-hom/float': (
+        '16b9fae6ca09e8df1e072ad78a971c78a73db267294f4c3dd6fa6fbe6f080246',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'group-hom/float-1e9': (
+        'c0dbe74175cb6ceef8610e8a253aa48a3e6ef79d52ae500a6271a2659ba93b01',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'group-hom/float-1e-9': (
+        '8eb418b99ddc6770a02709eec84b12e78118d3343aaf61b3913eb1228fb3543c',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'subgroup/float': (
+        'a6470bb8ff9079e43d63cde0c9d593b480f2dbedee158730f5b08314f2208ee8',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'subgroup/float-1e9': (
+        'f1728c67d6f42a35cf1a887a5b37d7ca68a443da00177ef6a88b1486a35f56f4',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'subgroup/float-1e-9': (
+        'e0d43d66e3f16d07e064d4db0a996b5a4bf6188c0a974a5a448adb61d461b79b',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'induction-finite/float': (
+        '899d852a41380304dd317a67aec46cd903828f54308722dba1bb588092ee8cde',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'induction-finite/float-1e9': (
+        '0ebf129d3084b6ba43dc7816003955819e73958fbc1990bd9aa2a6a050df2a8d',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'induction-finite/float-1e-9': (
+        '2a10fb78a3cef0a2f47c05d7ad1c606c68c5590aadb1d07f80b30acd1cdff3c2',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'mix-3/float': (
+        '6a6366a0efc91fb38d8ad0f15295c8f193b259a9a30d1840e40e15617797adcd',
+        '58e6839e5c7c2d16f98742b6256cc314851007ef5c0e4ad03ce15db7fa0ba484',
+    ),
+    'mix-3/float-1e9': (
+        'de50d3577b41e1fad9c2d8517c101cb8d7ebddc73884e925127e625659ad5795',
+        'd89a5d1b719f9d1bd7b4bc7fb1d20449735348cc6aa337583428de97c41ae7c2',
+    ),
+    'mix-3/float-1e-9': (
+        '8a1c574ebe3d586c9fe81dd7ad9802be57ad462c5777dcad00f51837adc4fde7',
+        '98727b1426fbb28b498e40db62df0b68898fa64cfe2b4d89e0a5c62ee18a99b4',
+    ),
+    'mix-9/float': (
+        'cd3374789c24b19e41a238a8c5d857f4982c368d4b1939782948ca30d585c0e2',
+        'ce2e0a87f7c618c6f638f7f66631ee8259421376d98922263e049a7548cb7981',
+    ),
+    'mix-9/float-1e9': (
+        '734854ec3b9c2ec45e7a1007280013e340f33f07368493e67b53d4996d292648',
+        'b3d6a18b9d9f92e530168b2d6aaa5abb64d6b38327cda8a01bd6a35a85bffecf',
+    ),
+    'mix-9/float-1e-9': (
+        '7ae952c43a063a475acfb3c08789683a35de49ee3268080c9dca49857abe41e0',
+        '808fb7f6931216d4e43b6fe6e69fd2513370f73dfd081e8e3605aa6e45ba1b08',
+    ),
+    'mix-19/float': (
+        'c002b98363e0832ab141d8108b1c19cafc2a6620f466c5038c38da6af9ac8ba9',
+        '21098a35f6f9245833324a1bc33706de89041dccbdb994e9ae655e30cb3fed08',
+    ),
+    'mix-19/float-1e9': (
+        '81af5942a062965093549ff4af32aeb0da334030c5d2ef4fdfaf01ac3a4a04e9',
+        'f356018b8068c126d35bfb234781d4e8cf31216801e2ed2389733cf1b32dd460',
+    ),
+    'mix-19/float-1e-9': (
+        '422204abff1590f9939e865156f5f11eb8d5537dc18be9b0b603b03ea4fe7a67',
+        '39634b0be70acf15670f5eb3b97b39429f34120bdca21e32d51bc5d4b960c3aa',
+    ),
+    'mix-24/float': (
+        'ea219adde0dcb3f51ac64deba586c9d3570c883d8ec7709577ca0c1a23b50d02',
+        'da3d26b2abd83916bd81a46c06dd3f147a2eeace6cefadb3e49673c4ee5d3591',
+    ),
+    'mix-24/float-1e9': (
+        '6b1d5137bb9d81f0a39bdbfa09fc44708ea4d0cd236782f8c1bb2ddd033bfac3',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+    'mix-24/float-1e-9': (
+        '6b8c6634fbaa136373b48a7b338fcc9968be5806ce508ae39a69caab49d69d56',
+        '9dc705aa29d686cb8a370032eef4eba54277bc58d95a6e02b6c66d45d310d848',
+    ),
+}
 
 # the pairs whose obstruction cocycle is nontrivial, and their composite
 # digests before the middle cochain became rational
@@ -158,6 +275,41 @@ NAMES = list(catalog.EXAMPLE_NAMES) + [f"random-{i}" for i in range(10)]
 @pytest.mark.parametrize("name", NAMES)
 def test_composite_and_report_digests(name):
     assert digests(name) == DIGESTS[name]
+
+
+FLOAT_SCALES = {"float": 1, "float-1e9": Fraction(10**9), "float-1e-9": Fraction(1, 10**9)}
+FLOAT_BASES = list(catalog.EXAMPLE_NAMES) + [f"mix-{i}" for i in (3, 9, 19, 24)]
+
+
+def float_pair(name: str):
+    """`<base>/<scale>`: the base pair with both families times the scale,
+    families and adjoining cocycles as the floats a JSON file carries."""
+    base, scale = name.split("/")
+    if base.startswith("mix-"):
+        corr_x, corr_y = random_pair(int(base[4:]), **MIX_CAPS)
+    else:
+        corr_x, corr_y = _pair(base)
+    c = FLOAT_SCALES[scale]
+    return scaled_family(corr_x, c, exact=False), scaled_family(corr_y, c, exact=False)
+
+
+def float_digests(name: str) -> tuple[str, str]:
+    res = compose(*float_pair(name))
+    checks = [(c.name, c.passed, c.residual) for c in res.report.checks]
+    return _composite_digest(res), hashlib.sha256(repr(checks).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_DIGESTS))
+def test_float_composite_and_report_digests(name):
+    assert float_digests(name) == FLOAT_DIGESTS[name]
+
+
+def test_float_digests_pin_nonzero_residuals():
+    """The premise of `FLOAT_DIGESTS`: some line of some pair reads a
+    nonzero residual, and their report digests are not all one value."""
+    assert len({report for _, report in FLOAT_DIGESTS.values()}) > 1
+    res = compose(*float_pair("mix-3/float"))
+    assert sum(1 for c in res.report.checks if c.residual) >= 3
 
 
 @pytest.mark.parametrize("name", NAMES)
