@@ -12,29 +12,35 @@ Z = X ×_{G₂⁰} Y under the diagonal middle action.  The pipeline:
   5. the pushed-down family μ on Ω with b·m = μ∘λ;
   6. the composite adjoining cocycle Δ₁₂(η,[x,y]) = b(ηx,y)⁻¹ Δ₁(η,x) b(x,y).
 
-Every invariance that makes these steps well defined is checked on the
-finite data and lands in the stage report.  Structure that is a pullback
-of input data, which `validate` has already swept, is certified by its
-transport identity in O(arrows of Z⋊G₂) instead of being swept again over
-the composable pairs of Z⋊G₂:
+Every quantity that steps 3–6 need depends on one leg of z = (x, y) only,
+so `compose` computes it on that leg and makes no scalar pass over the
+arrows of Z⋊G₂.  The leg identities rest on one map: φ(z, γ) = (γ, γ⁻¹·y)
+is a groupoid homomorphism Z⋊G₂ -> G₂⋉Y that maps the range fibre at z
+bijectively onto the range fibre at y, and pulls back the Haar system
+α₂ (`leg_haar`) to χ and the y-leg cocycle a ↦ Δ₂(a⁻¹) (`build_delta_z`)
+to δ_Z.  Hence:
 
-  * the z_bispace stage: the Z tables are the product of the X left and
-    Y right tables (`check_z_product`), in place of the bispace axioms;
-  * the middle_groupoid stage: χ(z, γ) = α₂(γ) arrow by arrow
-    (`check_chi_pullback`), in place of the Haar invariance sweep;
-  * delta_z_cocycle: δ_Z(z, γ) = Δ₂(γ⁻¹, y) arrow by arrow, plus the
-    cached sweep of Y's adjoining cocycle, which holds every product of
-    δ_Z's own sweep (`delta_z_pullback_residual`);
-  * delta_z_right_invariance: Δ₂(γ, y·c) = Δ₂(γ, y) on the y legs of Z
-    (`delta_z_invariance_residuals`); G₁ invariance needs no line, since
-    the z_bispace stage already says that G₁ keeps the y leg;
-  * build_b: b splits δ_Z, an O(arrows) residual that b_ratio_relation
-    reads too (`decompose_multiplicative`).
+  * b(x, y) = B(y) and e(x, y) = 1/h₂(r(y)), with B the split of the
+    y-leg cocycle and e the cutoff, both on G₂⋉Y (`build_b`,
+    `default_cutoff`); their split residual is the b_ratio_relation line;
+  * λ_π(z) = w₂(m(z))·|G₂^{m(z)}|/|[z]| by orbit–stabiliser
+    (`lambda_pi_rep_independence`, O(|Z|));
+  * b·m is symmetric on Z⋊G₂ iff B·β is on G₂⋉Y, since X's family is
+    G₂-invariant (`build_mu`);
+  * Δ₁₂ is read at orbit representatives; it is well defined because Δ₁
+    is G₂-invariant on X (`delta1_invariance_residual`);
+  * δ_Z is a cocycle because Y's adjoining cocycle is (its cached sweep,
+    the delta_z_cocycle line), and its G₃ invariance is Δ₂(γ, y·c) =
+    Δ₂(γ, y) on the y legs of Z (`delta_z_invariance_residuals`).
 
-Each identity implies the sweep it replaces, given valid inputs; the
-sweeps themselves are kept in the tests as oracles.  Residual lines pass
-under `Report.check` (0 on exact data, `tol` on float data), except those
-that the report module names as keeping their own rule.
+The integer skeleton stays eager: the Z tables (certified to be the
+product of the X and Y tables by `check_z_product`), Z⋊G₂ with χ =
+α₂ arrow by arrow (`check_chi_pullback`) and the orbits.  δ_Z itself is
+built only when `CompositionResult.delta_z` is read.  The sweeps over
+Z⋊G₂ that the leg identities replace are kept in the tests as oracles.
+Residual lines pass under `Report.check` (0 on exact data, `tol` on float
+data), except those that the report module names as keeping their own
+rule.
 
 Each fact is certified once.  μ is the unique measure with b·m = μ∘λ_π,
 so the mu_disintegration line also says that μ is normalized and does
@@ -117,7 +123,6 @@ class CompositionResult:
     tg_z_index: dict[tuple[int, int], int]
     chi: HaarSystem  # induced Haar system on Z⋊G₂
     lambda_pi: MeasureFamily  # along π
-    delta_z: Cocycle1  # on Z⋊G₂
     b: Cochain0  # on Z⋊G₂ (one value per point of Z)
     e: tuple[Scalar, ...]  # normalized cutoff on Z
     mu: MeasureFamily  # on Ω along s_Ω
@@ -128,6 +133,16 @@ class CompositionResult:
     @property
     def exact(self) -> bool:
         return self.mu.exact and all_exact(self.delta12.value)
+
+    @cached_property
+    def delta_z(self) -> Cocycle1:
+        """The obstruction cocycle on Z⋊G₂, δ_Z(z, γ) = Δ₂(γ⁻¹, y), built
+        when first read: `compose` works with its y leg instead."""
+        g2, y_of = self.corr_y.left, [y for _, y in self.fp.pairs]
+        values = [ONE] * self.tg_z.n_arrows
+        for (z, a), k in self.tg_z_index.items():
+            values[k] = self.corr_y.adjoining_at(g2.inv[a], y_of[z])
+        return Cocycle1(self.tg_z, tuple(values), MULTIPLICATIVE)
 
     @cached_property
     def ell(self) -> tuple[float, ...]:
@@ -258,65 +273,77 @@ def check_chi_pullback(
     """
     weight = chi.family.weight
     for (z, a), k in tg_z_index.items():
-        if weight[k] != chi2.w(a):
-            raise NotHaar((chi.groupoid.arrow_ids[k],), rdev(weight[k], chi2.w(a)))
+        w = chi2.w(a)
+        if weight[k] is not w and weight[k] != w:
+            raise NotHaar((chi.groupoid.arrow_ids[k],), rdev(weight[k], w))
 
 
 def lambda_pi_rep_independence(
-    fp: FibreProduct, chi2: HaarSystem, lambda_pi: MeasureFamily
-) -> float:
-    """Recompute the fibre measure from every base point, not just the
-    stored representative; Haar invariance says the answer cannot move."""
-    g2 = chi2.groupoid
-    worst = 0.0
-    for z in range(len(fp.pairs)):
-        acc: dict[int, Scalar] = {}
-        for a in g2.fibre_dst[fp.diagonal.momentum[z]]:
-            tgt = fp.diagonal.table[(z, a)]
-            acc[tgt] = acc.get(tgt, 0) + chi2.w(a)
-        for tgt, w in acc.items():
-            worst = max(worst, adev(w, lambda_pi.weight[tgt]))
-    return worst
-
-
-def build_delta_z(
-    corr_y: Correspondence,
-    fp: FibreProduct,
-    tg_z: FiniteGroupoid,
-    tg_z_index: dict[tuple[int, int], int],
-) -> Cocycle1:
-    """The obstruction cocycle on Z⋊G₂: the second adjoining function
-    evaluated against the Y leg, Δ((x,y),γ) = Δ₂(γ⁻¹, y)."""
-    g2 = corr_y.left
-    values = [ONE] * tg_z.n_arrows
-    for (z, a), k in tg_z_index.items():
-        _, y = fp.pairs[z]
-        values[k] = corr_y.adjoining_at(g2.inv[a], y)
-    return Cocycle1(tg_z, tuple(values), MULTIPLICATIVE)
-
-
-def delta_z_pullback_residual(
-    delta_z: Cocycle1,
-    corr_y: Correspondence,
-    fp: FibreProduct,
-    tg_z_index: dict[tuple[int, int], int],
+    fp: FibreProduct, orbits: OrbitSpace, chi2: HaarSystem, lambda_pi: MeasureFamily
 ) -> tuple[float, Optional[str]]:
-    """Worst deviation of δ_Z(z, γ) from Δ₂(γ⁻¹, y), the y leg of z, and
-    the first arrow of Z⋊G₂ where they differ (None if nowhere).
+    """Worst `adev` of λ_π(z) from w₂(m(z))·|G₂^{m(z)}|/|[z]|, and the
+    first point attaining it (None if 0).  O(|Z| + Σ_z |Stab z|).
 
-    Lemma: (z, γ) ↦ (γ⁻¹, y) maps Z⋊G₂ to G₂⋉Y reversing composition:
-    (z, γ)∘(zγ, η) = (z, γ∘η) goes to (η⁻¹, γ⁻¹y)∘(γ⁻¹, y) = ((γ∘η)⁻¹, y).
-    So when this residual is 0, every product of the cocycle sweep of δ_Z
-    is a product of the sweep of Y's adjoining cocycle, and δ_Z is a
-    cocycle to the tolerance that Y's is.
+    Lemma (orbit–stabiliser): the arrows γ ∈ G₂^{m(r)} with r·γ = z, for
+    r any base point of the orbit [z], form a coset of the stabiliser of
+    z, so there are |G₂^{m(z)}|/|[z]| of them whatever r is.  Each has
+    source m(z), and left invariance of α₂ gives α₂(γ) = w₂(m(z)), the
+    weight of the unit arrow at m(z).  So the fibre measure is that many
+    copies of w₂(m(z)), added in sequence as `quotient_family` adds them,
+    and the choice of representative cannot move it.
     """
-    g2 = corr_y.left
+    g2 = chi2.groupoid
+    momentum = fp.diagonal.momentum
     worst, witness = 0.0, None
-    for (z, a), k in tg_z_index.items():
-        expected = corr_y.adjoining_at(g2.inv[a], fp.pairs[z][1])
-        if delta_z.value[k] != expected:
-            worst = max(worst, rdev(delta_z.value[k], expected))
-            witness = witness or delta_z.groupoid.arrow_ids[k]
+    for members in orbits.members:
+        for z in members:
+            u = momentum[z]
+            w = total = chi2.w(g2.unit_arrow[u])
+            for _ in range(len(g2.fibre_dst[u]) // len(members) - 1):
+                total = total + w
+            d = adev(total, lambda_pi.weight[z])
+            if d > worst:
+                worst, witness = d, fp.point_ids[z]
+    return worst, witness
+
+
+def leg_haar(corr_y: Correspondence) -> HaarSystem:
+    """α₂ pulled back to G₂⋉Y: the arrow (γ, y) weighs α₂(γ).
+
+    Lemma: left invariance forces α₂(γ) = w₂(src γ) = w₂(r(y)), a
+    function of the source y of the arrow, so the pullback is left
+    invariant on G₂⋉Y with no sweep.
+    """
+    g2_haar, tg = corr_y.left_haar, corr_y.left_tg
+    weights = [ONE] * tg.n_arrows
+    for (a, _), k in corr_y.left_tg_index.items():
+        weights[k] = g2_haar.w(a)
+    return HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
+
+
+def build_delta_z(corr_y: Correspondence) -> Cocycle1:
+    """The y leg of the obstruction cocycle: a ↦ Δ₂(a⁻¹) on G₂⋉Y, so the
+    arrow (γ, γ⁻¹·y) of the range fibre at y carries Δ₂(γ⁻¹, y).
+
+    δ_Z = δ_Y∘φ for φ(z, γ) = (γ, γ⁻¹·y) (module docstring), and a ↦
+    Δ₂(a⁻¹) is a cocycle whenever Δ₂ is one, values commuting.
+    """
+    tg = corr_y.left_tg
+    value = corr_y.adjoining.value
+    return Cocycle1(tg, tuple(value[i] for i in tg.inv), MULTIPLICATIVE)
+
+
+def delta_y_pullback_residual(delta_y: Cocycle1, corr_y: Correspondence) -> tuple[float, Optional[str]]:
+    """Worst deviation of δ_Y(a) from Δ₂(a⁻¹) over the arrows of G₂⋉Y,
+    and the first arrow where they differ (None if nowhere).  When it is
+    0, the cached sweep of Y's adjoining cocycle covers δ_Y and, through
+    φ, δ_Z."""
+    tg, value = delta_y.groupoid, corr_y.adjoining.value
+    worst, witness = 0.0, None
+    for k, i in enumerate(tg.inv):
+        if delta_y.value[k] != value[i]:
+            worst = max(worst, rdev(delta_y.value[k], value[i]))
+            witness = witness or tg.arrow_ids[k]
     return worst, witness
 
 
@@ -349,11 +376,41 @@ def _z_invariance_residuals(
     return invariance_residual(z_bispace.left, values), invariance_residual(z_bispace.right, values)
 
 
-def build_b(delta_z: Cocycle1, tg_z: FiniteGroupoid, chi: HaarSystem) -> Cochain0:
+def build_b(delta: Cocycle1, tg: FiniteGroupoid, haar: HaarSystem) -> Cochain0:
     """Split the obstruction cocycle with the canonical probability family
-    (constant profile); exact whenever δ_Z and χ are."""
-    p = invariant_probability_family(tg_z, chi)
-    return decompose_multiplicative(delta_z, p)
+    (constant profile); exact whenever the cocycle and the Haar system are.
+
+    Run on the y leg (G₂⋉Y, `leg_haar`, `build_delta_z`) it gives B with
+    b(x, y) = B(y): φ maps each range fibre of Z⋊G₂ bijectively onto one
+    of G₂⋉Y and pulls back χ and δ_Y, so the fibre masses, the
+    probability weights and the p-averages of δ⁻¹ agree term by term.
+    """
+    p = invariant_probability_family(tg, haar)
+    return decompose_multiplicative(delta, p)
+
+
+def override_split_residual(
+    corr_y: Correspondence, fp: FibreProduct, orbits: OrbitSpace, b: Cochain0
+) -> tuple[float, Optional[str]]:
+    """Worst split deviation of a cochain b on Z from δ_Z over the arrows
+    (r, γ) of Z⋊G₂ into the orbit representatives r, `rdev` of
+    δ_Z(r, γ)·b(r) against b(r·γ), and the first arrow attaining it.
+
+    Lemma: every arrow (z, η) of Z⋊G₂ is (r, γ)⁻¹∘(r, γ∘η) with z = r·γ,
+    so these arrows generate Z⋊G₂; δ_Z and the coboundary of b are both
+    cocycles, so where they agree on the generators they agree on every
+    arrow.  O(Σ_z |Stab z|).
+    """
+    g2, diag = corr_y.left, fp.diagonal
+    worst, witness = 0.0, None
+    for r in orbits.reps:
+        y = fp.pairs[r][1]
+        for a in g2.fibre_dst[diag.momentum[r]]:
+            z = diag.table[(r, a)]
+            d = rdev(corr_y.adjoining_at(g2.inv[a], y) * b.value[r], b.value[z])
+            if d > worst:
+                worst, witness = d, f"({fp.point_ids[r]};{g2.arrow_ids[a]})"
+    return worst, witness
 
 
 def build_mu(
@@ -363,20 +420,27 @@ def build_mu(
     lambda_pi: MeasureFamily,
     orbits: OrbitSpace,
     omega: Bispace,
-    chi: HaarSystem,
+    bm_y: Sequence[Scalar],
+    haar_y: HaarSystem,
     tol: float = 1e-9,
 ) -> tuple[MeasureFamily, float]:
     """Push b·m down to Ω with the cutoff e, as the sum of m against e·b;
     returns (μ, the disintegration residual of b·m against μ∘λ_π).
-    Raises NotInvariant, naming the worst arrow of Z⋊G₂, when b·m is not
-    symmetric (`is_symmetric`, whose `tol` is scaled by the largest
-    weight)."""
-    bm = tuple(b.value[z] * m.weight[z] for z in range(len(m.weight)))
-    sym = is_symmetric(unit_measure(chi.groupoid, bm), chi, tol)
+
+    Raises NotInvariant, naming the worst arrow of G₂⋉Y, when B·β (`bm_y`)
+    is not symmetric there (`is_symmetric`, whose `tol` is scaled by the
+    largest weight).  Lemma: on the arrow (z, γ) of Z⋊G₂ the two sides of
+    the symmetry of b·m are λ(x)·B(y)β(y)·α₂(γ) and
+    λ(x·γ)·B(γ⁻¹y)β(γ⁻¹y)·α₂(γ⁻¹); X's family is G₂-invariant
+    (`family_right_invariance` of X), so they agree iff B·β is symmetric
+    at φ(z, γ).  An orbit-constant change of b keeps the symmetry.
+    """
+    sym = is_symmetric(unit_measure(haar_y.groupoid, bm_y), haar_y, tol)
     if not sym.symmetric:
         raise NotInvariant(sym.residual, "b·m is not symmetric", sym.witness)
     weight = push_down(m.weight, tuple(x * y for x, y in zip(e, b.value)), orbits)
     mu = MeasureFamily(orbits.orbit_ids, m.base_ids, omega.right.momentum, weight)
+    bm = tuple(b.value[z] * m.weight[z] for z in range(len(m.weight)))
     return mu, disintegration_residual(weight, lambda_pi.weight, bm, orbits)
 
 
@@ -412,27 +476,44 @@ def build_delta12(
     orbits: OrbitSpace,
     omega: Bispace,
     b: Cochain0,
-) -> tuple[tuple[Scalar, ...], FiniteGroupoid, dict[tuple[int, int], int], float]:
+) -> tuple[tuple[Scalar, ...], FiniteGroupoid, dict[tuple[int, int], int]]:
     """The values of the composite adjoining cocycle on G₁⋉Ω, evaluated at
-    stored orbit representatives, with G₁⋉Ω, its index and the worst
-    disagreement over all other representatives (well-definedness
-    residual)."""
+    the stored orbit representatives, with G₁⋉Ω and its index.
+
+    With the canonical b, b(a·x, y) = B(y) = b(x, y), so Δ₁₂(a, [x, y]) is
+    Δ₁(a, x), and a cochain b′ = ρ·b with ρ orbit-constant multiplies it
+    by ρ∘src/ρ∘dst.  Either way the value does not depend on the member
+    of the orbit once Δ₁ is G₂-invariant on X, which
+    `delta1_invariance_residual` measures.
+    """
     tg_omega, idx = transformation_groupoid(omega.left)
     values = [ONE] * tg_omega.n_arrows
-
-    def candidate(a: int, z: int) -> Scalar:
-        x, y = fp.pairs[z]
-        az = z_bispace.left.table[(a, z)]
-        return b.value[z] * corr_x.adjoining_at(a, x) / b.value[az]
-
-    worst = 0.0
     for (a, o), k in idx.items():
         rep = orbits.reps[o]
-        values[k] = candidate(a, rep)
-        for z in orbits.members[o]:
-            if z != rep:
-                worst = max(worst, rdev(candidate(a, z), values[k]))
-    return tuple(values), tg_omega, idx, worst
+        az = z_bispace.left.table[(a, rep)]
+        values[k] = b.value[rep] * corr_x.adjoining_at(a, fp.pairs[rep][0]) / b.value[az]
+    return tuple(values), tg_omega, idx
+
+
+def delta1_invariance_residual(corr_x: Correspondence) -> tuple[float, Optional[str]]:
+    """Worst `rdev` of Δ₁(a, x) from Δ₁(a, r), r the representative of the
+    G₂-orbit of x, over the arrows of G₁⋉X, and the first (a, x)
+    attaining it.  (a, r) is an arrow too: the right action keeps the
+    left momentum.  O(|G₁⋉X| + |X⋊G₂|).
+
+    Lemma: the members of the orbit [x, y] of Z have x legs in one
+    G₂-orbit of X, so Δ₁₂ is well defined exactly when Δ₁(a, ·) is
+    constant on the G₂-orbits of X that reach Z.
+    """
+    right = corr_x.space.right
+    x_orbits = orbit_space(right)
+    worst, witness = 0.0, None
+    for (a, x), k in corr_x.left_tg_index.items():
+        r = x_orbits.reps[x_orbits.proj[x]]
+        d = rdev(corr_x.adjoining.value[k], corr_x.adjoining_at(a, r))
+        if d > worst:
+            worst, witness = d, f"({corr_x.left.arrow_ids[a]}, {right.point_ids[x]})"
+    return worst, witness
 
 
 def compose(
@@ -463,6 +544,7 @@ def compose(
     report.notes["z_points"] = len(fp.pairs)
     z_bispace = stage("z_bispace", build_z_bispace, corr_x, corr_y, fp)
     stage("z_bispace", check_z_product, corr_x, corr_y, fp, z_bispace)
+    y_of = tuple(y for _, y in fp.pairs)
 
     m, (m_res, m_wit) = stage("build_m", build_m, corr_x, corr_y, fp, z_bispace)
     report.check("m_right_invariance", m_res, m.exact, tol, m_wit)
@@ -475,25 +557,30 @@ def compose(
     # the family along π: weights of middle arrows landing on the same
     # point aggregate, matching the pushforward semantics
     lam_pi = stage("build_lambda_pi", quotient_family, chi, orbits)
-    rep_res = lambda_pi_rep_independence(fp, chi2, lam_pi)
-    report.add("lambda_pi_rep_independence", rep_res == 0.0, rep_res)
+    rep_res, rep_wit = lambda_pi_rep_independence(fp, orbits, chi2, lam_pi)
+    report.add("lambda_pi_rep_independence", rep_res == 0.0, rep_res, rep_wit)
 
-    # δ_Z is certified by transport from Y's adjoining cocycle, whose
-    # (cached) sweep covers every product of δ_Z's own sweep
-    delta_z = stage("build_delta_z", build_delta_z, corr_y, fp, tg_z, tg_z_index)
-    exact_dz = all_exact(delta_z.value)
-    pull_res, pull_wit = delta_z_pullback_residual(delta_z, corr_y, fp, tg_z_index)
+    # δ_Z is certified on its y leg, whose pullback of Y's adjoining
+    # cocycle lets the (cached) sweep of that cocycle cover it
+    haar_y = leg_haar(corr_y)
+    delta_y = stage("build_delta_z", build_delta_z, corr_y)
+    exact_dz = all_exact(delta_y.value)
+    pull_res, pull_wit = delta_y_pullback_residual(delta_y, corr_y)
     chk = check_cocycle(corr_y.adjoining, rel_tol=None if exact_dz else tol)
     witness = pull_wit or (str(chk.witness) if chk.witness else None)
     report.add("delta_z_cocycle", chk.ok and pull_wit is None, max(chk.max_deviation, pull_res), witness)
     g3_res, g3_wit = delta_z_invariance_residuals(corr_y, fp)
     report.check("delta_z_right_invariance", g3_res, exact_dz, tol, g3_wit)
 
-    b = stage("build_b", build_b, delta_z, tg_z, chi)
+    b_y = stage("build_b", build_b, delta_y, corr_y.left_tg, haar_y)
+    b = Cochain0(tg_z, tuple(b_y.value[y] for y in y_of), MULTIPLICATIVE)
+    # the split residual of B, already computed by the guard of
+    # `decompose_multiplicative` (or below, for an override)
+    split_res = coboundary_residual(delta_y, b_y)
     if b_values is not None:
         override = Cochain0(tg_z, tuple(b_values), MULTIPLICATIVE)
-        res = coboundary_residual(delta_z, override)
-        if not report.check("override_b_splits_delta", res, exact_dz and all_exact(override.value), tol).passed:
+        split_res, split_wit = override_split_residual(corr_y, fp, orbits, override)
+        if not report.check("override_b_splits_delta", split_res, exact_dz and all_exact(override.value), tol, split_wit).passed:
             raise CompositionStageError("build_b", GcorrError("supplied cochain does not split the obstruction cocycle"), report)
         ratio = tuple(b.value[z] / override.value[z] for z in range(tg_z.n_units))
         ratio_res = max(
@@ -503,26 +590,28 @@ def compose(
         report.check("override_b_ratio_orbit_constant", ratio_res, all_exact(ratio), tol)
         b = override
     exact_b = all_exact(b.value)
-    # the split residual of b, already computed by the guard of
-    # `decompose_multiplicative` (or above, for an override)
-    report.check("b_ratio_relation", coboundary_residual(delta_z, b), exact_b, tol)
+    report.check("b_ratio_relation", split_res, exact_b, tol)
     (bg1, bg1_wit), (bg3, bg3_wit) = _z_invariance_residuals(b.value, z_bispace)
     report.check("b_left_invariance", bg1, exact_b, tol, bg1_wit)
     report.check("b_right_invariance", bg3, exact_b, tol, bg3_wit)
 
     # the cutoff 1/h is normalized because `invariant_probability_family`
-    # (in build_b) requires h to be orbit-constant
-    e = default_cutoff(chi)
+    # (in build_b) requires h to be orbit-constant; e(x, y) = e_Y(y)
+    e_y = default_cutoff(haar_y)
+    e = tuple(e_y[y] for y in y_of)
+    beta = corr_y.family.weight
+    bm_y = tuple(b_y.value[y] * beta[y] for y in range(len(beta)))
     omega = stage("omega_bispace", build_omega_bispace, corr_x, corr_y, fp, z_bispace, orbits)
-    mu, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, chi, tol)
+    mu, dis_res = stage("build_mu", build_mu, m, b, e, lam_pi, orbits, omega, bm_y, haar_y, tol)
     exact_mu = mu.exact and exact_b
     report.check("mu_disintegration", dis_res, exact_mu, tol)
 
-    values12, tg_omega, tg_omega_idx, wd_res = stage(
+    values12, tg_omega, tg_omega_idx = stage(
         "build_delta12", build_delta12, corr_x, fp, z_bispace, orbits, omega, b
     )
     exact12 = all_exact(values12)
-    report.check("delta12_well_defined", wd_res, exact12, tol)
+    wd_res, wd_wit = delta1_invariance_residual(corr_x)
+    report.check("delta12_well_defined", wd_res, exact12, tol, wd_wit)
     # Δ₁₂ is the composite's adjoining cocycle itself: the final `validate`
     # certifies its cocycle identity and the invariance of μ
     composite = stage(
@@ -537,7 +626,7 @@ def compose(
 
     result = CompositionResult(
         corr_x, corr_y, fp, z_bispace, orbits, omega, m, tg_z, tg_z_index, chi,
-        lam_pi, delta_z, b, e, mu, delta12, composite, report,
+        lam_pi, b, e, mu, delta12, composite, report,
     )
     if not report.passed:
         raise CompositionStageError(

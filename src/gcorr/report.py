@@ -7,6 +7,24 @@ a check with a rule of its own via `Report.add`: the Haar lines and
 `lambda_pi_rep_independence` (exact equality on any data), the cocycle
 lines (`check_cocycle` at `rel_tol`), and the axiom lines, which have no
 residual.
+
+Four tolerance rules still fork outside `Report.check`, each for a reason:
+
+* `decompose_multiplicative`'s split guard (0 on exact data, 1e-9 on
+  float data) is a stage guard of the cohomology layer, which takes no
+  `tol`: it raises before any line exists.  `compose` records the same
+  residual as `b_ratio_relation` under `Report.check`; there it runs on
+  G₂⋉Y.
+* `invariant_probability_family`'s orbit-constancy of the fibre mass h
+  (0 on exact data, an absolute 1e-12 on float data) guards the Haar
+  input, whose fibre masses on valid data are sums of the same weights,
+  equal up to rounding; it raises, and in `compose` it too runs on G₂⋉Y.
+* `push_measure_down`, the stand-alone push-down, raises on a cutoff that
+  is not normalized and on a failed disintegration, judging each at 0
+  only when every value it reads is exact; it has no report to write to.
+* `is_symmetric` compares |m∘λ − m∘λ⁻¹|, a difference of measures rather
+  than a relative deviation, so on float data it scales `tol` by the
+  largest weight; its verdict is a `build_mu` stage error, not a line.
 """
 
 from __future__ import annotations

@@ -78,3 +78,35 @@ def ladder_pair(n):
         MeasureFamily(ys, pt.unit_ids, (0,) * n, tuple(Fraction(k + 1) for k in range(n))),
     )
     return corr_x, corr_y
+
+
+def coset_ladder_pair(n, d):
+    """The ladder on the m = n/d cosets of Z/d in Z/n: Z/n translating
+    them from both sides, then Z/n translating them over the one-point
+    groupoid with family weights 1..m.  Every point of Z has the
+    stabiliser Z/d, so each orbit has m points and λ_π weighs d arrows."""
+    if n % d:
+        raise ValueError("d must divide n")
+    m = n // d
+    zn = gc.cyclic_group(n)
+    pt = gc.cyclic_group(1, unit_id="pt")
+    shift = {(a, p): (a + p) % m for a in range(n) for p in range(m)}
+    xs = tuple(f"x{k}" for k in range(m))
+    corr_x = gc.make_correspondence(
+        counting_haar(zn), counting_haar(zn),
+        make_bispace(
+            make_action("left", zn, xs, (0,) * m, shift),
+            make_action("right", zn, xs, (0,) * m, {(p, a): (p + a) % m for a, p in shift}),
+        ),
+        MeasureFamily(xs, zn.unit_ids, (0,) * m, (Fraction(1),) * m),
+    )
+    ys = tuple(f"y{k}" for k in range(m))
+    corr_y = gc.make_correspondence(
+        counting_haar(zn), counting_haar(pt),
+        make_bispace(
+            make_action("left", zn, ys, (0,) * m, shift),
+            make_action("right", pt, ys, (0,) * m, {(p, 0): p for p in range(m)}),
+        ),
+        MeasureFamily(ys, pt.unit_ids, (0,) * m, tuple(Fraction(k + 1) for k in range(m))),
+    )
+    return corr_x, corr_y

@@ -134,9 +134,11 @@ class TestStageBehaviour:
         rng = SplitMix64(5)
         profile = tuple(rng.fraction() for _ in range(res.tg_z.n_units))
         e2 = cutoff_from_profile(res.chi, profile)
-        from gcorr.composition import build_mu
-
-        mu2, _ = build_mu(res.m, res.b, e2, res.lambda_pi, res.orbits, res.omega, res.chi)
+        b_of_y = {y: res.b.value[z] for z, (_, y) in enumerate(res.fp.pairs)}
+        bm_y = tuple(b_of_y[y] * w for y, w in enumerate(corr_y.family.weight))
+        mu2, _ = composition.build_mu(
+            res.m, res.b, e2, res.lambda_pi, res.orbits, res.omega, bm_y, composition.leg_haar(corr_y)
+        )
         for o in range(res.orbits.n_orbits):
             assert float(mu2.weight[o]) == pytest.approx(float(res.mu.weight[o]), rel=1e-9)
 
@@ -424,8 +426,8 @@ def _bumped(values):
 
 def _tampered(name):
     """A stand-in for the builder `composition.<name>` that returns its
-    result with one entry times 1 + 10⁻¹²; the b of `build_b` bypasses the
-    split guard of `decompose_multiplicative`."""
+    result with one entry times 1 + 10⁻¹²; the B of `build_b` (on G₂⋉Y)
+    bypasses the split guard of `decompose_multiplicative`."""
     from gcorr.cohomology import Cochain0
     from gcorr.measures import MeasureFamily
 
@@ -447,13 +449,15 @@ def _tampered(name):
 class TestExactPassRule:
     """The lines that certify the cutoff, λ_π and b keep the exact half of
     the pass rule: on exact data one entry off by 10⁻¹², far inside `tol`,
-    still fails them."""
+    still fails them.  The cutoff and B are tampered on their y leg, so the
+    entry moves e or b at every point of Z with that leg: μ moves on every
+    orbit alike, and b stays invariant under G₁, which keeps y."""
 
     @pytest.mark.parametrize("pair", ["induction-finite", "ladder-5"])
     @pytest.mark.parametrize("builder, stage, failing", [
-        ("default_cutoff", "certification", {"mu_disintegration", "composite_adjoining_identity"}),
+        ("default_cutoff", "certification", {"mu_disintegration"}),
         ("quotient_family", "certification", {"lambda_pi_rep_independence", "mu_disintegration"}),
-        ("build_b", "build_mu", {"b_ratio_relation", "b_left_invariance"}),
+        ("build_b", "build_mu", {"b_ratio_relation"}),
     ])
     def test_one_entry_off_by_1e_12_fails(self, monkeypatch, pair, builder, stage, failing):
         corr_x, corr_y = ladder_pair(5) if pair == "ladder-5" else catalog.example_pair(pair)[:2]
@@ -467,13 +471,12 @@ class TestExactPassRule:
 
 
 class TestSymmetryWitness:
-    def test_asymmetric_bm_names_a_middle_arrow(self):
+    def test_asymmetric_bm_names_a_leg_arrow(self):
         """Δ₂ times the coboundary of t(u) = u + 2 is still a cocycle, so
         b still splits δ_Z, but b·m is no longer symmetric: the build_mu
-        stage error names the arrow of Z⋊G₂ that attains the residual."""
+        stage error names the arrow of G₂⋉Y at which B·β attains the
+        residual."""
         from gcorr.cohomology import MULTIPLICATIVE, Cochain0, d0
-        from gcorr.composition import build_middle_groupoid
-        from gcorr.groupoids import fibre_product
 
         corr_x, corr_y, _ = catalog.example_pair("induction-finite")
         tg = corr_y.left_tg
@@ -487,7 +490,5 @@ class TestSymmetryWitness:
         assert info.value.stage == "build_mu"
         cause = info.value.cause
         assert cause.residual == pytest.approx(11 / 12)
-        fp = fibre_product(corr_x.space.right, bad_y.space.left)
-        tg_z, _, _ = build_middle_groupoid(fp, corr_x.right_haar)
-        assert cause.witness in tg_z.arrow_ids
+        assert cause.witness in bad_y.left_tg.arrow_ids
         assert f"at {cause.witness}" in str(info.value)

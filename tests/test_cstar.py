@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -448,12 +449,7 @@ class TestVerifyTheorem:
         o = res.orbits.members[0]
         for z in o:
             bad_b[z] = float(bad_b[z]) * 4.0  # scales mu on one orbit only
-        hacked = res.__class__(
-            res.corr_x, res.corr_y, res.fp, res.z_bispace, res.orbits, res.omega,
-            res.m, res.tg_z, res.tg_z_index, res.chi, res.lambda_pi, res.delta_z,
-            res.b.__class__(res.tg_z, tuple(bad_b), res.b.flavor),
-            res.e, res.mu, res.delta12, res.composite, res.report,
-        )
+        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b), res.b.flavor))
         gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
         assert not gram.isometry_ok
 
@@ -474,12 +470,8 @@ class TestVerifyTheorem:
             Cocycle1(comp.left_tg, tuple(bad), MULTIPLICATIVE),
             comp.left_tg, comp.left_tg_index,
         )
-        hacked = res.__class__(
-            res.corr_x, res.corr_y, res.fp, res.z_bispace, res.orbits, res.omega,
-            res.m, res.tg_z, res.tg_z_index, res.chi, res.lambda_pi, res.delta_z,
-            res.b, res.e, res.mu,
-            Cocycle1(res.delta12.groupoid, tuple(bad), MULTIPLICATIVE),
-            hacked_comp, res.report,
+        hacked = dataclasses.replace(
+            res, delta12=Cocycle1(res.delta12.groupoid, tuple(bad), MULTIPLICATIVE), composite=hacked_comp
         )
         gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
         assert not gram.intertwining_ok
@@ -646,8 +638,6 @@ class TestRelativeDeviations:
 
     @pytest.mark.parametrize("scale", [10**5, 10**9])
     def test_planted_relative_error_fails_with_witness(self, scale):
-        import dataclasses
-
         corr_x, corr_y = scaled_quiver(scale)
         res = compose(corr_x, corr_y)
         bad_b = list(res.b.value)
@@ -685,8 +675,6 @@ class TestRelativePositivity:
         assert relative_min_eig(np.diag([1e6, -1e-5])) >= -POSITIVITY_TOL
 
     def test_relative_minus_1e6_fails(self):
-        import dataclasses
-
         corr_x, corr_y, _ = catalog.example_pair("quiver")
         gram = verify_theorem(corr_x, corr_y, compose(corr_x, corr_y), trials=5, seed=0)
         assert gram.positive_ok

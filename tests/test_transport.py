@@ -1,29 +1,48 @@
-"""Transport certificates of `compose` against the sweeps they replace.
+"""Transport and leg certificates of `compose` against the sweeps they replace.
 
 `compose` certifies the structure it pulls back from its inputs (the Z
-action tables, the Haar system χ on Z⋊G₂ and the obstruction cocycle δ_Z)
-by O(arrows) transport identities instead of sweeping the composable
-pairs of Z⋊G₂.  The former sweeps live here as oracles: wherever the
-transport checks pass, the oracles must pass too, and a tampered entry of
-each transported table must fail its stage or line, naming the entry.
+action tables and the Haar system χ on Z⋊G₂) by O(arrows) transport
+identities instead of sweeping the composable pairs of Z⋊G₂, and it
+computes b, the cutoff, λ_π, the symmetry of b·m and Δ₁₂ on one leg of Z
+instead of on the arrows of Z⋊G₂.  The former sweeps live here as
+oracles: wherever `compose` passes, the oracles must pass too and agree
+with its values and report lines, and a tampered entry of each
+transported table must fail its stage or line, naming the entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+import gcorr as gc
 from gcorr import catalog, composition
-from gcorr.cohomology import Cocycle1, check_cocycle
+from gcorr.cohomology import (
+    Cocycle1,
+    check_cocycle,
+    coboundary_residual,
+    decompose_multiplicative,
+    invariant_probability_family,
+)
 from gcorr.composition import CompositionStageError, compose
 from gcorr.groupoids import ActionComposition, GSpaceAction, bispace_violations
-from gcorr.measures import HaarSystem, check_haar
+from gcorr.measures import (
+    HaarSystem,
+    check_haar,
+    default_cutoff,
+    disintegration_residual,
+    invariance_residual,
+    is_symmetric,
+    push_down,
+    unit_measure,
+)
 from gcorr.randgen import random_pair
-from gcorr.util import all_exact, rdev
-from tests.conftest import MIX_CAPS, ladder_pair, scaled_family
+from gcorr.util import adev, all_exact, rdev
+from tests.conftest import MIX_CAPS, coset_ladder_pair, ladder_pair, scaled_family
 
 LADDERS = (2, 5, 8, 16)
 NAMES = (
@@ -198,6 +217,63 @@ def test_tampered_delta_z_value_fails_its_line(monkeypatch, name):
     assert line.witness == seen["witness"]
 
 
+@pytest.mark.parametrize("name", ["ladder-5", "mix-3"])
+def test_tampered_lambda_pi_names_its_point(monkeypatch, name):
+    original = composition.quotient_family
+    seen = {}
+
+    def tamper(chi, orbits):
+        family = original(chi, orbits)
+        weights = list(family.weight)
+        k = len(weights) // 2
+        weights[k] *= 2
+        seen["witness"] = family.total_ids[k]
+        return dataclasses.replace(family, weight=tuple(weights))
+
+    monkeypatch.setattr(composition, "quotient_family", tamper)
+    with pytest.raises(CompositionStageError) as info:
+        compose(*_pair(name))
+    line = _line(info.value.report, "lambda_pi_rep_independence")
+    assert not line.passed and line.witness == seen["witness"]
+
+
+@pytest.mark.parametrize("name", ["ladder-5", "coset-8-4"])
+def test_delta1_not_invariant_fails_well_definedness(name):
+    """Δ₁ times 2 at one (a, x) with x off its G₂-orbit representative:
+    Δ₁₂ is no longer well defined, and the line names that arrow."""
+    corr_x, corr_y = _leg_pair(name + "/exact")
+    values = list(corr_x.adjoining.value)
+    (a, x), k = next(
+        (key, k) for key, k in corr_x.left_tg_index.items()
+        if key[1] != 0 and not corr_x.left.is_unit_arrow(key[0])
+    )
+    values[k] *= 2
+    bad_x = gc.make_correspondence(
+        corr_x.left_haar, corr_x.right_haar, corr_x.space, corr_x.family, values, check=False
+    )
+    with pytest.raises(CompositionStageError) as info:
+        compose(bad_x, corr_y)
+    line = _line(info.value.report, "delta12_well_defined")
+    assert not line.passed and line.residual == 0.5
+    assert line.witness == f"({corr_x.left.arrow_ids[a]}, {corr_x.space.point_ids[x]})"
+
+
+def test_override_off_one_orbit_names_an_arrow_into_a_representative():
+    corr_x, corr_y = _pair("ladder-5")
+    res = compose(corr_x, corr_y)
+    z = res.orbits.members[0][1]  # not the representative
+    bad = list(res.b.value)
+    bad[z] *= 3
+    with pytest.raises(CompositionStageError) as info:
+        compose(corr_x, corr_y, b_values=bad)
+    assert info.value.stage == "build_b"
+    line = _line(info.value.report, "override_b_splits_delta")
+    assert not line.passed
+    rep = res.orbits.reps[0]
+    (_, a), = [key for key in res.tg_z_index if key[0] == rep and res.fp.diagonal.table[key] == z]
+    assert line.witness == f"({res.fp.point_ids[rep]};{corr_x.right.arrow_ids[a]})"
+
+
 def test_product_check_names_a_tampered_right_table_entry():
     corr_x, corr_y = _pair("ladder-5")
     res = compose(corr_x, corr_y)
@@ -208,3 +284,171 @@ def test_product_check_names_a_tampered_right_table_entry():
     with pytest.raises(composition.GroupoidAxiomError) as info:
         composition.check_z_product(corr_x, corr_y, res.fp, dataclasses.replace(res.z_bispace, right=right))
     assert f"NotAProduct at ({res.fp.point_ids[z]}, {corr_y.right.arrow_ids[c]})" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# leg identities against the former sweeps of Z⋊G₂
+
+
+def delta_z_pullback_residual(res):
+    """The former transport check of δ_Z, arrow by arrow over Z⋊G₂: the
+    worst `rdev` of δ_Z(z, γ) from Δ₂(γ⁻¹, y)."""
+    corr_y, g2 = res.corr_y, res.corr_y.left
+    return max(
+        (rdev(res.delta_z.value[k], corr_y.adjoining_at(g2.inv[a], res.fp.pairs[z][1]))
+         for (z, a), k in res.tg_z_index.items()),
+        default=0.0,
+    )
+
+
+def b_oracle(res):
+    """b split on Z⋊G₂ itself, as `build_b` did before it read the y leg."""
+    return decompose_multiplicative(res.delta_z, invariant_probability_family(res.tg_z, res.chi))
+
+
+def lambda_pi_oracle(res):
+    """The former sweep of lambda_pi_rep_independence: the fibre measure
+    recomputed from every base point, not just the representative."""
+    fp, chi2 = res.fp, res.corr_x.right_haar
+    worst = 0.0
+    for z in range(len(fp.pairs)):
+        acc = {}
+        for a in chi2.groupoid.fibre_dst[fp.diagonal.momentum[z]]:
+            tgt = fp.diagonal.table[(z, a)]
+            acc[tgt] = acc.get(tgt, 0) + chi2.w(a)
+        for tgt, w in acc.items():
+            worst = max(worst, adev(w, res.lambda_pi.weight[tgt]))
+    return worst
+
+
+def delta12_oracle(res, b):
+    """The former member loop of `build_delta12`: Δ₁₂ at each orbit
+    representative, and the worst disagreement of the other members."""
+    left, orbits, x_of = res.z_bispace.left, res.orbits, [x for x, _ in res.fp.pairs]
+
+    def candidate(a, z):
+        return b[z] * res.corr_x.adjoining_at(a, x_of[z]) / b[left.table[(a, z)]]
+
+    values, worst = [], 0.0
+    for (a, o), k in res.composite.left_tg_index.items():
+        values.append(candidate(a, orbits.reps[o]))
+        for z in orbits.members[o]:
+            worst = max(worst, rdev(candidate(a, z), values[-1]))
+    return tuple(values), worst
+
+
+def oracle_lines(res, tol=1e-9):
+    """Name -> residual of each line of `compose`'s own report, computed
+    on Z⋊G₂ as before the leg identities; and the oracle b, e, μ, Δ₁₂."""
+    b = b_oracle(res).value
+    e = default_cutoff(res.chi)
+    m = res.m.weight
+    bm = tuple(x * y for x, y in zip(b, m))
+    mu = push_down(m, tuple(x * y for x, y in zip(e, b)), res.orbits)
+    delta12, wd = delta12_oracle(res, b)
+    exact = all_exact(res.corr_y.adjoining.value)
+    cocycle = check_cocycle(res.corr_y.adjoining, rel_tol=None if exact else tol).max_deviation
+    lines = {
+        "m_right_invariance": invariance_residual(res.z_bispace.right, m)[0],
+        "lambda_pi_rep_independence": lambda_pi_oracle(res),
+        "delta_z_cocycle": max(cocycle, delta_z_pullback_residual(res)),
+        "delta_z_right_invariance": z_invariance_oracle(
+            res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)[1],
+        "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res)),
+        "b_left_invariance": invariance_residual(res.z_bispace.left, b)[0],
+        "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
+        "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits),
+        "delta12_well_defined": wd,
+    }
+    symmetric = is_symmetric(unit_measure(res.tg_z, bm), res.chi, tol).symmetric
+    return lines, {"b": b, "e": e, "mu": mu, "delta12": delta12, "symmetric": symmetric}
+
+
+def _leg_pair(name):
+    base, kind = name.split("/")
+    if base.startswith("coset-"):
+        corr_x, corr_y = coset_ladder_pair(*map(int, base[6:].split("-")))
+    else:
+        corr_x, corr_y = _pair(base)
+    if kind == "float":
+        corr_x, corr_y = scaled_family(corr_x, 1, exact=False), scaled_family(corr_y, 1, exact=False)
+    return corr_x, corr_y
+
+
+LEG_NAMES = [
+    f"{base}/{kind}"
+    for base in ["ladder-4", "ladder-10", "coset-12-3", "coset-8-4"]
+    + list(catalog.EXAMPLE_NAMES) + [f"mix-{i}" for i in range(40)]
+    for kind in ("exact", "float")
+]
+
+
+@pytest.mark.parametrize("name", LEG_NAMES)
+def test_leg_values_and_lines_equal_the_middle_oracles(name):
+    """b, e, λ_π, μ and Δ₁₂ equal their Z⋊G₂ oracles entry for entry, and
+    every line of `compose`'s own report has the oracle's name, order,
+    verdict and residual.  The one residual that moved is that of
+    delta12_well_defined on float data: it measures the G₂ invariance of
+    Δ₁ on X, so the rounding of b·Δ₁/b at other members no longer enters;
+    there both pass."""
+    corr_x, corr_y = _leg_pair(name)
+    res = compose(corr_x, corr_y)
+    lines, values = oracle_lines(res)
+    assert res.b.value == values["b"]
+    assert res.e == values["e"]
+    assert res.mu.weight == values["mu"]
+    assert res.delta12.value == values["delta12"]
+    assert lines["lambda_pi_rep_independence"] == 0.0  # λ_π is base-point free
+    assert values["symmetric"]
+    own = [c for c in res.report.checks if not c.name.startswith("composite_")]
+    assert [c.name for c in own] == list(lines)
+    for line in own:
+        assert line.passed, line.render()
+        if line.name == "delta12_well_defined" and name.endswith("/float"):
+            assert line.residual <= lines[line.name] <= 1e-9
+        else:
+            assert line.residual == lines[line.name], line.name
+
+
+def test_stabiliser_heavy_lambda_pi_counts_the_stabiliser():
+    res = compose(*coset_ladder_pair(12, 3))
+    assert res.orbits.n_orbits == 4 and all(len(o) == 4 for o in res.orbits.members)
+    assert set(res.lambda_pi.weight) == {Fraction(3)}  # |Stab| = 3 arrows of weight 1
+    assert set(res.delta_z.value) != {Fraction(1)}  # premise: nontrivial Δ
+
+
+def test_compose_leaves_delta_z_unbuilt():
+    res = compose(*ladder_pair(12))
+    assert "delta_z" not in vars(res)
+    assert res.delta_z.groupoid is res.tg_z and "delta_z" in vars(res)
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def _fraction_ops_of_compose(monkeypatch, n):
+    """The Fraction sums, differences, products and quotients of one
+    `compose` of ladder n."""
+    corr_x, corr_y = ladder_pair(n)
+    count = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            count[0] += 1
+            return op(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in _ARITHMETIC:
+            patch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+        compose(corr_x, corr_y)
+    return count[0]
+
+
+def test_compose_makes_no_scalar_pass_over_the_middle_arrows(monkeypatch):
+    """Doubling n multiplies |Z| and |G₂⋉Y| by 4 and the arrows of Z⋊G₂
+    by 8; the Fraction arithmetic of `compose` grows like the former."""
+    small, large = (_fraction_ops_of_compose(monkeypatch, n) for n in (8, 16))
+    assert large < 5 * small
+    assert large < 2 * 16**3  # fewer than two operations per arrow of Z⋊G₂ in all
