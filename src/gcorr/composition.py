@@ -22,7 +22,7 @@ to δ_Z.  Hence:
 
   * b(x, y) = B(y) and e(x, y) = 1/h₂(r(y)), with B the split of the
     y-leg cocycle and e the cutoff, both on G₂⋉Y (`build_b`,
-    `default_cutoff`); their split residual is the b_ratio_relation line;
+    `default_cutoff`); B's split residual is the b_ratio_relation line;
   * λ_π(z) = w₂(m(z))·|G₂^{m(z)}|/|[z]| by orbit–stabiliser
     (`lambda_pi_rep_independence`, O(|Z|));
   * b·m is symmetric on Z⋊G₂ iff B·β is on G₂⋉Y, since X's family is
