@@ -54,7 +54,7 @@ def cmd_validate(args) -> int:
         rep = validate(corr, tol=args.tol)
         for chk in rep.checks:
             overall.add(f"{name}.{chk.name}", chk.passed, chk.residual, chk.witness)
-        overall.notes[f"{name}.scalar_mode"] = rep.notes.get("scalar_mode", "exact")
+        overall.notes[f"{name}.scalar_mode"] = rep.notes["scalar_mode"]
     _emit(overall, args.json)
     return EXIT_OK if overall.passed else EXIT_VALIDATION
 

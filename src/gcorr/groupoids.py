@@ -495,16 +495,15 @@ class Bispace:
 
 
 def bispace_violations(b: Bispace) -> list[Violation]:
+    """Check what a bispace adds to its two actions: sides and point set,
+    momentum compatibility and commutation.  Assumes each action passes
+    `action_violations`, as one built by `make_action` does."""
     out: list[Violation] = []
     if b.left.side != "left" or b.right.side != "right":
         out.append(Violation("DanglingEndpoint", "bispace sides are mislabeled"))
         return out
     if b.left.point_ids != b.right.point_ids:
         out.append(Violation("DanglingEndpoint", "left/right actions disagree on the point set"))
-        return out
-    out += action_violations(b.left)
-    out += action_violations(b.right)
-    if out:
         return out
     pids = b.point_ids
     for a, p in b.left.pairs():

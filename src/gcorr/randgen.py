@@ -109,11 +109,8 @@ def random_group(rng: SplitMix64, max_order: int = 6) -> FiniteGroupoid:
     return cyclic_group(n)
 
 
-def random_subgroup(rng: SplitMix64, g: FiniteGroupoid) -> list[int]:
-    """Close a random generator set; returns arrow indices."""
-    seeds = {g.unit_arrow[0]}
-    for _ in range(rng.randint(0, 2)):
-        seeds.add(rng.randint(0, g.n_arrows - 1))
+def _closure(g: FiniteGroupoid, seeds: set[int]) -> list[int]:
+    """Close `seeds`, loops at one unit with its identity, under composition and inverses."""
     closed = set(seeds)
     frontier = list(seeds)
     while frontier:
@@ -124,6 +121,14 @@ def random_subgroup(rng: SplitMix64, g: FiniteGroupoid) -> list[int]:
                     closed.add(c)
                     frontier.append(c)
     return sorted(closed)
+
+
+def random_subgroup(rng: SplitMix64, g: FiniteGroupoid) -> list[int]:
+    """Close a random generator set; returns arrow indices."""
+    seeds = {g.unit_arrow[0]}
+    for _ in range(rng.randint(0, 2)):
+        seeds.add(rng.randint(0, g.n_arrows - 1))
+    return _closure(g, seeds)
 
 
 def coset_action(g: FiniteGroupoid, subgroup: Sequence[int], tag: str) -> GSpaceAction:
@@ -183,16 +188,7 @@ def _isotropy_subgroup(rng: SplitMix64, g: FiniteGroupoid, u: int) -> list[int]:
     seeds = {g.unit_arrow[u]}
     for _ in range(rng.randint(1, 2)):
         seeds.add(rng.choice(iso))
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        a = frontier.pop()
-        for b in list(closed):
-            for c in (g.comp[(a, b)], g.comp[(b, a)], g.inv[a]):
-                if c not in closed:
-                    closed.add(c)
-                    frontier.append(c)
-    return sorted(closed)
+    return _closure(g, seeds)
 
 
 @dataclass

@@ -2,11 +2,11 @@
 
 `Report.check` is the pass rule for a residual: 0 on exact data, at most
 `tol` on float data; a NaN residual fails.  Every residual line of
-`compose` and `validate` uses it, except those that record the verdict of
-a check with a rule of its own via `Report.add`: the Haar lines and
-`lambda_pi_rep_independence` (exact equality on any data), the cocycle
-lines (`check_cocycle` at `rel_tol`), and the axiom lines, which have no
-residual.
+`compose` and `validate` uses it, except `lambda_pi_rep_independence`
+(exact equality on any data) and the cocycle lines (`check_cocycle` at
+`rel_tol`), which record the verdict of a rule of their own via
+`Report.add`.  The groupoid, Haar and bispace axioms have no line: the
+checked constructors certify them where the structure is built.
 
 Four tolerance rules still fork outside `Report.check`, each for a reason:
 

@@ -12,7 +12,9 @@ keep one contract: the result is exactly 0.0 iff the arguments are equal
 (and finite), it is `math.inf` whenever either argument is a non-finite
 float (a NaN can never be dropped by a `d > worst` comparison), and
 otherwise it is the float of the exact deviation on exact inputs and the
-IEEE deviation on float ones.
+IEEE deviation on float ones.  An unequal exact pair never reads 0: a
+deviation below the float range reads `math.ulp(0.0)`, and one beyond it
+(or an exact argument beyond it) reads `math.inf`.
 """
 
 from __future__ import annotations
@@ -59,13 +61,24 @@ def _equal_dev(a: Scalar) -> float:
     return math.inf if isinstance(a, float) and not math.isfinite(a) else 0.0
 
 
+def _unequal_dev(d: Scalar) -> float:
+    """A nonzero exact deviation as a float: `ulp(0)` on underflow, ∞ on overflow."""
+    try:
+        return float(d) or math.ulp(0.0)
+    except OverflowError:
+        return math.inf
+
+
 def adev(a: Scalar, b: Scalar) -> float:
     """Absolute deviation |a - b| as a float (exact zero stays exact)."""
     if a is b or a == b:
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
-        return float(abs(a - b))
-    d = abs(float(a) - float(b))
+        return _unequal_dev(abs(a - b))
+    try:
+        d = abs(float(a) - float(b))
+    except OverflowError:
+        return math.inf
     return d if d == d else math.inf
 
 
@@ -74,8 +87,11 @@ def rdev(a: Scalar, b: Scalar) -> float:
     if a is b or a == b:
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
-        return float(abs(a - b) / max(1, abs(a), abs(b)))
-    fa, fb = float(a), float(b)
+        return _unequal_dev(abs(a - b) / max(1, abs(a), abs(b)))
+    try:
+        fa, fb = float(a), float(b)
+    except OverflowError:
+        return math.inf
     d = abs(fa - fb) / max(1.0, abs(fa), abs(fb))
     return d if d == d else math.inf
 

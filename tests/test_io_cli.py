@@ -4,15 +4,18 @@ import contextlib
 import copy
 import io
 import json
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcorr import catalog, cli
+from gcorr import catalog, cli, groupoids, measures
 from gcorr.io_json import ParseError, parse_instance, serialize_instance
 from gcorr.randgen import random_pair
+from tests.conftest import ladder_pair
 
 
 @pytest.fixture
@@ -146,6 +149,26 @@ class TestCliValidate:
         line = next(c for name, c in checks.items() if name.endswith("family_right_invariance"))
         assert not line["passed"] and line["witness"]
         assert line["residual"] == pytest.approx(1e-6, rel=1e-5)
+
+    def test_exact_family_deviation_below_the_float_range_fails(self, tmp_path, capsys):
+        # g1/g0 = 1 + 10^-400, whose float deviation underflows to 0
+        y = self._group_hom_y_family(tmp_path, {"g0": "1", "g1": f"{10**400 + 1}/{10**400}"})
+        capsys.readouterr()
+        assert cli.main(["validate", str(y)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] y.family_right_invariance  residual=4.94e-324  witness=(g0, g1)" in out
+
+    @pytest.mark.parametrize("g0_weight", ["1", 1.0], ids=["exact", "float"])
+    def test_haar_weight_beyond_the_float_range_is_a_parse_error(self, g0_weight, tmp_path, capsys):
+        cli.main(["example", "group-hom", str(tmp_path / "gh")])
+        y = tmp_path / "gh.y.json"
+        doc = json.loads(y.read_text())
+        doc["groupoids"]["G0"]["haar"].update(g0=g0_weight, g1=str(10**400))
+        y.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["validate", str(y)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {y}.groupoids.G0.haar: left invariance fails")
 
     def test_json_reports(self, fn_files, capsys):
         x, _ = fn_files
@@ -477,3 +500,119 @@ class TestCliExampleRandom:
             assert cli.main(["validate", f"{prefix}.x.json"]) == 0
             assert cli.main(["validate", f"{prefix}.y.json"]) == 0
             assert cli.main(["verify", f"{prefix}.x.json", f"{prefix}.y.json", "--trials", "10"]) == 0
+
+
+# in the group-hom x file, G0 is Z/4 = {g0, g1, g2, g3}
+
+
+def _non_associative_comp(doc):
+    # g1∘g1 = g3: identities and inverses still hold, but (g1∘g1)∘g3 = g2
+    # while g1∘(g1∘g3) = g1
+    (entry,) = [e for e in doc["groupoids"]["G0"]["comp"] if e[:2] == ["g1", "g1"]]
+    entry[2] = "g3"
+    return "groupoids.G0", "NonAssociative"
+
+
+def _non_invariant_haar(doc):
+    doc["groupoids"]["G0"]["haar"]["g1"] = "2"
+    return "groupoids.G0.haar", "left invariance fails"
+
+
+def _wrong_momentum(doc):
+    # a unit arrow sends a point to one of another left momentum
+    space = doc["correspondences"][0]["space"]
+    mom = space["left_momentum"]
+    entry = space["left_action"][0]
+    entry[2] = next(p for p in space["points"] if mom[p] != mom[entry[1]])
+    return "correspondences[0].space.left_action", "momentum of γ·x is not dst(γ)"
+
+
+def _non_commuting(doc):
+    # K = {e, s} acting on S3 by p·k = k∘p: a right action, since K is
+    # abelian, but one that does not commute with left translation by S3
+    corr = doc["correspondences"][0]
+    comp = {(a, b): c for a, b, c in doc["groupoids"][corr["left"]]["comp"]}
+    for entry in corr["space"]["right_action"]:
+        entry[2] = comp[(entry[1], entry[0])]
+    return "correspondences[0].space", "(γ·x)·η != γ·(x·η)"
+
+
+# tamper -> (catalog example, leg it applies to); one per structure line
+# that `validate` no longer reports
+TAMPERS = {
+    "groupoid_axioms": (_non_associative_comp, "group-hom", "x"),
+    "haar": (_non_invariant_haar, "group-hom", "x"),
+    "action_axioms": (_wrong_momentum, "fn-compose", "x"),
+    "bispace_axioms": (_non_commuting, "subgroup", "y"),
+}
+
+
+class TestBrokenStructureIsAParseError:
+    """An input that breaks a groupoid, Haar, action or bispace axiom
+    never reaches `validate`: parsing rejects it, naming the path."""
+
+    @pytest.mark.parametrize("command", ["validate", "compose"])
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_catalog_file_exits_one_with_path(self, tamper, command, tmp_path, capsys):
+        mutate, example, leg = TAMPERS[tamper]
+        prefix = tmp_path / example
+        assert cli.main(["example", example, str(prefix)]) == 0
+        target = tmp_path / f"{example}.{leg}.json"
+        doc = json.loads(target.read_text())
+        path, message = mutate(doc)
+        target.write_text(json.dumps(doc))
+        capsys.readouterr()
+        if command == "validate":
+            argv = ["validate", str(target)]
+        else:
+            argv = ["compose", f"{prefix}.x.json", f"{prefix}.y.json", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {target}.{path}: ")
+        assert message in err
+
+
+class TestEachStructureIsSweptOnce:
+    """Each groupoid, Haar system, action and bispace of a `compose` or
+    `verify` run is swept by its axiom check exactly once, by the checked
+    constructor that builds it."""
+
+    SWEEPS = {
+        "groupoid_violations": groupoids,
+        "check_haar": measures,
+        "action_violations": groupoids,
+        "bispace_violations": groupoids,
+    }  # function -> defining module
+    PAIRS = {"ladder-3": lambda: ladder_pair(3), "random-3": lambda: random_pair(3)}
+    # objects swept per run: those parsed (the ladder's x file holds its one
+    # group once, as both sides), then Ω's two actions and its bispace
+    SWEPT = {
+        "ladder-3": {"groupoid_violations": 3, "check_haar": 3, "action_violations": 6, "bispace_violations": 3},
+        "random-3": {"groupoid_violations": 4, "check_haar": 4, "action_violations": 6, "bispace_violations": 3},
+    }
+
+    @pytest.mark.parametrize("command", ["compose", "verify"])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_no_structure_is_swept_twice(self, pair, command, tmp_path, monkeypatch, capsys):
+        corr_x, corr_y = self.PAIRS[pair]()
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        x.write_text(serialize_instance([("x", corr_x)]))
+        y.write_text(serialize_instance([("y", corr_y)]))
+        swept = {name: [] for name in self.SWEEPS}  # holds the arguments, so ids stay unique
+        modules = [m for n, m in sys.modules.items() if n.startswith("gcorr.") and m is not None]
+        for name, home in self.SWEEPS.items():
+            original = getattr(home, name)
+
+            def counting(*args, _name=name, _original=original):
+                swept[_name].append(args)
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        extra = [str(tmp_path / "out.json")] if command == "compose" else ["--trials", "2"]
+        assert cli.main([command, str(x), str(y), *extra]) == 0
+        counts = {name: Counter(tuple(map(id, args)) for args in calls) for name, calls in swept.items()}
+        assert {name: max(c.values()) for name, c in counts.items()} == dict.fromkeys(self.SWEEPS, 1)
+        assert {name: len(c) for name, c in counts.items()} == self.SWEPT[pair]
+

@@ -29,7 +29,7 @@ from gcorr.cohomology import (
     invariant_probability_family,
 )
 from gcorr.composition import CompositionStageError, compose
-from gcorr.groupoids import ActionComposition, GSpaceAction, bispace_violations
+from gcorr.groupoids import ActionComposition, GSpaceAction, action_violations, bispace_violations
 from gcorr.measures import (
     HaarSystem,
     check_haar,
@@ -87,6 +87,10 @@ def _assert_oracles_pass(res, tol=1e-9):
     """Every sweep that a transport check replaced passes on `res`, and no
     line reads a smaller residual than its oracle."""
     exact = all_exact(res.delta_z.value)
+    # Z's tables are built by lemma, not by `make_action`, so both action
+    # sweeps run here as well as the bispace sweep that assumes them
+    assert action_violations(res.z_bispace.left) == []
+    assert action_violations(res.z_bispace.right) == []
     assert bispace_violations(res.z_bispace) == []
     assert check_haar(res.tg_z, res.chi.family).ok
     sweep = check_cocycle(res.delta_z, rel_tol=None if exact else tol)

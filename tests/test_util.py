@@ -93,3 +93,20 @@ def test_crdev_is_scale_relative_and_nan_safe():
     for bad in (math.nan, complex(math.nan, 0), complex(0, math.nan), math.inf):
         assert crdev(bad, 0j) == math.inf
         assert crdev(0.0, bad) == math.inf
+
+
+@pytest.mark.parametrize(
+    "dev, a, b, expected",
+    [
+        (rdev, F(10**400 + 1, 10**400), 1, math.ulp(0.0)),
+        (adev, F(1, 10**400), 0, math.ulp(0.0)),
+        (adev, 10**400, 1, math.inf),
+        (adev, F(10**400), 1.0, math.inf),
+        (rdev, F(10**400), 1.0, math.inf),
+    ],
+    ids=["rdev-underflow", "adev-underflow", "adev-overflow", "adev-mixed-overflow", "rdev-mixed-overflow"],
+)
+def test_deviation_beyond_the_float_range_is_never_zero(dev, a, b, expected):
+    """An unequal pair reads a positive deviation even where its float
+    underflows (the smallest subnormal) or overflows (∞)."""
+    assert dev(a, b) == dev(b, a) == expected
