@@ -54,7 +54,8 @@ def cmd_validate(args) -> int:
         rep = validate(corr, tol=args.tol)
         for chk in rep.checks:
             overall.add(f"{name}.{chk.name}", chk.passed, chk.residual, chk.witness)
-        overall.notes[f"{name}.scalar_mode"] = rep.notes["scalar_mode"]
+        for note in ("scalar_mode", "properness_max_fibre"):
+            overall.notes[f"{name}.{note}"] = rep.notes[note]
     _emit(overall, args.json)
     return EXIT_OK if overall.passed else EXIT_VALIDATION
 
@@ -122,6 +123,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        print(f"bad --trials {args.trials}; expected a count of at least 0", file=sys.stderr)
+        return EXIT_VALIDATION
     # inputs and the composition precondition run at the composition's own
     # stage tolerance; --tol governs the theorem deviations below
     pair = _load_valid_pair(args.path_x, args.path_y)

@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cohomology import (
     MULTIPLICATIVE,
     Cochain0,
@@ -93,7 +95,7 @@ from .measures import (
     unit_measure,
 )
 from .report import Report
-from .util import GcorrError, ONE, Scalar, adev, all_exact, rdev
+from .util import GcorrError, IndexTable, ONE, Scalar, adev, all_exact, rdev
 
 
 class GroupoidMismatch(GcorrError):
@@ -159,6 +161,20 @@ class CompositionResult:
         for z, (x, y) in enumerate(self.fp.pairs):
             out[x].append((y, z))
         return tuple(tuple(row) for row in out)
+
+    @cached_property
+    def comparison_table(self) -> IndexTable:
+        """`cstar.lambda_prime` over z = (x, y) in `pairs_by_x` order:
+        f(x)·g(y)·ell[z], into π(z)."""
+        xyz = np.array(
+            [(x, y, z) for x, row in enumerate(self.pairs_by_x) for y, z in row], dtype=np.intp
+        ).reshape(-1, 3)
+        z = xyz[:, 2]
+        return IndexTable(
+            xyz[:, 0], xyz[:, 1],
+            np.asarray(self.orbits.proj, dtype=np.intp)[z], self.orbits.n_orbits,
+            post=np.asarray(self.ell, dtype=np.float64)[z],
+        )
 
 
 def _require_chainable(corr_x: Correspondence, corr_y: Correspondence) -> None:

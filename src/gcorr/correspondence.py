@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .cohomology import MULTIPLICATIVE, Cocycle1, check_cocycle
 from .groupoids import (
     Bispace,
@@ -29,7 +31,7 @@ from .groupoids import (
 )
 from .measures import HaarSystem, MeasureFamily, counting_haar, invariance_residual
 from .report import Report
-from .util import GcorrError, ONE, Scalar, all_exact, rdev
+from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, rdev
 
 
 class NotWellDefined(GcorrError):
@@ -71,6 +73,37 @@ class Correspondence:
         value = self.adjoining.value
         return {key: math.sqrt(float(value[k])) for key, k in self.left_tg_index.items()}
 
+    @cached_property
+    def left_action_table(self) -> IndexTable:
+        """`cstar.left_action` over (arrow a, point z) in `space.left.pairs()`
+        order, into a·z, weighted by w(a) before and √Δ(a, z) after f(z)."""
+        keys, a, z, image = _pair_arrays(self.space.left)
+        sqrt_adj = self.sqrt_adjoining
+        return IndexTable(
+            a, z, image, self.space.n_points,
+            pre=np.asarray(self.left_haar.family.float_weight, dtype=np.float64)[a],
+            post=np.array([sqrt_adj[k] for k in keys], dtype=np.float64),
+        )
+
+    @cached_property
+    def inner_product_table(self) -> IndexTable:
+        """`cstar.inner_product` over (point x, arrow η) in
+        `space.right.pairs()` order: conj f(x)·λ(x) times g(x·η), into η."""
+        _, x, eta, image = _pair_arrays(self.space.right)
+        return IndexTable(
+            x, image, eta, self.right.n_arrows,
+            pre=np.asarray(self.family.float_weight, dtype=np.float64)[x],
+        )
+
+    @cached_property
+    def right_action_table(self) -> IndexTable:
+        """`cstar.right_action` over (point z, arrow k) in
+        `space.right.pairs()` order: f(z)·ψ(k)·w(k⁻¹), into z·k."""
+        _, z, k, image = _pair_arrays(self.space.right)
+        w = np.asarray(self.right_haar.family.float_weight, dtype=np.float64)
+        inv = np.asarray(self.right.inv, dtype=np.intp)
+        return IndexTable(z, k, image, self.space.n_points, post=w[inv[k]])
+
     @property
     def exact(self) -> bool:
         return (
@@ -85,6 +118,15 @@ class Correspondence:
             f"Correspondence({self.left!r} -> {self.right!r}, "
             f"{self.space.n_points} points)"
         )
+
+
+def _pair_arrays(act) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """An action's table keys in `pairs()` order, with their two index
+    columns and their images as arrays."""
+    keys = list(act.pairs())
+    cols = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    image = np.array([act.table[k] for k in keys], dtype=np.intp)
+    return keys, cols[:, 0], cols[:, 1], image
 
 
 def derive_adjoining(

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
-from .util import GcorrError, Scalar, adev, all_exact, ksum, rdev
+from .util import GcorrError, IndexTable, Scalar, adev, all_exact, ksum, rdev
 
 
 class NotHaar(GcorrError):
@@ -91,6 +93,19 @@ class HaarSystem:
     @property
     def exact(self) -> bool:
         return self.family.exact
+
+    @cached_property
+    def convolution_table(self) -> IndexTable:
+        """`cstar.convolve` over the composable pairs (a, b) in
+        `composable_pairs()` order: φ(a)·w(a) times ψ(b), into a∘b."""
+        g = self.groupoid
+        pairs = list(g.composable_pairs())
+        ab = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        return IndexTable(
+            ab[:, 0], ab[:, 1],
+            np.array([g.comp[p] for p in pairs], dtype=np.intp), g.n_arrows,
+            pre=np.asarray(self.family.float_weight, dtype=np.float64)[ab[:, 0]],
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HaarSystem):

@@ -75,8 +75,9 @@ class SplitMix64:
     # below this many draws the numpy call overhead outweighs the loop
     BLOCK_MIN = 8
 
-    def cnums(self, n: int) -> list[complex]:
-        """`[self.cnum() for _ in range(n)]`, drawn as one uint64 block.
+    def cnum_array(self, n: int) -> np.ndarray:
+        """`[self.cnum() for _ in range(n)]` as a complex array, drawn as one
+        uint64 block.
 
         The 2n states are state + k·γ (k = 1..2n, wrapping mod 2^64), mixed
         elementwise; uint64 array arithmetic wraps exactly like the masks of
@@ -84,7 +85,7 @@ class SplitMix64:
         `re + 1j*im` could turn a signed zero around.
         """
         if n < max(self.BLOCK_MIN, 1):
-            return [self.cnum() for _ in range(n)]
+            return np.array([self.cnum() for _ in range(n)], dtype=np.complex128)
         k = np.arange(1, 2 * n + 1, dtype=np.uint64)
         z = np.uint64(self.state) + k * np.uint64(_GAMMA)
         self.state = (self.state + 2 * n * _GAMMA) & _MASK
@@ -95,7 +96,11 @@ class SplitMix64:
         out = np.empty(n, dtype=np.complex128)
         out.real = u[0::2]
         out.imag = u[1::2]
-        return out.tolist()
+        return out
+
+    def cnums(self, n: int) -> list[complex]:
+        """`[self.cnum() for _ in range(n)]`, through `cnum_array`."""
+        return self.cnum_array(n).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Scalar helpers shared across the package.
+"""Scalar helpers shared across the package, and the index table of the
+array operations in `cstar`.
 
 Weights are exact `Fraction`s whenever the input data is rational, and
 every construction keeps them so; IEEE doubles come only from float input
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, float]
 
@@ -101,6 +104,24 @@ def crdev(a: complex, b: complex) -> float:
     `math.inf` whenever either one is NaN or ∞, as for `rdev`."""
     d = abs(a - b) / max(1.0, abs(a), abs(b))
     return d if d == d else math.inf
+
+
+class IndexTable(NamedTuple):
+    """The index table of one bilinear operation on coefficient arrays.
+
+    Entry t adds ((u[left[t]]·pre[t])·v[right[t]])·post[t] into out[t] of
+    a result with `n_out` entries; a missing `pre` or `post` is a factor
+    left out.  The object that owns the operation's structure builds its
+    table once, in the order of the per-element loop it replaces, and
+    `cstar` runs every operation through one kernel over it.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    out: np.ndarray
+    n_out: int
+    pre: Optional[np.ndarray] = None
+    post: Optional[np.ndarray] = None
 
 
 def parse_scalar(raw) -> Scalar:

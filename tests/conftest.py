@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gcorr as gc
@@ -38,6 +39,21 @@ def translation_correspondence(lam=(1, 3)):
     space = make_bispace(left, right)
     fam = MeasureFamily(pts, pt.unit_ids, (0, 0), tuple(Fraction(v) for v in lam))
     return gc.make_correspondence(counting_haar(z2), counting_haar(pt), space, fam)
+
+
+def coeff_array(d: dict, n: int) -> np.ndarray:
+    """The coefficient array of length n with the values of {index: value}."""
+    out = np.zeros(n, dtype=complex)
+    for k, v in d.items():
+        out[k] = v
+    return out
+
+
+def coeff_dict(c) -> dict:
+    """The nonzero coefficients {index: complex} of a coefficient array, or
+    of a dict, in index order: the form the per-element loops work on."""
+    items = c.items() if isinstance(c, dict) else enumerate(c.tolist())
+    return {k: complex(v) for k, v in sorted(items) if v != 0}
 
 
 # the family caps of the benchmark's random-mix pairs (bench/workloads.py)

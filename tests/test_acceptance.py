@@ -20,6 +20,7 @@ from gcorr.composition import compose, find_bispace_isomorphism
 from gcorr.groupoids import orbit_space, unit_action
 from gcorr.measures import MeasureFamily, compose_with_quotient, cutoff_from_profile
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
+from tests.conftest import coeff_dict
 
 N_GROUPOIDS = 100
 N_MEASURES = 50
@@ -205,15 +206,14 @@ def test_criterion_7_oracle_equivalence():
     def rand_int_alg():
         return cstar.AlgebraElement(
             pg,
-            {
-                a: complex(rng.randint(-9, 9), rng.randint(-9, 9))
-                for a in range(pg.n_arrows)
-            },
+            np.array(
+                [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(pg.n_arrows)]
+            ),
         )
 
     def to_mat(phi):
         m = np.zeros((n, n), dtype=complex)
-        for a, v in phi.coeff.items():
+        for a, v in coeff_dict(phi.coeff).items():
             m[pg.dst[a], pg.src[a]] = v
         return m
 
@@ -229,7 +229,7 @@ def test_criterion_7_oracle_equivalence():
     min_eig = math.inf
     for _ in range(100):
         f = cstar.ModuleElement(
-            corr_y, {p: rng.cnum() for p in range(corr_y.space.n_points)}
+            corr_y, np.array([rng.cnum() for _ in range(corr_y.space.n_points)])
         )
         gram = cstar.inner_product(f, f, corr_y)
         for _, apply in reps:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,21 +28,30 @@ from gcorr.cstar import (
     verify_theorem,
 )
 from gcorr.randgen import SplitMix64, random_pair
-from tests.conftest import MIX_CAPS, scaled_family, translation_correspondence
+from gcorr.util import crdev
+from tests.conftest import (
+    MIX_CAPS,
+    coeff_array,
+    coeff_dict,
+    ladder_pair,
+    scaled_family,
+    translation_correspondence,
+)
 
 
-def _dev(a: dict, b: dict) -> float:
+def _dev(a, b) -> float:
+    a, b = coeff_dict(a), coeff_dict(b)
     return max(
         (abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()), default=0.0
     )
 
 
 def rand_alg(rng, g):
-    return AlgebraElement(g, {a: rng.cnum() for a in range(g.n_arrows)})
+    return AlgebraElement(g, np.array([rng.cnum() for _ in range(g.n_arrows)]))
 
 
 def rand_mod(rng, corr):
-    return ModuleElement(corr, {p: rng.cnum() for p in range(corr.space.n_points)})
+    return ModuleElement(corr, np.array([rng.cnum() for _ in range(corr.space.n_points)]))
 
 
 class TestConvolution:
@@ -61,7 +71,7 @@ class TestConvolution:
 
         def to_mat(phi):
             m = np.zeros((n, n), dtype=complex)
-            for a, v in phi.coeff.items():
+            for a, v in coeff_dict(phi.coeff).items():
                 m[pg.dst[a], pg.src[a]] = v
             return m
 
@@ -94,8 +104,8 @@ class TestConvolution:
 
 class TestInvolution:
     def test_exponent_two_real_fixed(self, z2):
-        phi = AlgebraElement(z2, {0: 1.5 + 0j, 1: -2.0 + 0j})
-        assert involution(phi).coeff == phi.coeff
+        phi = AlgebraElement(z2, coeff_array({0: 1.5 + 0j, 1: -2.0 + 0j}, 2))
+        assert coeff_dict(involution(phi).coeff) == coeff_dict(phi.coeff)
 
     def test_antimultiplicative(self, z3):
         haar = gc.haar_from_unit_weights(z3, (F(2, 3),))
@@ -114,7 +124,7 @@ class TestInvolution:
 class TestModuleActions:
     def test_unit_mass_acts_trivially(self):
         corr = translation_correspondence()
-        f = ModuleElement(corr, {0: 1 + 2j, 1: -1j})
+        f = ModuleElement(corr, coeff_array({0: 1 + 2j, 1: -1j}, 2))
         e = delta_arrow(corr.left, corr.left.unit_arrow[0])
         assert _dev(left_action(e, f, corr).coeff, f.coeff) == 0
         er = delta_arrow(corr.right, corr.right.unit_arrow[0])
@@ -146,9 +156,9 @@ class TestModuleActions:
         # left translation by the nontrivial element of Z/2, weights (1, 3):
         # (δ_g1·f)(a1) = f(a0)·sqrt(Δ(g1, a0)) with Δ(g1, a0) = λ(a0)/λ(a1) = 1/3
         corr = translation_correspondence(lam=(1, 3))
-        f = ModuleElement(corr, {0: 1.0 + 0j})
+        f = ModuleElement(corr, coeff_array({0: 1.0 + 0j}, 2))
         out = left_action(delta_arrow(corr.left, 1), f, corr)
-        assert out.coeff == {1: pytest.approx(math.sqrt(1 / 3))}
+        assert coeff_dict(out.coeff) == {1: pytest.approx(math.sqrt(1 / 3))}
 
     def test_compatibility_inner_with_right(self):
         corr, _ = random_pair(13, max_x=10, max_y=10, max_mid=8, check=False)
@@ -170,7 +180,7 @@ class TestInnerProduct:
         ip = inner_product(f, f, corr)
         h = corr.right
         for u in range(h.n_units):
-            val = ip.coeff.get(h.unit_arrow[u], 0j)
+            val = ip(h.unit_arrow[u])
             assert val.imag == pytest.approx(0.0, abs=1e-14)
             assert val.real >= 0
 
@@ -261,12 +271,12 @@ def triple_sum_oracle(f, g_, f2, g2, corr_x, corr_y):
 class TestTensorInnerProduct:
     def test_singleton_all_ones(self):
         corr_x, corr_y, _ = catalog.example_pair("quiver")
-        f = ModuleElement(corr_x, {0: 1 + 0j})
-        g_ = ModuleElement(corr_y, {0: 1 + 0j})
-        res = tensor_inner_product(f, g_, f, g_, corr_x, corr_y)
+        f = ModuleElement(corr_x, coeff_array({0: 1 + 0j}, corr_x.space.n_points))
+        g_ = ModuleElement(corr_y, coeff_array({0: 1 + 0j}, corr_y.space.n_points))
+        res = coeff_dict(tensor_inner_product(f, g_, f, g_, corr_x, corr_y).coeff)
         # scalar product of the two weights at the matched points
-        if res.coeff:
-            val = list(res.coeff.values())[0]
+        if res:
+            val = list(res.values())[0]
             assert val.imag == 0 and val.real > 0
 
     def test_matches_triple_sum_oracle(self):
@@ -287,10 +297,10 @@ class TestTensorInnerProduct:
             rand_mod(rng, corr_y), rand_mod(rng, corr_y),
         )
         z = rng.cnum()
-        zf = ModuleElement(corr_x, {k: z * v for k, v in f.coeff.items()})
+        zf = ModuleElement(corr_x, z * f.coeff)
         lhs = tensor_inner_product(zf, g_, f2, g2, corr_x, corr_y)
         base = tensor_inner_product(f, g_, f2, g2, corr_x, corr_y)
-        scaled = {k: z.conjugate() * v for k, v in base.coeff.items()}
+        scaled = z.conjugate() * base.coeff
         assert _dev(lhs.coeff, scaled) < 1e-12
 
 
@@ -314,16 +324,9 @@ class TestLambdaPrime:
         f1, f2 = rand_mod(rng, corr_x), rand_mod(rng, corr_x)
         g_ = rand_mod(rng, corr_y)
         z = rng.cnum()
-        combo = ModuleElement(
-            corr_x,
-            {k: z * f1.coeff.get(k, 0j) + f2.coeff.get(k, 0j) for k in range(corr_x.space.n_points)},
-        )
+        combo = ModuleElement(corr_x, z * f1.coeff + f2.coeff)
         lhs = lambda_prime(combo, g_, res)
-        rhs = {
-            k: z * lambda_prime(f1, g_, res).coeff.get(k, 0j)
-            + lambda_prime(f2, g_, res).coeff.get(k, 0j)
-            for k in range(res.orbits.n_orbits)
-        }
+        rhs = z * lambda_prime(f1, g_, res).coeff + lambda_prime(f2, g_, res).coeff
         assert _dev(lhs.coeff, rhs) < 1e-12
 
     def test_right_module_map(self):
@@ -341,8 +344,8 @@ def dense_lambda_prime(f, g_el, result):
     """The comparison map as first written: a double loop over all |X|·|Y|
     pairs, kept as the reference for the fibre-product walk."""
     out = {}
-    for x, vx in f.coeff.items():
-        for y, vy in g_el.coeff.items():
+    for x, vx in coeff_dict(f.coeff).items():
+        for y, vy in coeff_dict(g_el.coeff).items():
             z = result.fp.index.get((x, y))
             if z is None:
                 continue
@@ -368,7 +371,7 @@ class TestSparseComparisonMap:
             rng = SplitMix64(8)
             for _ in range(4):
                 f, g_ = rand_mod(rng, corr_x), rand_mod(rng, corr_y)
-                sparse = lambda_prime(f, g_, res).coeff
+                sparse = coeff_dict(lambda_prime(f, g_, res).coeff)
                 dense = dense_lambda_prime(f, g_, res)
                 assert sparse.keys() == dense.keys(), name
                 scale = max((abs(v) for v in dense.values()), default=1.0)
@@ -376,7 +379,7 @@ class TestSparseComparisonMap:
             for x in range(corr_x.space.n_points):  # point masses, on and off Z
                 for y in range(corr_y.space.n_points):
                     f, g_ = delta_point(corr_x, x), delta_point(corr_y, y)
-                    sparse = lambda_prime(f, g_, res).coeff
+                    sparse = coeff_dict(lambda_prime(f, g_, res).coeff)
                     assert sparse.keys() == dense_lambda_prime(f, g_, res).keys(), name
 
     def test_counted_rank_matches_matrix_rank(self):
@@ -422,8 +425,8 @@ class TestVerifyTheorem:
                 lambda_prime(*ei, res), lambda_prime(*ej, res), res.composite
             )
             for gbar in range(g3.n_arrows):
-                assert abs(q.get((i, j, gbar), 0.0) - tensor.coeff.get(gbar, 0j)) < 1e-12
-                assert abs(r.get((i, j, gbar), 0.0) - image.coeff.get(gbar, 0j)) < 1e-12
+                assert abs(q.get((i, j, gbar), 0.0) - tensor(gbar)) < 1e-12
+                assert abs(r.get((i, j, gbar), 0.0) - image(gbar)) < 1e-12
 
     def test_catalog_instances_pass(self):
         for name in catalog.EXAMPLE_NAMES:
@@ -481,7 +484,7 @@ class TestVerifyTheorem:
         corr_x, corr_y, _ = catalog.example_pair("fn-compose")
         with pytest.raises(Mismatch):
             inner_product(
-                ModuleElement(corr_x, {0: 1j}), ModuleElement(corr_x, {0: 1j}), corr_y
+                delta_point(corr_x, 0), delta_point(corr_x, 0), corr_y
             )
 
 
@@ -492,9 +495,9 @@ class TestVerifyTheorem:
 def oracle_left_action(phi, f, corr):
     g, act = corr.left, corr.space.left
     out = {}
-    for a, va in phi.coeff.items():
+    for a, va in coeff_dict(phi.coeff).items():
         wa = va * float(corr.left_haar.w(a))
-        for z, vz in f.coeff.items():
+        for z, vz in coeff_dict(f.coeff).items():
             if g.src[a] == act.momentum[z]:
                 x = act.table[(a, z)]
                 out[x] = out.get(x, 0j) + wa * vz * math.sqrt(float(corr.adjoining_at(a, z)))
@@ -503,11 +506,12 @@ def oracle_left_action(phi, f, corr):
 
 def oracle_inner_product(f, g_el, corr):
     h, act = corr.right, corr.space.right
+    g_coeff = coeff_dict(g_el.coeff)
     out = {}
-    for x, vx in f.coeff.items():
+    for x, vx in coeff_dict(f.coeff).items():
         lx = vx.conjugate() * float(corr.family.weight[x])
         for eta in h.fibre_dst[act.momentum[x]]:
-            gx = g_el.coeff.get(act.table[(x, eta)])
+            gx = g_coeff.get(act.table[(x, eta)])
             if gx:
                 out[eta] = out.get(eta, 0j) + lx * gx
     return {k: v for k, v in out.items() if v != 0}
@@ -548,7 +552,7 @@ def _float_view_instances():
 
 class TestFloatViewsBitForBit:
     """The table-reading operations reproduce the per-element loops exactly:
-    the same values, bit for bit, in the same key order."""
+    the same nonzero values, bit for bit, at the same indices."""
 
     @pytest.fixture(scope="class")
     def instances(self):
@@ -569,11 +573,13 @@ class TestFloatViewsBitForBit:
                 for phi in algebra:
                     for f in elements:
                         got = left_action(phi, f, corr).coeff
-                        assert _bits(got) == _bits(oracle_left_action(phi, f, corr)), name
+                        want = oracle_left_action(phi, f, corr)
+                        assert _bits(coeff_dict(got)) == _bits(coeff_dict(want)), name
                 for f in elements:
                     for g_ in elements[:11]:
                         got = inner_product(f, g_, corr).coeff
-                        assert _bits(got) == _bits(oracle_inner_product(f, g_, corr)), name
+                        want = oracle_inner_product(f, g_, corr)
+                        assert _bits(coeff_dict(got)) == _bits(coeff_dict(want)), name
 
     def test_tensor_basis_gram(self, instances):
         from gcorr.cstar import tensor_basis_gram
@@ -584,26 +590,101 @@ class TestFloatViewsBitForBit:
             assert _bits(got) == _bits(oracle_tensor_basis_gram(corr_x, corr_y, res, zs)), name
 
 
+def chain_sweep(corr_x, corr_y, res):
+    """The basis intertwining sweep through the operations, as first
+    written: (worst deviation, its first (arrow, z), check count)."""
+    g1, fp = corr_x.left, res.fp
+    worst, witness, checks = 0.0, None, 0
+    for a1 in range(g1.n_arrows):
+        phi = delta_arrow(g1, a1)
+        for z, (x, y) in enumerate(fp.pairs):
+            if corr_x.space.left.momentum[x] != g1.src[a1]:
+                continue
+            checks += 1
+            fx, gy = delta_point(corr_x, x), delta_point(corr_y, y)
+            lhs = lambda_prime(left_action(phi, fx, corr_x), gy, res).coeff.tolist()
+            rhs = left_action(phi, lambda_prime(fx, gy, res), res.composite).coeff.tolist()
+            d = max(map(crdev, lhs, rhs), default=0.0)
+            if d > worst:
+                worst, witness = d, (a1, z)
+    return worst, witness, checks
+
+
 class TestIntertwiningSweep:
-    def test_basis_images_once_per_z(self, monkeypatch):
+    def test_table_read_sweep_equals_operation_chain(self):
+        """The basis intertwining sweep reads the tables (the lemma of
+        `verify_theorem`) and gives the chain's deviation bit for bit."""
+        pairs = [catalog.example_pair(name)[:2] for name in catalog.EXAMPLE_NAMES]
+        pairs += [random_pair(i, **MIX_CAPS) for i in (3, 9, 19, 24)]
+        pairs += [tuple(scaled_family(c, 10**9, exact=False) for c in p) for p in pairs]
+        nonzero = 0
+        for corr_x, corr_y in pairs:
+            res = compose(corr_x, corr_y)
+            gram = verify_theorem(corr_x, corr_y, res, trials=0, seed=0, tol=0.0)
+            worst, witness, checks = chain_sweep(corr_x, corr_y, res)
+            assert gram.intertwining_checks == checks
+            assert gram.intertwining_max_dev.hex() == worst.hex()
+            if witness is not None:
+                a1, z = witness
+                want = f"({corr_x.left.arrow_ids[a1]}) on ({res.fp.point_ids[z]})"
+                assert gram.intertwining_witness == want
+            nonzero += worst > 0
+        assert nonzero  # some pair rounds, so the comparison reads bits
+
+    def test_operation_calls_do_not_grow_with_z_or_trials(self, monkeypatch):
+        """The basis sweep reads the tables and the trials run as stacked
+        rows, so one certificate makes the same operation calls on ladder
+        n = 4 and n = 8, with 20 and with 200 trials."""
         import gcorr.cstar as cstar
 
         corr_x, corr_y, _ = catalog.example_pair("induction-finite")
         res = compose(corr_x, corr_y)
-        calls = []
-        original = cstar.lambda_prime
-
-        def counting(f, g_el, result):
-            calls.append(1)
-            return original(f, g_el, result)
-
-        monkeypatch.setattr(cstar, "lambda_prime", counting)
         gram = verify_theorem(corr_x, corr_y, res, trials=0, seed=0)
-        n_z = len(res.fp.pairs)
-        n_off = min(3, corr_x.space.n_points * corr_y.space.n_points - n_z)
-        assert gram.intertwining_checks > n_z  # several arrows act on each z
-        # one image per z, one left-hand side per check, one per off-product probe
-        assert len(calls) == n_z + gram.intertwining_checks + n_off
+        assert gram.intertwining_checks > len(res.fp.pairs)  # several arrows act on each z
+
+        ops = ("left_action", "lambda_prime", "inner_product", "tensor_inner_product")
+        counts = {}
+        for n in (4, 8):
+            corr_x, corr_y = ladder_pair(n)
+            res = compose(corr_x, corr_y)
+            for trials in (20, 200):
+                calls = Counter()
+                with monkeypatch.context() as m:
+                    for op in ops:
+                        original = getattr(cstar, op)
+
+                        def counting(*args, _op=op, _original=original):
+                            calls[_op] += 1
+                            return _original(*args)
+
+                        m.setattr(cstar, op, counting)
+                    gram = verify_theorem(corr_x, corr_y, res, trials=trials, seed=0)
+                assert gram.passed
+                counts[(n, trials)] = dict(calls)
+        assert all(counts[(4, 20)][op] > 0 for op in ops)
+        assert all(c == counts[(4, 20)] for c in counts.values()), counts
+
+
+class TestRandomTrials:
+    def test_negative_trials_rejected(self):
+        corr_x, corr_y, _ = catalog.example_pair("quiver")
+        with pytest.raises(ValueError, match="trials"):
+            verify_theorem(corr_x, corr_y, compose(corr_x, corr_y), trials=-1)
+
+    def test_planted_inner_product_error_needs_the_trials(self, monkeypatch):
+        """An error in one entry of the composite's inner-product table is
+        invisible to the basis sweep, which reads ell and μ, and is caught
+        by the random trials."""
+        corr_x, corr_y, _ = catalog.example_pair("induction-finite")
+        res = compose(corr_x, corr_y)
+        table = res.composite.inner_product_table
+        pre = table.pre.copy()
+        pre[0] *= 2.0
+        monkeypatch.setitem(vars(res.composite), "inner_product_table", table._replace(pre=pre))
+        gram = verify_theorem(corr_x, corr_y, res, trials=20, seed=0)
+        assert not gram.isometry_ok
+        assert gram.isometry_witness.startswith("random tensor pair (trial ")
+        assert verify_theorem(corr_x, corr_y, res, trials=0, seed=0).isometry_ok
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +730,16 @@ class TestRelativeDeviations:
         assert gram.isometry_witness is not None and gram.isometry_witness.startswith("basis")
 
     def test_nan_entry_is_not_dropped(self):
-        from gcorr.cstar import _dict_dev
+        from gcorr.cstar import _max_dev
 
-        assert _dict_dev({0: math.nan}, {0: 0j}) == math.inf
-        assert _dict_dev({0: 0j}, {1: complex(0, math.nan)}) == math.inf
-        assert _dict_dev({0: 0.5 + 0j}, {0: 0.25 + 0j}) == 0.25  # magnitudes ≤ 1: absolute
-        assert _dict_dev({0: 4e6 + 0j}, {0: 4e6 - 4 + 0j}) == pytest.approx(1e-6, rel=1e-12)
+        def dev(a: dict, b: dict) -> float:
+            n = 1 + max(a.keys() | b.keys())
+            return _max_dev(coeff_array(a, n), coeff_array(b, n))
+
+        assert dev({0: math.nan}, {0: 0j}) == math.inf
+        assert dev({0: 0j}, {1: complex(0, math.nan)}) == math.inf
+        assert dev({0: 0.5 + 0j}, {0: 0.25 + 0j}) == 0.25  # magnitudes ≤ 1: absolute
+        assert dev({0: 4e6 + 0j}, {0: 4e6 - 4 + 0j}) == pytest.approx(1e-6, rel=1e-12)
 
 
 class TestRelativePositivity:

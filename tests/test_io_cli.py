@@ -177,6 +177,14 @@ class TestCliValidate:
         assert doc["passed"] is True
         assert all("name" in c for c in doc["checks"])
 
+    def test_json_reports_the_properness_note(self, fn_files, capsys):
+        x, _ = fn_files
+        assert cli.main(["validate", str(x), "--json"]) == 0
+        notes = json.loads(capsys.readouterr().out)["notes"]
+        names = [k[: -len(".scalar_mode")] for k in notes if k.endswith(".scalar_mode")]
+        assert names
+        assert all(f"{name}.properness_max_fibre" in notes for name in names)
+
 
 class TestCliCompose:
     def test_writes_composite_and_report(self, fn_files, tmp_path, capsys):
@@ -267,6 +275,17 @@ class TestCliVerify:
         tweaked = tmp_path / "tweak.json"
         tweaked.write_text(json.dumps(doc))
         assert cli.main(["verify", str(x), str(tweaked), "--trials", "5"]) == 0
+
+    def test_negative_trials_exit_one_before_reading_the_inputs(self, fn_files, tmp_path, capsys):
+        x, y = fn_files
+        assert cli.main(["verify", str(x), str(y), "--trials", "0"]) == 0
+        assert "+ 0 random" in capsys.readouterr().out
+        assert cli.main(["verify", str(x), str(y), "--trials", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err and captured.out == ""
+        missing = tmp_path / "missing.json"
+        assert cli.main(["verify", str(missing), str(missing), "--trials", "-1"]) == 1
+        assert "--trials" in capsys.readouterr().err
 
     def test_breach_exits_three(self, tmp_path, capsys):
         # a float-mode instance cannot meet an impossible tolerance
