@@ -1,13 +1,17 @@
 """Command-line front end: validate / compose / verify / example / random.
 
-Exit codes: 0 ok, 1 parse or validation failure, 2 composition failure,
-3 theorem tolerance breach.
+Exit codes: 0 ok, 1 parse or validation failure (and a bad `--tol` or
+`--trials`), 2 composition failure, 3 theorem tolerance breach, or a
+certificate that cannot run because a weight has no positive finite
+float (one line on stderr naming it).  `--tol` must be a finite number
+of at least 0; any other value is rejected before an input is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -138,10 +142,14 @@ def cmd_verify(args) -> int:
         stage = getattr(exc, "stage", "input")
         print(f"composition failed at {stage}: {exc}", file=sys.stderr)
         return EXIT_COMPOSITION
-    gram = cstar.verify_theorem(
-        corr_x, corr_y, result,
-        trials=args.trials, seed=args.seed, tol=args.tol,
-    )
+    try:
+        gram = cstar.verify_theorem(
+            corr_x, corr_y, result,
+            trials=args.trials, seed=args.seed, tol=args.tol,
+        )
+    except GcorrError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_THEOREM
     _emit(gram.report(), args.json)
     return EXIT_OK if gram.passed else EXIT_THEOREM
 
@@ -184,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance, finite and at least 0")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("validate", help="check one instance file")
@@ -223,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tol = getattr(args, "tol", 0.0)
+    if not 0.0 <= tol < math.inf:
+        print(f"bad --tol {tol}; expected a finite tolerance of at least 0", file=sys.stderr)
+        return EXIT_VALIDATION
     return args.fn(args)
 
 

@@ -263,6 +263,13 @@ def coboundary_residual(c: Cocycle1, b: Cochain0) -> float:
     return c._splits[b][0]
 
 
+def coboundary_witness(c: Cocycle1, b: Cochain0) -> Optional[str]:
+    """The first arrow attaining `coboundary_residual(c, b)` (None if 0),
+    read from the same cache."""
+    coboundary_residual(c, b)
+    return c._splits[b][1]
+
+
 def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     """Positive b with b∘src / b∘dst = delta: the p-average of delta⁻¹,
     b(u) = Σ_{γ∈G^u} p(γ)·delta(γ)⁻¹, exact on rational data.
@@ -285,5 +292,5 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     b = Cochain0(g, vals, MULTIPLICATIVE)
     res = coboundary_residual(delta, b)
     if res > (0.0 if all_exact(delta.value) and all_exact(vals) else 1e-9):
-        raise NotACocycle((delta._splits[b][1],), res)
+        raise NotACocycle((coboundary_witness(delta, b),), res)
     return b

@@ -31,7 +31,7 @@ from .groupoids import (
 )
 from .measures import HaarSystem, MeasureFamily, counting_haar, invariance_residual
 from .report import Report
-from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, rdev
+from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, rdev, to_float
 
 
 class NotWellDefined(GcorrError):
@@ -71,7 +71,7 @@ class Correspondence:
     def sqrt_adjoining(self) -> dict[tuple[int, int], float]:
         """(arrow, point) -> √Δ as a float, keyed like `left_tg_index`."""
         value = self.adjoining.value
-        return {key: math.sqrt(float(value[k])) for key, k in self.left_tg_index.items()}
+        return {key: math.sqrt(to_float(value[k])) for key, k in self.left_tg_index.items()}
 
     @cached_property
     def left_action_table(self) -> IndexTable:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
-from .util import GcorrError, IndexTable, Scalar, adev, all_exact, ksum, rdev
+from .util import GcorrError, IndexTable, Scalar, adev, all_exact, ksum, rdev, to_float
 
 
 class NotHaar(GcorrError):
@@ -64,7 +64,7 @@ class MeasureFamily:
     @cached_property
     def float_weight(self) -> tuple[float, ...]:
         """The weights as floats, converted once for the float-side readers."""
-        return tuple(float(w) for w in self.weight)
+        return tuple(to_float(w) for w in self.weight)
 
     def mass(self, b: int) -> Scalar:
         return ksum(self.weight[t] for t in self.fibres[b])
@@ -263,11 +263,17 @@ def push_down(m: Sequence[Scalar], e: Sequence[Scalar], orbits: OrbitSpace) -> t
 
 def disintegration_residual(
     mu: Sequence[Scalar], ql: Sequence[Scalar], m: Sequence[Scalar], orbits: OrbitSpace
-) -> float:
+) -> tuple[float, Optional[int]]:
     """Worst `rdev` of m(v) from μ(π v)·ql(v): how far μ∘[λ] is from m,
-    where ql is the quotient family along π."""
+    where ql is the quotient family along π; and the first point v
+    attaining it (None if 0)."""
     proj = orbits.proj
-    return max((rdev(m[v], mu[proj[v]] * ql[v]) for v in range(len(m))), default=0.0)
+    worst, witness = 0.0, None
+    for v in range(len(m)):
+        d = rdev(m[v], mu[proj[v]] * ql[v])
+        if d > worst:
+            worst, witness = d, v
+    return worst, witness
 
 
 def invariance_residual(action: GSpaceAction, values: Sequence[Scalar]) -> tuple[float, Optional[str]]:
@@ -310,7 +316,7 @@ def push_measure_down(
         raise ValueError("cutoff is not normalized on every fibre")
     mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, push_down(m.weight, e, orbits))
     ql = quotient_family(haar, orbits)
-    worst = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
+    worst, _ = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
     if worst > (0.0 if mu.exact and ql.exact and m.exact else tol):
         raise NotInvariant(worst, "push-down failed to disintegrate m")
     return mu

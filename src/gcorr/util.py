@@ -124,6 +124,24 @@ class IndexTable(NamedTuple):
     post: Optional[np.ndarray] = None
 
 
+def to_float(x: Scalar) -> float:
+    """A weight as a float for the float-side readers (the certificate's
+    tables).  Raises GcorrError, naming the value, unless that float is
+    positive and finite: an exact weight beyond the float range, or so
+    small that it rounds to 0, has no float to certify with."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not 0.0 < f < math.inf:
+        text = str(x)
+        if len(text) > 40 and is_exact(x) and x > 0:
+            x = Fraction(x)
+            text = f"≈ 10^{math.log10(x.numerator) - math.log10(x.denominator):.1f}"
+        raise GcorrError(f"weight {text} is not a positive finite float")
+    return f
+
+
 def parse_scalar(raw) -> Scalar:
     """Parse a weight from interchange form.
 

@@ -299,6 +299,80 @@ class TestCliVerify:
         assert "FAIL" in out
 
 
+def _write_y_family(y_path, target, weights):
+    """The induction-finite y file with family `weights` (point -> Fraction)
+    and the adjoining cocycle Δ(a, x) = λ(x)/λ(a·x) that makes it valid."""
+    doc = json.loads(y_path.read_text())
+    corr = doc["correspondences"][0]
+    image = {(a, x): ax for a, x, ax in corr["space"]["left_action"]}
+    corr["family"] = {p: str(w) for p, w in weights.items()}
+    corr["adjoining"] = [[a, x, str(weights[x] / weights[image[(a, x)]])] for a, x, _ in corr["adjoining"]]
+    target.write_text(json.dumps(doc))
+    return target
+
+
+class TestWeightsOutsideTheFloatRange:
+    """Valid exact weights whose float is 0 or ∞ pass `validate` and
+    `compose`; `verify` then cannot build its float tables and exits 3
+    with one line naming the value, not with a traceback."""
+
+    @pytest.mark.parametrize("weights, named", [
+        ({"g0": F(1), "g2": F(10) ** 400}, "10^400.0"),
+        ({"g0": F(1), "g2": F(1, 10**400)}, "10^-400.0"),
+        ({"g0": F(1, 10**200), "g2": F(10) ** 200}, "10^-400.0"),
+    ], ids=["huge", "tiny", "huge-beside-tiny"])
+    def test_verify_exits_three_naming_the_value(self, weights, named, tmp_path, capsys):
+        assert cli.main(["example", "induction-finite", str(tmp_path / "ind")]) == 0
+        x = tmp_path / "ind.x.json"
+        y = _write_y_family(tmp_path / "ind.y.json", tmp_path / "huge.y.json", weights)
+        assert cli.main(["validate", str(y)]) == 0
+        assert cli.main(["compose", str(x), str(y), str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", str(x), str(y), "--trials", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"certificate failed: weight ≈ {named} is not a positive finite float"
+
+
+class TestBadTolerance:
+    """A `--tol` that is not a finite number of at least 0 is rejected by
+    every command that takes one, before any input is read."""
+
+    @pytest.fixture
+    def broken_y(self, tmp_path):
+        """A y file whose float family breaks adjoining_identity."""
+        assert cli.main(["example", "induction-finite", str(tmp_path / "ind")]) == 0
+        doc = json.loads((tmp_path / "ind.y.json").read_text())
+        doc["correspondences"][0]["family"]["g2"] = 3.5
+        target = tmp_path / "broken.y.json"
+        target.write_text(json.dumps(doc))
+        return tmp_path / "ind.x.json", target
+
+    def test_infinite_tolerance_no_longer_passes_a_broken_file(self, broken_y, tmp_path, capsys):
+        x, y = broken_y
+        assert cli.main(["validate", str(y)]) == 1  # premise: broken at the default
+        for argv in (["validate", str(y)], ["compose", str(x), str(y), str(tmp_path / "out.json")]):
+            capsys.readouterr()
+            assert cli.main([*argv, "--tol", "inf"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("bad --tol inf")
+
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "-inf"])
+    @pytest.mark.parametrize("command", ["validate", "compose", "verify"])
+    def test_rejected_before_reading_the_inputs(self, command, tol, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = {
+            "validate": ["validate", missing],
+            "compose": ["compose", missing, missing, str(tmp_path / "out.json")],
+            "verify": ["verify", missing, missing],
+        }[command]
+        assert cli.main([*argv, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad --tol ") and len(captured.err.splitlines()) == 1
+
+
 class TestCliRejectsBadInputs:
     @pytest.fixture
     def ind_files(self, tmp_path):
@@ -604,10 +678,11 @@ class TestEachStructureIsSweptOnce:
     }  # function -> defining module
     PAIRS = {"ladder-3": lambda: ladder_pair(3), "random-3": lambda: random_pair(3)}
     # objects swept per run: those parsed (the ladder's x file holds its one
-    # group once, as both sides), then Ω's two actions and its bispace
+    # group once, as both sides); Z's and Ω's actions are built by lemma,
+    # with no sweep
     SWEPT = {
-        "ladder-3": {"groupoid_violations": 3, "check_haar": 3, "action_violations": 6, "bispace_violations": 3},
-        "random-3": {"groupoid_violations": 4, "check_haar": 4, "action_violations": 6, "bispace_violations": 3},
+        "ladder-3": {"groupoid_violations": 3, "check_haar": 3, "action_violations": 4, "bispace_violations": 2},
+        "random-3": {"groupoid_violations": 4, "check_haar": 4, "action_violations": 4, "bispace_violations": 2},
     }
 
     @pytest.mark.parametrize("command", ["compose", "verify"])

@@ -1,13 +1,16 @@
-"""Transport and leg certificates of `compose` against the sweeps they replace.
+"""Lemma-built structure and leg certificates of `compose` against the
+sweeps they replace.
 
-`compose` certifies the structure it pulls back from its inputs (the Z
-action tables and the Haar system χ on Z⋊G₂) by O(arrows) transport
-identities instead of sweeping the composable pairs of Z⋊G₂, and it
-computes b, the cutoff, λ_π, the symmetry of b·m and Δ₁₂ on one leg of Z
-instead of on the arrows of Z⋊G₂.  The former sweeps live here as
-oracles: wherever `compose` passes, the oracles must pass too and agree
-with its values and report lines, and a tampered entry of each
-transported table must fail its stage or line, naming the entry.
+`compose` builds the structure it pulls back from its inputs by lemma,
+with no run-time check: the Z action tables are the product of the X and
+Y tables, the Haar system χ on Z⋊G₂ is α₂ arrow by arrow, δ_Z is read
+off Δ₂, and Ω's outer actions descend from Z's.  It computes b, the
+cutoff, λ_π, the symmetry of b·m and Δ₁₂ on one leg of Z instead of on
+the arrows of Z⋊G₂.  The checks and sweeps that the lemmas replace live
+here as oracles: wherever `compose` passes, the oracles must pass too and
+agree with its values and report lines.  A tampered entry of each table
+that `compose` still certifies must fail its stage or line, naming the
+entry.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from gcorr.cohomology import (
 from gcorr.composition import CompositionStageError, compose
 from gcorr.groupoids import ActionComposition, GSpaceAction, action_violations, bispace_violations
 from gcorr.measures import (
-    HaarSystem,
     check_haar,
     default_cutoff,
     disintegration_residual,
@@ -83,15 +85,39 @@ def _line(report, name):
     return line
 
 
+def assert_z_is_the_leg_product(res):
+    """The former `check_z_product`: r_Z(x, y) = r_X(x), s_Z(x, y) = s_Y(y),
+    and a·(x, y) = (a·x, y), (x, y)·c = (x, y·c) on exactly the composable
+    pairs of Z's outer actions."""
+    x_left, y_right = res.corr_x.space.left, res.corr_y.space.right
+    left, right, pairs = res.z_bispace.left, res.z_bispace.right, res.fp.pairs
+    assert left.momentum == tuple(x_left.momentum[x] for x, _ in pairs)
+    assert right.momentum == tuple(y_right.momentum[y] for _, y in pairs)
+    assert left.table.keys() == set(left.pairs())
+    assert right.table.keys() == set(right.pairs())
+    for (a, z), q in left.table.items():
+        x, y = pairs[z]
+        assert pairs[q] == (x_left.table[(a, x)], y)
+    for (z, c), q in right.table.items():
+        x, y = pairs[z]
+        assert pairs[q] == (x, y_right.table[(y, c)])
+
+
 def _assert_oracles_pass(res, tol=1e-9):
-    """Every sweep that a transport check replaced passes on `res`, and no
+    """Every check and sweep that a lemma replaced passes on `res`, and no
     line reads a smaller residual than its oracle."""
     exact = all_exact(res.delta_z.value)
-    # Z's tables are built by lemma, not by `make_action`, so both action
-    # sweeps run here as well as the bispace sweep that assumes them
-    assert action_violations(res.z_bispace.left) == []
-    assert action_violations(res.z_bispace.right) == []
-    assert bispace_violations(res.z_bispace) == []
+    # Z's and Ω's tables are built by lemma, not by `make_action`, so both
+    # action sweeps run here as well as the bispace sweep that assumes them
+    assert_z_is_the_leg_product(res)
+    for space in (res.z_bispace, res.omega):
+        assert action_violations(space.left) == []
+        assert action_violations(space.right) == []
+        assert bispace_violations(space) == []
+    # the former `check_chi_pullback`: χ(z, γ) = α₂(γ) on every arrow
+    chi2 = res.corr_x.right_haar
+    assert len(res.tg_z_index) == res.tg_z.n_arrows
+    assert all(res.chi.w(k) == chi2.w(a) for (_, a), k in res.tg_z_index.items())
     assert check_haar(res.tg_z, res.chi.family).ok
     sweep = check_cocycle(res.delta_z, rel_tol=None if exact else tol)
     assert sweep.ok
@@ -106,7 +132,7 @@ def test_oracles_pass_where_transport_passes(name):
     _assert_oracles_pass(compose(*_pair(name)))
 
 
-@pytest.mark.parametrize("name", [f"mix-{i}" for i in range(0, 40, 5)] + ["induction-finite"])
+@pytest.mark.parametrize("name", NAMES)
 def test_oracles_pass_on_float_input(name):
     corr_x, corr_y = _pair(name)
     res = compose(scaled_family(corr_x, 1, exact=False), scaled_family(corr_y, 1, exact=False))
@@ -151,7 +177,7 @@ def test_compose_never_reads_the_middle_composition(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tampered transported tables
+# tampered intermediates: each fails the stage or line that reads it
 
 
 def _wrap(monkeypatch, name, tamper):
@@ -159,51 +185,10 @@ def _wrap(monkeypatch, name, tamper):
     monkeypatch.setattr(composition, name, lambda *args: tamper(original(*args)))
 
 
-def _moving_key(table, fixed):
-    """The first key of an action table that does not fix its point."""
-    return next(key for key, q in table.items() if q != fixed(key))
-
-
 @pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
-def test_tampered_z_left_table_fails_its_stage(monkeypatch, name):
-    seen = {}
-
-    def tamper(z_bispace):
-        table = dict(z_bispace.left.table)
-        a, z = _moving_key(table, lambda key: key[1])
-        table[(a, z)] = z  # a now fixes z
-        seen["witness"] = f"({z_bispace.left.groupoid.arrow_ids[a]}, {z_bispace.point_ids[z]})"
-        return dataclasses.replace(z_bispace, left=dataclasses.replace(z_bispace.left, table=table))
-
-    _wrap(monkeypatch, "build_z_bispace", tamper)
-    with pytest.raises(CompositionStageError) as info:
-        compose(*_pair(name))
-    assert info.value.stage == "z_bispace"
-    assert f"NotAProduct at {seen['witness']}" in str(info.value)
-
-
-@pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
-def test_tampered_chi_weight_fails_its_stage(monkeypatch, name):
-    seen = {}
-
-    def tamper(built):
-        tg, idx, chi = built
-        weights = list(chi.family.weight)
-        k = tg.n_arrows // 2
-        weights[k] *= 2
-        seen["witness"] = (tg.arrow_ids[k],)
-        family = dataclasses.replace(chi.family, weight=tuple(weights))
-        return tg, idx, HaarSystem(tg, family)
-
-    _wrap(monkeypatch, "build_middle_groupoid", tamper)
-    with pytest.raises(CompositionStageError) as info:
-        compose(*_pair(name))
-    assert info.value.stage == "middle_groupoid"
-    assert info.value.cause.witness == seen["witness"]
-
-
-@pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
-def test_tampered_delta_z_value_fails_its_line(monkeypatch, name):
+def test_tampered_delta_z_value_fails_build_b(monkeypatch, name):
+    """δ_Y off Δ₂ at one arrow: B, the p-average of δ_Y⁻¹, no longer splits
+    it, and the split guard of `build_b` names that arrow."""
     seen = {}
 
     def tamper(delta_z):
@@ -216,9 +201,8 @@ def test_tampered_delta_z_value_fails_its_line(monkeypatch, name):
     _wrap(monkeypatch, "build_delta_z", tamper)
     with pytest.raises(CompositionStageError) as info:
         compose(*_pair(name))
-    line = _line(info.value.report, "delta_z_cocycle")
-    assert not line.passed and line.residual > 0
-    assert line.witness == seen["witness"]
+    assert info.value.stage == "build_b"
+    assert info.value.cause.witness == (seen["witness"],)
 
 
 @pytest.mark.parametrize("name", ["ladder-5", "mix-3"])
@@ -278,16 +262,64 @@ def test_override_off_one_orbit_names_an_arrow_into_a_representative():
     assert line.witness == f"({res.fp.point_ids[rep]};{corr_x.right.arrow_ids[a]})"
 
 
-def test_product_check_names_a_tampered_right_table_entry():
+def test_ratio_off_one_member_names_that_point(monkeypatch):
+    """With the split line forced to pass, an override off one orbit member
+    fails override_b_ratio_orbit_constant, naming that member."""
     corr_x, corr_y = _pair("ladder-5")
     res = compose(corr_x, corr_y)
-    table = dict(res.z_bispace.right.table)
-    (z, c) = key = next(iter(table))
-    table[key] = (table[key] + 1) % len(res.fp.pairs)
-    right = dataclasses.replace(res.z_bispace.right, table=table)
-    with pytest.raises(composition.GroupoidAxiomError) as info:
-        composition.check_z_product(corr_x, corr_y, res.fp, dataclasses.replace(res.z_bispace, right=right))
-    assert f"NotAProduct at ({res.fp.point_ids[z]}, {corr_y.right.arrow_ids[c]})" in str(info.value)
+    z = res.orbits.members[0][1]  # not the representative
+    bad = list(res.b.value)
+    bad[z] *= 3
+    monkeypatch.setattr(composition, "override_split_residual", lambda *args: (0.0, None))
+    with pytest.raises(CompositionStageError) as info:
+        compose(corr_x, corr_y, b_values=bad)
+    line = _line(info.value.report, "override_b_ratio_orbit_constant")
+    assert not line.passed and line.residual > 0
+    assert line.witness == res.fp.point_ids[z]
+
+
+@pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
+def test_tampered_b_names_an_arrow_at_its_unit(monkeypatch, name):
+    """B doubled at one unit of G₂⋉Y: b_ratio_relation names an arrow of
+    G₂⋉Y into or out of that unit."""
+    corr_x, corr_y = _pair(name)
+    tg = corr_y.left_tg
+    u = next(tg.src[a] for a in range(tg.n_arrows) if tg.src[a] != tg.dst[a])
+
+    def tamper(b):
+        values = list(b.value)
+        values[u] *= 2
+        return dataclasses.replace(b, value=tuple(values))
+
+    _wrap(monkeypatch, "build_b", tamper)
+    with pytest.raises(CompositionStageError) as info:
+        compose(corr_x, corr_y)
+    line = _line(info.value.report, "b_ratio_relation")
+    assert not line.passed and line.residual > 0
+    touching = {tg.arrow_ids[a] for a in range(tg.n_arrows) if u in (tg.src[a], tg.dst[a]) and tg.src[a] != tg.dst[a]}
+    assert line.witness in touching
+
+
+@pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
+def test_tampered_mu_names_a_member_of_its_orbit(monkeypatch, name):
+    """μ doubled on one orbit: mu_disintegration names a point of Z in
+    that orbit."""
+    original = composition.push_down
+    corr_x, corr_y = _pair(name)
+    res = compose(corr_x, corr_y)
+    o = res.orbits.n_orbits // 2
+
+    def tamper(m, e, orbits):
+        weight = list(original(m, e, orbits))
+        weight[o] *= 2
+        return tuple(weight)
+
+    monkeypatch.setattr(composition, "push_down", tamper)
+    with pytest.raises(CompositionStageError) as info:
+        compose(corr_x, corr_y)
+    line = _line(info.value.report, "mu_disintegration")
+    assert not line.passed and line.residual > 0
+    assert line.witness in {res.fp.point_ids[z] for z in res.orbits.members[o]}
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +393,7 @@ def oracle_lines(res, tol=1e-9):
         "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res)),
         "b_left_invariance": invariance_residual(res.z_bispace.left, b)[0],
         "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
-        "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits),
+        "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits)[0],
         "delta12_well_defined": wd,
     }
     symmetric = is_symmetric(unit_measure(res.tg_z, bm), res.chi, tol).symmetric

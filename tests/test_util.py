@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gcorr.util import adev, is_exact, parse_scalar, rdev
+from gcorr.util import GcorrError, adev, is_exact, parse_scalar, rdev, to_float
 
 
 def old_adev(a, b) -> float:
@@ -110,3 +111,18 @@ def test_deviation_beyond_the_float_range_is_never_zero(dev, a, b, expected):
     """An unequal pair reads a positive deviation even where its float
     underflows (the smallest subnormal) or overflows (∞)."""
     assert dev(a, b) == dev(b, a) == expected
+
+
+class TestToFloat:
+    def test_positive_finite_values_convert(self):
+        assert to_float(F(3, 4)) == 0.75 and to_float(2) == 2.0 and to_float(1e-310) == 1e-310
+
+    @pytest.mark.parametrize("value, named", [
+        (F(10) ** 400, "≈ 10^400.0"),
+        (F(1, 10**400), "≈ 10^-400.0"),
+        (F(0), "0"),
+        (-1.5, "-1.5"),
+    ], ids=["overflow", "underflow", "zero", "negative"])
+    def test_values_without_a_positive_finite_float_are_named(self, value, named):
+        with pytest.raises(GcorrError, match=f"^weight {re.escape(named)} is not a positive finite float$"):
+            to_float(value)
