@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
@@ -110,9 +110,39 @@ def _ratios(values: Sequence[Scalar]) -> tuple[list, list]:
     return [n for n, _ in ratios], [d for _, d in ratios]
 
 
+def _unequal_pairs(
+    c: Cocycle1, num: Sequence, den: Sequence, rows: Iterable[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The (a, b, a∘b) with a in `rows` where c(a∘b) differs from
+    c(a) + c(b) (or c(a)·c(b)) as cross-multiplied integers, in sweep
+    order."""
+    g = c.groupoid
+    comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
+    additive = c.flavor == ADDITIVE
+    for a in rows:
+        na, da = num[a], den[a]
+        for b in fibre_dst[src[a]]:
+            k = comp[(a, b)]
+            if additive:
+                equal = num[k] * da * den[b] == den[k] * (na * den[b] + num[b] * da)
+            else:
+                equal = num[k] * da * den[b] == den[k] * na * num[b]
+            if not equal:
+                yield a, b, k
+
+
 def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     """Worst `rdev` over the identities at units and the homomorphism
-    identity on all composable pairs, with the first pair attaining it."""
+    identity on all composable pairs, with the first pair attaining it.
+
+    Lemma: once c is 1 (or 0) at the units, the arrows a with
+    c(a∘b) = c(a)·c(b) exactly for every b are closed under composition,
+    by associativity: c((a∘a′)∘b) = c(a∘(a′∘b)) = c(a)·c(a′)·c(b) =
+    c(a∘a′)·c(b).  So a pass over the identities and `generators` that
+    finds no unequal pair proves the sweep 0; only otherwise does the full
+    sweep run.  The test is exact on floats too, and a non-finite value is
+    unequal to everything, so it is found at its own identity row.
+    """
     g = c.groupoid
     value = c.value
     additive = c.flavor == ADDITIVE
@@ -125,21 +155,14 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
         if d > worst:
             worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
 
-    comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
     num, den = _ratios(value)
-    for a in range(g.n_arrows):
-        na, da = num[a], den[a]
-        for b in fibre_dst[src[a]]:
-            k = comp[(a, b)]
-            if additive:
-                equal = num[k] * da * den[b] == den[k] * (na * den[b] + num[b] * da)
-            else:
-                equal = num[k] * da * den[b] == den[k] * na * num[b]
-            if not equal:
-                rhs = value[a] + value[b] if additive else value[a] * value[b]
-                d = rdev(value[k], rhs)
-                if d > worst:
-                    worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+    if not worst and not any(_unequal_pairs(c, num, den, g.unit_arrow + g.generators)):
+        return worst, witness
+    for a, b, k in _unequal_pairs(c, num, den, range(g.n_arrows)):
+        rhs = value[a] + value[b] if additive else value[a] * value[b]
+        d = rdev(value[k], rhs)
+        if d > worst:
+            worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
     return worst, witness
 
 

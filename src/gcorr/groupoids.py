@@ -77,6 +77,32 @@ class FiniteGroupoid:
             out[u].append(a)
         return tuple(tuple(f) for f in out)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set S, in the order found: every arrow is a right
+        product e∘s₁∘…∘s_k of an identity e with arrows s_i of S.
+
+        S holds a spanning tree of each component with the inverse of each
+        tree arrow.  A closure pass by right products from the identities
+        then certifies S, and each arrow it misses joins S, in index order.
+        Once the tree is in, what S reaches of a component is a subgroupoid
+        fixed by its isotropy group at the tree's root, and each arrow that
+        joins at least doubles that group.  So the pass adds a greedy
+        generating set of the isotropy, at most ⌈log₂|isotropy|⌉ arrows; on
+        a table that is not associative it still ends with every arrow
+        reached.  An action groupoid lifts the acting groupoid's S instead,
+        by lemma (`ActionComposition.generators`).
+
+        Read it only once the linear checks of `groupoid_violations` hold:
+        every composable pair has a composite with the right endpoints, and
+        the unit laws hold.  The axiom sweeps run over S first: each
+        identity they check holds on a set of arrows closed under
+        composition, so a pass over S that finds nothing proves the sweep.
+        """
+        if isinstance(self.comp, ActionComposition):
+            return self.comp.generators()
+        return _generators(self)
+
     def composable_pairs(self) -> Iterator[tuple[int, int]]:
         """All (a, b) with src(a) == dst(b), i.e. a∘b defined."""
         for a in range(self.n_arrows):
@@ -119,8 +145,68 @@ class FiniteGroupoid:
         return f"FiniteGroupoid({self.n_units} units, {self.n_arrows} arrows)"
 
 
+def _generators(g: FiniteGroupoid) -> tuple[int, ...]:
+    """`FiniteGroupoid.generators` by closure: O(|S|·arrows) lookups."""
+    comp, src, dst = g.comp, g.src, g.dst
+    gens: list[int] = []
+    at_dst: list[list[int]] = [[] for _ in range(g.n_units)]  # S by dst
+    reached = bytearray(g.n_arrows)
+
+    def reach(todo: list[int]) -> None:
+        while todo:
+            a = todo.pop()
+            if not reached[a]:
+                reached[a] = 1
+                todo.extend(comp[(a, s)] for s in at_dst[src[a]])
+
+    def add(s: int) -> None:
+        gens.append(s)
+        at_dst[dst[s]].append(s)
+        reach([comp[(r, s)] for r in g.fibre_src[dst[s]] if reached[r]])
+
+    seen = bytearray(g.n_units)
+    for base in range(g.n_units):
+        if seen[base]:
+            continue
+        seen[base] = 1
+        tree = [base]
+        for u in tree:  # breadth-first spanning tree of the component
+            for a in g.fibre_src[u]:
+                if not seen[dst[a]]:
+                    seen[dst[a]] = 1
+                    tree.append(dst[a])
+                    add(a)
+                    add(g.inv[a])
+    reach(list(g.unit_arrow))
+    for a in range(g.n_arrows):  # e∘a = a, so adding a reaches it
+        if not reached[a]:
+            add(a)
+    return tuple(gens)
+
+
+def _non_associative(g: FiniteGroupoid, rows: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The triples (a, b, c) with a in `rows` and (a∘b)∘c != a∘(b∘c), in
+    sweep order."""
+    comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
+    for a in rows:
+        for b in fibre_dst[src[a]]:
+            ab = comp[(a, b)]
+            for c in fibre_dst[src[b]]:
+                if comp[(ab, c)] != comp[(a, comp[(b, c)])]:
+                    yield a, b, c
+
+
 def groupoid_violations(g: FiniteGroupoid) -> list[Violation]:
-    """Exhaustively check the groupoid axioms, returning every violation."""
+    """Check the groupoid axioms, returning every violation.
+
+    Associativity is Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups*, Vol. I, §1.2): the arrows a with (a∘b)∘c =
+    a∘(b∘c) for all composable b, c are closed under composition, since
+    ((a∘a′)∘b)∘c = (a∘(a′∘b))∘c = a∘((a′∘b)∘c) = a∘(a′∘(b∘c)) =
+    (a∘a′)∘(b∘c), and hold the identities by the unit laws.  So once the
+    linear checks pass, a pass with a in `generators` that finds nothing
+    proves associativity; otherwise the full sweep lists the violations.
+    """
     out: list[Violation] = []
     n_u, n_a = g.n_units, g.n_arrows
     ids = g.arrow_ids
@@ -168,11 +254,11 @@ def groupoid_violations(g: FiniteGroupoid) -> list[Violation]:
         if g.comp[(ai, a)] != g.unit_arrow[g.src[a]] or g.comp[(a, ai)] != g.unit_arrow[g.dst[a]]:
             out.append(Violation("BadInverse", "a⁻¹∘a or a∘a⁻¹ is not an identity", (ids[a],)))
 
-    for a, b in g.composable_pairs():
-        ab = g.comp[(a, b)]
-        for c in g.fibre_dst[g.src[b]]:
-            if g.comp[(ab, c)] != g.comp[(a, g.comp[(b, c)])]:
-                out.append(Violation("NonAssociative", "(a∘b)∘c != a∘(b∘c)", (ids[a], ids[b], ids[c])))
+    if out or any(_non_associative(g, g.generators)):
+        out += [
+            Violation("NonAssociative", "(a∘b)∘c != a∘(b∘c)", (ids[a], ids[b], ids[c]))
+            for a, b, c in _non_associative(g, range(n_a))
+        ]
     return out
 
 
@@ -385,8 +471,39 @@ class GSpaceAction:
         return f"GSpaceAction({self.side}, {self.n_points} points over {self.groupoid!r})"
 
 
+def _incompatible(act: GSpaceAction, rows: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The (a, b, point) with a in `rows` where the action of a∘b differs
+    from that of a after b (left) or of a then b (right), in sweep order."""
+    g, table = act.groupoid, act.table
+    comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
+    if act.side == "left":
+        for a in rows:
+            for b in fibre_dst[src[a]]:
+                ab = comp[(a, b)]
+                for p in act.points_at[src[b]]:
+                    if table[(ab, p)] != table[(a, table[(b, p)])]:
+                        yield a, b, p
+    else:
+        for a in rows:
+            points = act.points_at[g.dst[a]]
+            for b in fibre_dst[src[a]]:
+                ab = comp[(a, b)]
+                for p in points:
+                    if table[(p, ab)] != table[(table[(p, a)], b)]:
+                        yield a, b, p
+
+
 def action_violations(act: GSpaceAction) -> list[Violation]:
-    """Check the action axioms: domain, units, compatibility, momentum."""
+    """Check the action axioms: domain, units, compatibility, momentum.
+
+    Compatibility runs over a in the groupoid's `generators` first.  The
+    arrows a with (a∘b)·x = a·(b·x) for all b and x are closed under
+    composition, by associativity: ((a∘a′)∘b)·x = a·((a′∘b)·x) =
+    a·(a′·(b·x)) = (a∘a′)·(b·x); likewise x·((a∘a′)∘b) = (x·(a∘a′))·b on
+    the right.  The unit law puts the identities in that set.  So a pass
+    over the generators that finds nothing proves compatibility; otherwise
+    the full sweep lists the violations.
+    """
     out: list[Violation] = []
     g = act.groupoid
     pids, aids = act.point_ids, g.arrow_ids
@@ -410,10 +527,7 @@ def action_violations(act: GSpaceAction) -> list[Violation]:
             e = g.unit_arrow[act.momentum[p]]
             if act.table[(e, p)] != p:
                 out.append(Violation("BadUnit", "unit arrow moves a point", (pids[p],)))
-        for a, b in g.composable_pairs():
-            for p in act.points_at[g.src[b]]:
-                if act.table[(g.comp[(a, b)], p)] != act.table[(a, act.table[(b, p)])]:
-                    out.append(Violation("NonAssociative", "(a∘b)·x != a·(b·x)", (aids[a], aids[b], pids[p])))
+        message = "(a∘b)·x != a·(b·x)"
     else:
         for p, a in needed:
             q = act.table[(p, a)]
@@ -425,10 +539,13 @@ def action_violations(act: GSpaceAction) -> list[Violation]:
             e = g.unit_arrow[act.momentum[p]]
             if act.table[(p, e)] != p:
                 out.append(Violation("BadUnit", "unit arrow moves a point", (pids[p],)))
-        for a, b in g.composable_pairs():
-            for p in act.points_at[g.dst[a]]:
-                if act.table[(p, g.comp[(a, b)])] != act.table[(act.table[(p, a)], b)]:
-                    out.append(Violation("NonAssociative", "x·(a∘b) != (x·a)·b", (pids[p], aids[a], aids[b])))
+        message = "x·(a∘b) != (x·a)·b"
+    if out or any(_incompatible(act, g.generators)):
+        left = act.side == "left"
+        out += [
+            Violation("NonAssociative", message, (aids[a], aids[b], pids[p]) if left else (pids[p], aids[a], aids[b]))
+            for a, b, p in _incompatible(act, range(g.n_arrows))
+        ]
     return out
 
 
@@ -494,10 +611,34 @@ class Bispace:
         return self.right.momentum[p]
 
 
+def _non_commuting(
+    b: Bispace, g_rows: Iterable[int], h_rows_at: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """The (γ, x, η) with γ in `g_rows`, η in `h_rows_at[s(x)]` and
+    (γ·x)·η != γ·(x·η), in sweep order."""
+    left, right = b.left, b.right
+    lt, rt, src = left.table, right.table, left.groupoid.src
+    for a in g_rows:
+        for p in left.points_at[src[a]]:
+            ap = lt[(a, p)]
+            for c in h_rows_at[right.momentum[p]]:
+                if rt[(ap, c)] != lt[(a, rt[(p, c)])]:
+                    yield a, p, c
+
+
 def bispace_violations(b: Bispace) -> list[Violation]:
     """Check what a bispace adds to its two actions: sides and point set,
     momentum compatibility and commutation.  Assumes each action passes
-    `action_violations`, as one built by `make_action` does."""
+    `action_violations`, as one built by `make_action` does.
+
+    Commutation runs over `generators` of both groupoids first.  For fixed
+    η the arrows γ with (γ·x)·η = γ·(x·η) for every x are closed under
+    composition: ((γ∘γ′)·x)·η = γ·((γ′·x)·η) = γ·(γ′·(x·η)); likewise in
+    η for fixed γ.  Identities commute with everything, because each
+    action keeps the other's momentum.  So a pass over S_G × S_H that
+    finds nothing proves commutation; otherwise the full sweep lists the
+    violations.
+    """
     out: list[Violation] = []
     if b.left.side != "left" or b.right.side != "right":
         out.append(Violation("DanglingEndpoint", "bispace sides are mislabeled"))
@@ -516,12 +657,15 @@ def bispace_violations(b: Bispace) -> list[Violation]:
             out.append(Violation("DanglingEndpoint", "right action moves the left momentum", (pids[p], b.right.groupoid.arrow_ids[c])))
     if out:  # the commutation sweep chains lookups across both actions
         return out
-    for a, p in b.left.pairs():
-        for c in b.right.groupoid.fibre_dst[b.right.momentum[p]]:
-            lhs = b.right.table[(b.left.table[(a, p)], c)]
-            rhs = b.left.table[(a, b.right.table[(p, c)])]
-            if lhs != rhs:
-                out.append(Violation("NonAssociative", "(γ·x)·η != γ·(x·η)", (b.left.groupoid.arrow_ids[a], pids[p], b.right.groupoid.arrow_ids[c])))
+    g, h = b.left.groupoid, b.right.groupoid
+    s_h_at: list[list[int]] = [[] for _ in range(h.n_units)]
+    for c in h.generators:
+        s_h_at[h.dst[c]].append(c)
+    if any(_non_commuting(b, g.generators, s_h_at)):
+        out = [
+            Violation("NonAssociative", "(γ·x)·η != γ·(x·η)", (g.arrow_ids[a], pids[p], h.arrow_ids[c]))
+            for a, p, c in _non_commuting(b, range(g.n_arrows), h.fibre_dst)
+        ]
     return out
 
 
@@ -576,6 +720,20 @@ class ActionComposition(Mapping):
             else:
                 for b in g.fibre_src[g.dst[key[0]]]:
                     yield index[(b, moved)], i
+
+    def generators(self) -> tuple[int, ...]:
+        """The arrows (s, x) of a left action, or (x, s) of a right one,
+        for s in the acting groupoid's `generators`; no closure pass.
+
+        Lemma: (γ∘η, x) = (γ, η·x)∘(η, x) and (z, γ∘η) = (z, γ)∘(z·γ, η),
+        so a right product e∘s₁∘…∘s_k in G lifts to a right product of an
+        identity with these arrows, at every point.
+        """
+        act, index = self._act, self._index
+        g = act.groupoid
+        if act.side == "right":
+            return tuple(index[(p, s)] for s in g.generators for p in act.points_at[g.dst[s]])
+        return tuple(index[(s, p)] for s in g.generators for p in act.points_at[g.src[s]])
 
     def __len__(self) -> int:
         g = self._act.groupoid
@@ -726,43 +884,3 @@ def fibre_product(x_right: GSpaceAction, y_left: GSpaceAction) -> FibreProduct:
             table[(i, a)] = index[(x_right.table[(x, a)], y_left.table[(g.inv[a], y)])]
     diag = GSpaceAction("right", g, ids, momentum, table)
     return FibreProduct(ids, pairs, index, diag)
-
-
-# ---------------------------------------------------------------------------
-# brute-force isomorphism (tiny test helper)
-
-
-def find_groupoid_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 16):
-    """Search all unit/arrow bijections; None if not isomorphic.
-
-    Deliberately naive: meant for table comparisons in tests on instances
-    with at most `max_arrows` arrows.
-    """
-    if a.n_units != b.n_units or a.n_arrows != b.n_arrows:
-        return None
-    if a.n_arrows > max_arrows:
-        raise ValueError("instance too large for the brute-force helper")
-    for uperm in itertools.permutations(range(b.n_units)):
-        grouped: list[list[int]] = []
-        ok = True
-        for x in range(a.n_arrows):
-            cands = [
-                y
-                for y in range(b.n_arrows)
-                if b.src[y] == uperm[a.src[x]] and b.dst[y] == uperm[a.dst[x]]
-            ]
-            if not cands:
-                ok = False
-                break
-            grouped.append(cands)
-        if not ok:
-            continue
-        for assign in itertools.product(*grouped):
-            if len(set(assign)) != a.n_arrows:
-                continue
-            if all(
-                b.comp.get((assign[x], assign[y])) == assign[c]
-                for (x, y), c in a.comp.items()
-            ) and all(b.inv[assign[x]] == assign[a.inv[x]] for x in range(a.n_arrows)):
-                return {"units": dict(enumerate(uperm)), "arrows": dict(enumerate(assign))}
-    return None

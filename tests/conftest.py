@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,25 @@ def z2():
 @pytest.fixture
 def z3():
     return gc.cyclic_group(3)
+
+
+class CountingMapping(Mapping):
+    """A read-only mapping that counts the reads of the one it wraps."""
+
+    def __init__(self, inner):
+        self.inner, self.reads = inner, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.inner[key]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.inner)
+
+    def __len__(self):
+        self.reads += 1
+        return len(self.inner)
 
 
 def translation_correspondence(lam=(1, 3)):

@@ -8,16 +8,52 @@ from hypothesis import strategies as st
 
 import gcorr as gc
 from gcorr.groupoids import (
+    FiniteGroupoid,
     GroupoidAxiomError,
     action_violations,
     bispace_violations,
-    find_groupoid_isomorphism,
     groupoid_violations,
     make_action,
     translation_action,
     unit_action,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_pair
+
+
+def find_groupoid_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 16):
+    """Search all unit/arrow bijections; None if not isomorphic.
+
+    Deliberately naive: meant for table comparisons in tests on instances
+    with at most `max_arrows` arrows.
+    """
+    if a.n_units != b.n_units or a.n_arrows != b.n_arrows:
+        return None
+    if a.n_arrows > max_arrows:
+        raise ValueError("instance too large for the brute-force helper")
+    for uperm in itertools.permutations(range(b.n_units)):
+        grouped: list[list[int]] = []
+        ok = True
+        for x in range(a.n_arrows):
+            cands = [
+                y
+                for y in range(b.n_arrows)
+                if b.src[y] == uperm[a.src[x]] and b.dst[y] == uperm[a.dst[x]]
+            ]
+            if not cands:
+                ok = False
+                break
+            grouped.append(cands)
+        if not ok:
+            continue
+        for assign in itertools.product(*grouped):
+            if len(set(assign)) != a.n_arrows:
+                continue
+            if all(
+                b.comp.get((assign[x], assign[y])) == assign[c]
+                for (x, y), c in a.comp.items()
+            ) and all(b.inv[assign[x]] == assign[a.inv[x]] for x in range(a.n_arrows)):
+                return {"units": dict(enumerate(uperm)), "arrows": dict(enumerate(assign))}
+    return None
 
 
 def pair_tables(units):

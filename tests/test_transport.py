@@ -16,7 +16,6 @@ entry.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +43,7 @@ from gcorr.measures import (
 )
 from gcorr.randgen import random_pair
 from gcorr.util import adev, all_exact, rdev
-from tests.conftest import MIX_CAPS, coset_ladder_pair, ladder_pair, scaled_family
+from tests.conftest import MIX_CAPS, CountingMapping, coset_ladder_pair, ladder_pair, scaled_family
 
 LADDERS = (2, 5, 8, 16)
 NAMES = (
@@ -139,25 +138,6 @@ def test_oracles_pass_on_float_input(name):
     _assert_oracles_pass(res)
 
 
-class _CountingMapping(Mapping):
-    """A read-only mapping that counts the reads of the one it wraps."""
-
-    def __init__(self, inner):
-        self.inner, self.reads = inner, 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return self.inner[key]
-
-    def __iter__(self):
-        self.reads += 1
-        return iter(self.inner)
-
-    def __len__(self):
-        self.reads += 1
-        return len(self.inner)
-
-
 def test_compose_never_reads_the_middle_composition(monkeypatch):
     """Z⋊G₂ is only ever read through its arrows: its memory is O(arrows)."""
     original = composition.transformation_groupoid
@@ -165,12 +145,12 @@ def test_compose_never_reads_the_middle_composition(monkeypatch):
     def counting(act: GSpaceAction):
         tg, idx = original(act)
         if act.side == "right":  # the diagonal action, i.e. Z⋊G₂
-            tg = dataclasses.replace(tg, comp=_CountingMapping(tg.comp))
+            tg = dataclasses.replace(tg, comp=CountingMapping(tg.comp))
         return tg, idx
 
     monkeypatch.setattr(composition, "transformation_groupoid", counting)
     res = compose(*ladder_pair(12))
-    assert isinstance(res.tg_z.comp, _CountingMapping) and res.tg_z.n_arrows == 12**3
+    assert isinstance(res.tg_z.comp, CountingMapping) and res.tg_z.n_arrows == 12**3
     assert res.tg_z.comp.reads == 0
     assert isinstance(res.tg_z.comp.inner, ActionComposition)
     assert res.tg_z.comp[(0, 0)] == 0 and res.tg_z.comp.reads == 1  # the counter counts
