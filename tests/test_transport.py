@@ -242,6 +242,22 @@ def test_override_off_one_orbit_names_an_arrow_into_a_representative():
     assert line.witness == f"({res.fp.point_ids[rep]};{corr_x.right.arrow_ids[a]})"
 
 
+def test_orbit_varying_override_composes_and_passes_every_line():
+    """b′ = ρ·b with ρ(o) = o + 1 on the orbit o splits δ_Z as b does but
+    is not G₁-invariant: `compose` accepts it, every line passes, and Δ₁₂
+    moves by ρ∘src/ρ∘dst."""
+    corr_x, corr_y = _pair("ladder-5")
+    res = compose(corr_x, corr_y)
+    b = [(res.orbits.proj[z] + 1) * v for z, v in enumerate(res.b.value)]
+    assert invariance_residual(res.z_bispace.left, b)[0] > 0  # premise: b′ moves under G₁
+    over = compose(corr_x, corr_y, b_values=b)
+    assert all(c.passed for c in over.report.checks)
+    assert "override_b_ratio_orbit_constant" in [c.name for c in over.report.checks]
+    left = over.omega.left
+    for (a, o), k in over.composite.left_tg_index.items():
+        assert over.delta12.value[k] == res.delta12.value[k] * (o + 1) / (left.table[(a, o)] + 1)
+
+
 def test_ratio_off_one_member_names_that_point(monkeypatch):
     """With the split line forced to pass, an override off one orbit member
     fails override_b_ratio_orbit_constant, naming that member."""
@@ -371,7 +387,6 @@ def oracle_lines(res, tol=1e-9):
         "delta_z_right_invariance": z_invariance_oracle(
             res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)[1],
         "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res)),
-        "b_left_invariance": invariance_residual(res.z_bispace.left, b)[0],
         "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
         "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits)[0],
         "delta12_well_defined": wd,
