@@ -23,6 +23,7 @@ import gcorr as gc
 from gcorr import catalog
 from gcorr.cohomology import ADDITIVE, MULTIPLICATIVE, Cochain0, Cocycle1, _ratios, _sweep_cocycle, _unequal_pairs, d0
 from gcorr.groupoids import (
+    ActionComposition,
     Bispace,
     FiniteGroupoid,
     _incompatible,
@@ -35,6 +36,7 @@ from gcorr.groupoids import (
     pair_groupoid,
     symmetric_group,
     transformation_groupoid,
+    trivial_action,
     units_only_groupoid,
 )
 from gcorr.measures import MeasureFamily, _haar_deviations, _moved_values, check_haar, invariance_residual
@@ -120,8 +122,11 @@ def test_generators_generate_every_arrow(name, g):
     assert all(g.src[s] != g.dst[s] or s != g.unit_arrow[g.src[s]] for s in g.generators)
 
 
-@pytest.mark.parametrize("name, g", [(n, g) for n, g in _all_groupoids() if not isinstance(g.comp, gc.groupoids.ActionComposition)],
-                         ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize(
+    "name, g",
+    [(n, g) for n, g in _all_groupoids() if not isinstance(g.comp, ActionComposition)],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
 def test_generating_set_is_small(name, g):
     """|S| ≤ 2·(units − components) + Σ ⌈log₂|isotropy|⌉."""
     n_components, orders = components_and_isotropy(g)
@@ -279,7 +284,7 @@ def test_structure_tampers_agree_with_the_full_sweep(name, full_sweeps):
     failure exactly when the pass over every arrow does."""
     found = {"assoc": 0, "action": 0}
     for g in _groupoids_of(name):
-        if isinstance(g.comp, gc.groupoids.ActionComposition):
+        if isinstance(g.comp, ActionComposition):
             continue
         for bad in _tampered_groupoids(g):
             violations = groupoid_violations(bad)
@@ -351,8 +356,8 @@ def test_infinite_values_still_read_infinite():
     weights = list(corr_x.family.weight)
     weights[3] = math.nan
     assert invariance_residual(corr_x.space.right, weights)[0] == math.inf
-    g = gc.units_only_groupoid(["a", "b"])  # S is empty: only the identity rows see it
-    assert invariance_residual(gc.groupoids.trivial_action("left", g, ["p", "q"], (0, 1)), [1.0, math.nan])[0] == math.inf
+    g = units_only_groupoid(["a", "b"])  # S is empty: only the identity rows see it
+    assert invariance_residual(trivial_action("left", g, ["p", "q"], (0, 1)), [1.0, math.nan])[0] == math.inf
     assert not check_haar(g, MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, (1.0, math.inf))).ok
 
 
