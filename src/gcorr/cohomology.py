@@ -136,9 +136,9 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     identity on all composable pairs, with the first pair attaining it.
 
     Lemma: once c is 1 (or 0) at the units, the arrows a with
-    c(a∘b) = c(a)·c(b) exactly for every b are closed under composition,
-    by associativity: c((a∘a′)∘b) = c(a∘(a′∘b)) = c(a)·c(a′)·c(b) =
-    c(a∘a′)·c(b).  So a pass over the identities and `generators` that
+    c(a∘b) = c(a)·c(b) (or c(a) + c(b)) exactly for every b are closed
+    under composition, by associativity: c((a∘a′)∘b) = c(a∘(a′∘b)) =
+    c(a)·c(a′)·c(b) = c(a∘a′)·c(b).  So a pass over the identities and `generators` that
     finds no unequal pair proves the sweep 0; only otherwise does the full
     sweep run.  The test is exact on floats too, and a non-finite value is
     unequal to everything, so it is found at its own identity row.
