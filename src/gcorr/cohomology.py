@@ -217,19 +217,6 @@ def invariant_probability_family(
     return ProbabilityFamily(g, weight)
 
 
-def probability_family_violation(p: ProbabilityFamily) -> float:
-    """Worst deviation from fibre mass one and from translation invariance."""
-    g = p.groupoid
-    worst = 0.0
-    for u in range(g.n_units):
-        worst = max(worst, adev(ksum(p.weight[a] for a in g.fibre_dst[u]), 1))
-    # invariance on indicator functions: p(η⁻¹δ) = p(δ) for δ in the fibre at dst(η)
-    for eta in range(g.n_arrows):
-        for delta in g.fibre_dst[g.dst[eta]]:
-            worst = max(worst, adev(p.weight[g.comp[(g.inv[eta], delta)]], p.weight[delta]))
-    return worst
-
-
 def solve_coboundary_additive(c: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     """Split an additive cocycle as b∘src - b∘dst.
 

@@ -179,39 +179,6 @@ def quasi_invariance_residual(
     return worst, witness
 
 
-def quasi_invariance_residual_dense(
-    corr: "Correspondence", F: dict[tuple[int, int], complex]
-) -> float:
-    """The full double-sum identity on one arbitrary test function.
-
-    Slower than the point-mass sweep; used as an independent fuzz oracle.
-    """
-    g = corr.left
-    space = corr.space
-    lam = corr.family
-    lhs_by_unit = [0.0] * corr.right.n_units
-    rhs_by_unit = [0.0] * corr.right.n_units
-    for p in range(space.n_points):
-        u = space.s_momentum(p)
-        for a in g.fibre_dst[space.r_momentum(p)]:
-            ai = g.inv[a]
-            val = F.get((ai, p))
-            if val:
-                lhs_by_unit[u] += float(corr.left_haar.w(a)) * float(lam.weight[p]) * val
-            q = space.left.table[(ai, p)]
-            val = F.get((a, q))
-            if val:
-                rhs_by_unit[u] += (
-                    float(corr.adjoining_at(a, q))
-                    * float(corr.left_haar.w(a))
-                    * float(lam.weight[p])
-                    * val
-                )
-    return max(
-        (abs(l - r) for l, r in zip(lhs_by_unit, rhs_by_unit)), default=0.0
-    )
-
-
 def make_correspondence(
     left_haar: HaarSystem,
     right_haar: HaarSystem,

@@ -144,11 +144,6 @@ def convolve(phi: AlgebraElement, psi: AlgebraElement, haar: HaarSystem) -> Alge
     return AlgebraElement(g, _apply(haar.convolution_table, phi.coeff, psi.coeff))
 
 
-def involution(phi: AlgebraElement) -> AlgebraElement:
-    g = phi.groupoid
-    return AlgebraElement(g, phi.coeff.conj()[..., np.asarray(g.inv, dtype=np.intp)])
-
-
 def left_action(phi: AlgebraElement, f: ModuleElement, corr: Correspondence) -> ModuleElement:
     """(φ·f)(x) = Σ φ(γ) f(γ⁻¹x) Δ^{1/2}(γ, γ⁻¹x) w(γ) over the range fibre."""
     if f.corr is not corr:

@@ -109,9 +109,6 @@ class FiniteGroupoid:
             for b in self.fibre_dst[self.src[a]]:
                 yield a, b
 
-    def is_unit_arrow(self, a: int) -> bool:
-        return self.unit_arrow[self.src[a]] == a
-
     def unit_index(self, unit_id: str) -> int:
         return self._unit_lookup[unit_id]
 
@@ -853,14 +850,32 @@ def unit_action(g: FiniteGroupoid) -> GSpaceAction:
     return make_action("left", g, g.unit_ids, tuple(range(g.n_units)), table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FibreProduct:
-    """Pairs (x, y) matching right momentum of X with left momentum of Y."""
+    """Pairs (x, y) matching right momentum of X with left momentum of Y.
+
+    The diagonal action (x, y)·γ = (x·γ, γ⁻¹·y) of the middle groupoid is
+    built when `diagonal` is first read: its table has Σ_z |G^{m(z)}|
+    entries, and `compose` works on the legs instead.
+    """
 
     point_ids: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]  # (x index, y index)
     index: dict[tuple[int, int], int]
-    diagonal: GSpaceAction  # right action of the middle groupoid
+    x_right: GSpaceAction
+    y_left: GSpaceAction
+
+    @cached_property
+    def diagonal(self) -> GSpaceAction:
+        """The right action of the middle groupoid on Z."""
+        x_right, y_left, index = self.x_right, self.y_left, self.index
+        g = x_right.groupoid
+        momentum = tuple(x_right.momentum[x] for x, _ in self.pairs)
+        table = {}
+        for i, (x, y) in enumerate(self.pairs):
+            for a in g.fibre_dst[momentum[i]]:
+                table[(i, a)] = index[(x_right.table[(x, a)], y_left.table[(g.inv[a], y)])]
+        return GSpaceAction("right", g, self.point_ids, momentum, table)
 
 
 def fibre_product(x_right: GSpaceAction, y_left: GSpaceAction) -> FibreProduct:
@@ -869,7 +884,6 @@ def fibre_product(x_right: GSpaceAction, y_left: GSpaceAction) -> FibreProduct:
         raise GroupoidAxiomError([Violation("DanglingEndpoint", "fibre product needs a right and a left action")])
     if x_right.groupoid is not y_left.groupoid and x_right.groupoid != y_left.groupoid:
         raise GroupoidAxiomError([Violation("DanglingEndpoint", "actions live over different middle groupoids")])
-    g = x_right.groupoid
     pairs = tuple(
         (x, y)
         for x in range(x_right.n_points)
@@ -877,10 +891,4 @@ def fibre_product(x_right: GSpaceAction, y_left: GSpaceAction) -> FibreProduct:
     )
     index = {p: i for i, p in enumerate(pairs)}
     ids = tuple(f"({x_right.point_ids[x]},{y_left.point_ids[y]})" for x, y in pairs)
-    momentum = tuple(x_right.momentum[x] for x, _ in pairs)
-    table = {}
-    for i, (x, y) in enumerate(pairs):
-        for a in g.fibre_dst[momentum[i]]:
-            table[(i, a)] = index[(x_right.table[(x, a)], y_left.table[(g.inv[a], y)])]
-    diag = GSpaceAction("right", g, ids, momentum, table)
-    return FibreProduct(ids, pairs, index, diag)
+    return FibreProduct(ids, pairs, index, x_right, y_left)

@@ -81,10 +81,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks if c.residual is not None), default=0.0)
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import gcorr as gc
-from gcorr.groupoids import make_action, make_bispace
+from gcorr.cohomology import ProbabilityFamily
+from gcorr.cstar import AlgebraElement
+from gcorr.groupoids import FiniteGroupoid, make_action, make_bispace
 from gcorr.measures import MeasureFamily, counting_haar
+from gcorr.report import Report
+from gcorr.util import adev, ksum
 
 
 @pytest.fixture
@@ -43,6 +47,65 @@ class CountingMapping(Mapping):
     def __len__(self):
         self.reads += 1
         return len(self.inner)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests read
+
+
+def is_unit_arrow(g: FiniteGroupoid, a: int) -> bool:
+    return g.unit_arrow[g.src[a]] == a
+
+
+def max_residual(report: Report) -> float:
+    return max((c.residual for c in report.checks if c.residual is not None), default=0.0)
+
+
+def involution(phi: AlgebraElement) -> AlgebraElement:
+    """φ*(γ) = conj φ(γ⁻¹)."""
+    g = phi.groupoid
+    return AlgebraElement(g, phi.coeff.conj()[..., np.asarray(g.inv, dtype=np.intp)])
+
+
+def probability_family_violation(p: ProbabilityFamily) -> float:
+    """Worst deviation from fibre mass one and from translation invariance."""
+    g = p.groupoid
+    worst = 0.0
+    for u in range(g.n_units):
+        worst = max(worst, adev(ksum(p.weight[a] for a in g.fibre_dst[u]), 1))
+    # invariance on indicator functions: p(η⁻¹δ) = p(δ) for δ in the fibre at dst(η)
+    for eta in range(g.n_arrows):
+        for delta in g.fibre_dst[g.dst[eta]]:
+            worst = max(worst, adev(p.weight[g.comp[(g.inv[eta], delta)]], p.weight[delta]))
+    return worst
+
+
+def quasi_invariance_residual_dense(corr, F: dict[tuple[int, int], complex]) -> float:
+    """The full double-sum identity of quasi-invariance on one arbitrary
+    test function: slower than the point-mass sweep of `validate`, so an
+    independent fuzz oracle."""
+    g = corr.left
+    space = corr.space
+    lam = corr.family
+    lhs_by_unit = [0.0] * corr.right.n_units
+    rhs_by_unit = [0.0] * corr.right.n_units
+    for p in range(space.n_points):
+        u = space.s_momentum(p)
+        for a in g.fibre_dst[space.r_momentum(p)]:
+            ai = g.inv[a]
+            val = F.get((ai, p))
+            if val:
+                lhs_by_unit[u] += float(corr.left_haar.w(a)) * float(lam.weight[p]) * val
+            q = space.left.table[(ai, p)]
+            val = F.get((a, q))
+            if val:
+                rhs_by_unit[u] += (
+                    float(corr.adjoining_at(a, q))
+                    * float(corr.left_haar.w(a))
+                    * float(lam.weight[p])
+                    * val
+                )
+    return max((abs(l - r) for l, r in zip(lhs_by_unit, rhs_by_unit)), default=0.0)
 
 
 def translation_correspondence(lam=(1, 3)):

@@ -15,12 +15,12 @@ import pytest
 
 import gcorr as gc
 from gcorr import catalog, cstar
-from gcorr.cohomology import ADDITIVE, coboundary_residual, probability_family_violation
+from gcorr.cohomology import ADDITIVE, coboundary_residual
 from gcorr.composition import compose, find_bispace_isomorphism
 from gcorr.groupoids import orbit_space, unit_action
 from gcorr.measures import MeasureFamily, compose_with_quotient, cutoff_from_profile
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
-from tests.conftest import coeff_dict
+from tests.conftest import coeff_dict, probability_family_violation
 
 N_GROUPOIDS = 100
 N_MEASURES = 50

@@ -16,13 +16,12 @@ from gcorr.cohomology import (
     _split_sweep,
     _sweep_cocycle,
     coboundary_residual,
-    probability_family_violation,
 )
 from gcorr.composition import compose
 from gcorr.groupoids import make_action, transformation_groupoid
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
 from gcorr.util import adev, rdev
-from tests.conftest import scaled_family
+from tests.conftest import probability_family_violation, scaled_family
 
 
 class TestInvariantProbabilityFamily:

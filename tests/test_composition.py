@@ -434,11 +434,11 @@ def _tampered(name):
     original = getattr(composition, name)
     if name == "default_cutoff":
         return lambda chi: _bumped(original(chi))
-    if name == "quotient_family":
-        def quotient(chi, orbits):
-            f = original(chi, orbits)
+    if name in ("quotient_family", "build_lambda_pi"):
+        def family(*args):
+            f = original(*args)
             return MeasureFamily(f.total_ids, f.base_ids, f.along, _bumped(f.weight))
-        return quotient
+        return family
 
     def build_b(*args):
         b = original(*args)
@@ -451,12 +451,16 @@ class TestExactPassRule:
     the pass rule: on exact data one entry off by 10⁻¹², far inside `tol`,
     still fails them.  The cutoff and B are tampered on their y leg, so the
     entry moves e or b at every point of Z with that leg: μ moves on every
-    orbit alike, and b stays invariant under G₁, which keeps y."""
+    orbit alike, and b stays invariant under G₁, which keeps y.  λ_π is
+    tampered at the first point of Z, which lies in R on both pairs; the
+    fibre measure of the reduction (`quotient_family`) only checks it, so
+    its tamper reaches lambda_pi_rep_independence alone."""
 
     @pytest.mark.parametrize("pair", ["induction-finite", "ladder-5"])
     @pytest.mark.parametrize("builder, stage, failing", [
         ("default_cutoff", "certification", {"mu_disintegration"}),
-        ("quotient_family", "certification", {"lambda_pi_rep_independence", "mu_disintegration"}),
+        ("build_lambda_pi", "certification", {"lambda_pi_rep_independence", "mu_disintegration"}),
+        ("quotient_family", "certification", {"lambda_pi_rep_independence"}),
         ("build_b", "build_mu", {"b_ratio_relation"}),
     ])
     def test_one_entry_off_by_1e_12_fails(self, monkeypatch, pair, builder, stage, failing):

@@ -19,7 +19,6 @@ from gcorr.cstar import (
     delta_arrow,
     delta_point,
     inner_product,
-    involution,
     lambda_prime,
     left_action,
     representation_matrices,
@@ -33,6 +32,8 @@ from tests.conftest import (
     MIX_CAPS,
     coeff_array,
     coeff_dict,
+    involution,
+    is_unit_arrow,
     ladder_pair,
     scaled_family,
     translation_correspondence,
@@ -462,7 +463,7 @@ class TestVerifyTheorem:
         if res.delta12.groupoid.n_arrows == 0:
             pytest.skip("no left arrows act on the composite")
         bad = [float(v) for v in res.delta12.value]
-        k = max(range(len(bad)), key=lambda i: not res.delta12.groupoid.is_unit_arrow(i))
+        k = max(range(len(bad)), key=lambda i: not is_unit_arrow(res.delta12.groupoid, i))
         bad[k] *= 9.0
         from gcorr.correspondence import Correspondence
         from gcorr.cohomology import Cocycle1, MULTIPLICATIVE

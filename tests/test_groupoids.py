@@ -18,6 +18,7 @@ from gcorr.groupoids import (
     unit_action,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_pair
+from tests.conftest import is_unit_arrow
 
 
 def find_groupoid_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 16):
@@ -127,7 +128,7 @@ class TestTransformationGroupoid:
         )
         tg, _ = gc.transformation_groupoid(act)
         assert tg.n_units == 3 and tg.n_arrows == 3
-        assert all(tg.is_unit_arrow(a) for a in range(3))
+        assert all(is_unit_arrow(tg, a) for a in range(3))
 
     def test_z2_translation_is_pair_groupoid(self, z2):
         tg, _ = gc.transformation_groupoid(translation_action("right", z2))

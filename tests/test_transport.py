@@ -4,9 +4,11 @@ sweeps they replace.
 `compose` builds the structure it pulls back from its inputs by lemma,
 with no run-time check: the Z action tables are the product of the X and
 Y tables, the Haar system χ on Z⋊G₂ is α₂ arrow by arrow, δ_Z is read
-off Δ₂, and Ω's outer actions descend from Z's.  It computes b, the
-cutoff, λ_π, the symmetry of b·m and Δ₁₂ on one leg of Z instead of on
-the arrows of Z⋊G₂.  The checks and sweeps that the lemmas replace live
+off Δ₂, and Ω's outer actions descend from Z's.  It takes Ω and λ_π
+from the reduction of Z⋊G₂ to R = {(x₀, y)}, x₀ the base of each
+G₂-orbit of X, and builds Z⋊G₂ itself only when a caller reads it.  It
+computes b, the cutoff, the symmetry of b·m and Δ₁₂ on one leg of Z
+instead of on the arrows of Z⋊G₂.  The checks and sweeps that the lemmas replace live
 here as oracles: wherever `compose` passes, the oracles must pass too and
 agree with its values and report lines.  A tampered entry of each table
 that `compose` still certifies must fail its stage or line, naming the
@@ -30,8 +32,14 @@ from gcorr.cohomology import (
     decompose_multiplicative,
     invariant_probability_family,
 )
-from gcorr.composition import CompositionStageError, compose
-from gcorr.groupoids import ActionComposition, GSpaceAction, action_violations, bispace_violations
+from gcorr.composition import CompositionStageError, compose, transversal
+from gcorr.groupoids import (
+    ActionComposition,
+    GSpaceAction,
+    action_violations,
+    bispace_violations,
+    orbit_space,
+)
 from gcorr.measures import (
     check_haar,
     default_cutoff,
@@ -39,11 +47,13 @@ from gcorr.measures import (
     invariance_residual,
     is_symmetric,
     push_down,
+    quotient_family,
     unit_measure,
 )
 from gcorr.randgen import random_pair
 from gcorr.util import adev, all_exact, rdev
-from tests.conftest import MIX_CAPS, CountingMapping, coset_ladder_pair, ladder_pair, scaled_family
+from tests.conftest import MIX_CAPS, CountingMapping, coset_ladder_pair, is_unit_arrow, ladder_pair, scaled_family
+from tests.test_composition import weighted_middle_pair
 
 LADDERS = (2, 5, 8, 16)
 NAMES = (
@@ -213,7 +223,7 @@ def test_delta1_not_invariant_fails_well_definedness(name):
     values = list(corr_x.adjoining.value)
     (a, x), k = next(
         (key, k) for key, k in corr_x.left_tg_index.items()
-        if key[1] != 0 and not corr_x.left.is_unit_arrow(key[0])
+        if key[1] != 0 and not is_unit_arrow(corr_x.left, key[0])
     )
     values[k] *= 2
     bad_x = gc.make_correspondence(
@@ -258,20 +268,25 @@ def test_orbit_varying_override_composes_and_passes_every_line():
         assert over.delta12.value[k] == res.delta12.value[k] * (o + 1) / (left.table[(a, o)] + 1)
 
 
-def test_ratio_off_one_member_names_that_point(monkeypatch):
-    """With the split line forced to pass, an override off one orbit member
-    fails override_b_ratio_orbit_constant, naming that member."""
-    corr_x, corr_y = _pair("ladder-5")
+def test_ratio_off_one_member_names_that_point():
+    """A float override at scale 10⁻¹², 1 % off at one orbit member, fails
+    override_b_ratio_orbit_constant alone, naming that member.  `rdev` is
+    absolute below 1, so the split line reads the 10⁻¹⁴ difference of the
+    tiny values and passes, while the ratios b/b′ ≈ 10¹² deviate
+    relatively.  The outer groupoids are trivial, so Δ₁₂ is 1 whatever
+    the override is, and mu_disintegration too compares values below 1."""
+    corr_x, corr_y = weighted_middle_pair()
     res = compose(corr_x, corr_y)
     z = res.orbits.members[0][1]  # not the representative
-    bad = list(res.b.value)
-    bad[z] *= 3
-    monkeypatch.setattr(composition, "override_split_residual", lambda *args: (0.0, None))
+    bad = [1e-12 * float(v) for v in res.b.value]
+    bad[z] *= 1.01
     with pytest.raises(CompositionStageError) as info:
         compose(corr_x, corr_y, b_values=bad)
+    assert [c.name for c in info.value.report.failures()] == ["override_b_ratio_orbit_constant"]
     line = _line(info.value.report, "override_b_ratio_orbit_constant")
-    assert not line.passed and line.residual > 0
+    assert line.residual == pytest.approx(0.01 / 1.01)
     assert line.witness == res.fp.point_ids[z]
+    assert _line(info.value.report, "override_b_splits_delta").residual < 1e-13
 
 
 @pytest.mark.parametrize("name", ["induction-finite", "mix-3", "ladder-5"])
@@ -441,6 +456,68 @@ def test_leg_values_and_lines_equal_the_middle_oracles(name):
             assert line.residual == lines[line.name], line.name
 
 
+def omega_oracle(res):
+    """The former Ω: `orbit_space` of the diagonal action
+    (x, y)·γ = (x·γ, γ⁻¹·y), a union-find over every arrow of Z⋊G₂.
+
+    Lemma (balanced product by stabilisers): with x = x₀·t_x for the base
+    x₀ of x's G₂-orbit, (x, y) = (x₀, t_x·y)·t_x, and (x₀, y)·γ lies in
+    R = {(x₀, y)} iff γ ∈ Stab(x₀).  So each orbit of Z is that of one
+    Stab(x₀)-orbit of R, Ω ≅ ⊔_{[x₀]} Stab(x₀)\\Y_{s(x₀)}, and choosing
+    the smallest id of each class orders the orbits as this sweep does.
+    """
+    return orbit_space(res.fp.diagonal)
+
+
+def lambda_pi_family_oracle(res):
+    """The former λ_π: `quotient_family` of χ on Z⋊G₂, the Haar mass of
+    the arrows from each point into its orbit's representative.
+
+    Lemma (orbit–stabiliser): those arrows γ ∈ G₂^{m(r)} with r·γ = z form
+    a coset of the stabiliser of z, so there are |G₂^{m(z)}|/|[z]| of
+    them, each of weight w₂(m(z)) by left invariance of α₂; and the sweep
+    adds them in sequence, as `build_lambda_pi` adds its copies.
+    """
+    return quotient_family(res.chi, res.orbits)
+
+
+LEMMA_NAMES = [
+    f"{base}/{kind}"
+    for base in list(catalog.EXAMPLE_NAMES) + [f"mix-{i}" for i in range(40)]
+    + ["ladder-4", "ladder-10", "ladder-32"] + [f"coset-24-{d}" for d in (2, 3, 4, 6)]
+    for kind in ("exact", "float")
+]
+
+
+@pytest.mark.parametrize("name", LEMMA_NAMES)
+def test_omega_and_lambda_pi_equal_the_middle_oracles(name):
+    """Ω from X's orbits and their stabilisers has the ids, projection,
+    representatives and order of `orbit_space` on the diagonal action, and
+    λ_π from the orbit–stabiliser sum is bit for bit `quotient_family`
+    on Z⋊G₂."""
+    res = compose(*_leg_pair(name))
+    oracle = omega_oracle(res)
+    assert res.orbits.orbit_ids == oracle.orbit_ids
+    assert res.orbits.proj == oracle.proj
+    assert res.orbits.reps == oracle.reps
+    family = lambda_pi_family_oracle(res)
+    assert [repr(w) for w in res.lambda_pi.weight] == [repr(w) for w in family.weight]
+
+
+def test_middle_reduction_has_one_arrow_per_point_on_the_ladder():
+    """On the ladder G₂ acts freely on X, so every stabiliser is trivial
+    and the reduction to R has n points and n identity arrows; on the
+    coset ladder (24, 4) it has |Stab| = 4 arrows at each of its 6 points."""
+    corr_x, corr_y = ladder_pair(12)
+    fp = gc.fibre_product(corr_x.space.right, corr_y.space.left)
+    red = composition.build_middle_groupoid(fp, transversal(corr_x.space.right), corr_x.right_haar)
+    assert red.groupoid.n_units == red.groupoid.n_arrows == 12
+    corr_x, corr_y = coset_ladder_pair(24, 4)
+    fp = gc.fibre_product(corr_x.space.right, corr_y.space.left)
+    red = composition.build_middle_groupoid(fp, transversal(corr_x.space.right), corr_x.right_haar)
+    assert (red.groupoid.n_units, red.groupoid.n_arrows) == (6, 24)
+
+
 def test_stabiliser_heavy_lambda_pi_counts_the_stabiliser():
     res = compose(*coset_ladder_pair(12, 3))
     assert res.orbits.n_orbits == 4 and all(len(o) == 4 for o in res.orbits.members)
@@ -452,6 +529,44 @@ def test_compose_leaves_delta_z_unbuilt():
     res = compose(*ladder_pair(12))
     assert "delta_z" not in vars(res)
     assert res.delta_z.groupoid is res.tg_z and "delta_z" in vars(res)
+
+
+def test_compose_leaves_the_middle_structures_unbuilt():
+    """None of the n³ structures is built by `compose`: the diagonal table,
+    Z⋊G₂ with its index and χ, δ_Z, and Z's outer G₁ table.  Each is
+    built when a caller reads it."""
+    res = compose(*ladder_pair(16))
+    assert "diagonal" not in vars(res.fp)
+    assert {"_middle", "chi", "delta_z"}.isdisjoint(vars(res))
+    assert "left" not in vars(res.z_bispace)
+    assert res.tg_z_index and res.chi.groupoid is res.tg_z and "_middle" in vars(res)
+    assert len(res.z_bispace.left.table) == 16**3 and "left" in vars(res.z_bispace)
+    assert "diagonal" in vars(res.fp)
+
+
+def _leg_table_reads(n):
+    """The reads of the four action tables of the legs in one `compose` of
+    ladder n, on copies whose tables count their reads."""
+    counters = []
+
+    def counted(corr):
+        left, right = (
+            dataclasses.replace(act, table=CountingMapping(act.table))
+            for act in (corr.space.left, corr.space.right)
+        )
+        counters.extend((left.table, right.table))
+        return dataclasses.replace(corr, space=gc.groupoids.Bispace(left, right))
+
+    corr_x, corr_y = ladder_pair(n)
+    compose(counted(corr_x), counted(corr_y))
+    return sum(c.reads for c in counters)
+
+
+def test_compose_reads_the_leg_tables_n_squared_times():
+    """Doubling n multiplies |Z| and the leg tables by 4 and Z⋊G₂ by 8;
+    `compose` reads the leg tables like the former."""
+    small, large = _leg_table_reads(16), _leg_table_reads(32)
+    assert 3.5 * small < large <= 4.5 * small, (small, large)
 
 
 _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
