@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class CompositionResult:
     corr_x: Correspondence
     corr_y: Correspondence
     fp: FibreProduct  # Z; its diagonal middle action is built when read
-    z_bispace: Bispace  # outer G₁-G₃ structure on Z
+    z_bispace: ZBispace  # outer G₁-G₃ structure on Z
     orbits: OrbitSpace  # π: Z -> Ω
     omega: Bispace
     m: MeasureFamily  # on Z along s_Z
@@ -149,11 +149,9 @@ class CompositionResult:
     def chi(self) -> HaarSystem:
         """χ(z, γ) = α₂(γ) on Z⋊G₂, left invariant because α₂ is:
         (z, η)∘(zη, γ) = (z, η∘γ)."""
-        chi2, tg = self.corr_x.right_haar, self.tg_z
-        weights = [ONE] * tg.n_arrows
-        for (z, a), k in self.tg_z_index.items():
-            weights[k] = chi2.w(a)
-        return HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
+        return induced_haar(
+            self.tg_z, ((k, a) for (_, a), k in self.tg_z_index.items()), self.corr_x.right_haar
+        )
 
     @cached_property
     def delta_z(self) -> Cocycle1:
@@ -204,18 +202,45 @@ def _require_chainable(corr_x: Correspondence, corr_y: Correspondence) -> None:
         )
 
 
-class ZBispace(Bispace):
-    """Z's outer actions a·(x, y)·c = (a·x, y·c); the G₁ table, which
-    `compose` reads off the legs instead, is built when first read."""
+def induced_haar(
+    tg: FiniteGroupoid, arrows: Iterable[tuple[int, int]], haar: HaarSystem
+) -> HaarSystem:
+    """The Haar system of an action groupoid `tg` whose arrow k, for each
+    (k, γ) of `arrows`, weighs haar.w(γ); each caller states why it is
+    left invariant."""
+    weights = [ONE] * tg.n_arrows
+    for k, a in arrows:
+        weights[k] = haar.w(a)
+    return HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
 
-    def __init__(self, x_left: GSpaceAction, fp: FibreProduct, right: GSpaceAction):
-        object.__setattr__(self, "_x_left", x_left)
-        object.__setattr__(self, "_fp", fp)
-        object.__setattr__(self, "right", right)
+
+@dataclass(frozen=True, eq=False)
+class ZBispace:
+    """Z's outer actions a·(x, y)·c = (a·x, y·c).  The G₁ table, which
+    `compose` reads off the legs instead, is built when `left` is first
+    read; the point ids and momenta read the fibre product."""
+
+    x_left: GSpaceAction  # G₁ on X
+    fp: FibreProduct
+    right: GSpaceAction  # G₃ on Z
+
+    @property
+    def point_ids(self) -> tuple[str, ...]:
+        return self.fp.point_ids
+
+    @property
+    def n_points(self) -> int:
+        return len(self.fp.pairs)
+
+    def r_momentum(self, p: int) -> int:
+        return self.x_left.momentum[self.fp.pairs[p][0]]
+
+    def s_momentum(self, p: int) -> int:
+        return self.right.momentum[p]
 
     @cached_property
     def left(self) -> GSpaceAction:
-        x_left, fp = self._x_left, self._fp
+        x_left, fp = self.x_left, self.fp
         r_mom = tuple(x_left.momentum[x] for x, _ in fp.pairs)
         table = {
             (a, z): fp.index[(x_left.table[(a, x)], y)]
@@ -248,7 +273,7 @@ def build_z_bispace(corr_x: Correspondence, corr_y: Correspondence, fp: FibrePro
 
 
 def build_m(
-    corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_bispace: Bispace
+    corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_bispace: ZBispace
 ) -> tuple[MeasureFamily, tuple[float, Optional[str]]]:
     """The product family on Z along s_Z, with its G₃ invariance residual
     and witness."""
@@ -348,10 +373,8 @@ def build_middle_groupoid(fp: FibreProduct, xt: Transversal, chi2: HaarSystem) -
         "right", h, tuple(fp.point_ids[z] for z in z_of), tuple(orbit_of[x0] for x0, _ in r_pairs), table
     )
     tg, idx = transformation_groupoid(act)
-    weights = [ONE] * tg.n_arrows
-    for (_, k), i in idx.items():
-        weights[i] = chi2.w(h_arrows[k][1])
-    chi = HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
+    # left invariant as χ is on Z⋊G₂: (r, η)∘(r·η, σ) = (r, η∘σ)
+    chi = induced_haar(tg, ((i, h_arrows[k][1]) for (_, k), i in idx.items()), chi2)
     return MiddleReduction(act, tg, chi, z_of, r_of)
 
 
@@ -419,11 +442,9 @@ def leg_haar(corr_y: Correspondence) -> HaarSystem:
     function of the source y of the arrow, so the pullback is left
     invariant on G₂⋉Y with no sweep.
     """
-    g2_haar, tg = corr_y.left_haar, corr_y.left_tg
-    weights = [ONE] * tg.n_arrows
-    for (a, _), k in corr_y.left_tg_index.items():
-        weights[k] = g2_haar.w(a)
-    return HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
+    return induced_haar(
+        corr_y.left_tg, ((k, a) for (a, _), k in corr_y.left_tg_index.items()), corr_y.left_haar
+    )
 
 
 def build_delta_z(corr_y: Correspondence) -> Cocycle1:
@@ -459,7 +480,7 @@ def delta_z_invariance_residuals(corr_y: Correspondence, fp: FibreProduct) -> tu
     return worst, witness
 
 
-def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: Bispace) -> tuple[float, Optional[str]]:
+def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: ZBispace) -> tuple[float, Optional[str]]:
     """(worst, witness) of the invariance of a function on Z under the
     outer G₃ action.
 
@@ -660,7 +681,7 @@ def compose(
     x_orbits = stage("x_orbits", transversal, corr_x.space.right)
     red = stage("middle_groupoid", build_middle_groupoid, fp, x_orbits, chi2)
     r_orbits = stage("orbit_space", orbit_space, red.action)
-    orbits = stage("orbit_space", middle_orbits, fp, red, r_orbits)
+    orbits = stage("middle_orbits", middle_orbits, fp, red, r_orbits)
     report.notes["omega_points"] = orbits.n_orbits
 
     lam_pi = stage("build_lambda_pi", build_lambda_pi, fp, orbits, chi2)

@@ -48,10 +48,6 @@ class MeasureFamily:
     weight: tuple[Scalar, ...]
 
     def __post_init__(self):
-        # one comparison per distinct object: a family read off a Haar
-        # system repeats the same few weight objects
-        if all(w > 0 for w in {id(w): w for w in self.weight}.values()):
-            return
         for t, w in enumerate(self.weight):
             if not (w > 0):
                 raise ValueError(

@@ -474,6 +474,23 @@ class TestExactPassRule:
         assert all(0 < c.residual < 1e-11 for c in failures)
 
 
+@pytest.mark.parametrize("builder, stage", [
+    ("transversal", "x_orbits"),
+    ("build_middle_groupoid", "middle_groupoid"),
+    ("middle_orbits", "middle_orbits"),
+])
+def test_each_omega_stage_reports_its_own_name(monkeypatch, builder, stage):
+    """The stages that take Ω from X's orbits fail under their own names;
+    the lift of the reduction's orbits to Ω is not the orbit sweep."""
+    def broken(*args):
+        raise gc.util.GcorrError("broken")
+
+    monkeypatch.setattr(composition, builder, broken)
+    with pytest.raises(CompositionStageError) as info:
+        compose(*ladder_pair(3))
+    assert info.value.stage == stage
+
+
 class TestSymmetryWitness:
     def test_asymmetric_bm_names_a_leg_arrow(self):
         """Δ₂ times the coboundary of t(u) = u + 2 is still a cocycle, so

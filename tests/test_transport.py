@@ -538,9 +538,12 @@ def test_compose_leaves_the_middle_structures_unbuilt():
     res = compose(*ladder_pair(16))
     assert "diagonal" not in vars(res.fp)
     assert {"_middle", "chi", "delta_z"}.isdisjoint(vars(res))
-    assert "left" not in vars(res.z_bispace)
+    zb = res.z_bispace
+    ids, n, r_mom = zb.point_ids, zb.n_points, [zb.r_momentum(z) for z in range(zb.n_points)]
+    assert "left" not in vars(zb)  # the bispace's own readers leave the table unbuilt
     assert res.tg_z_index and res.chi.groupoid is res.tg_z and "_middle" in vars(res)
-    assert len(res.z_bispace.left.table) == 16**3 and "left" in vars(res.z_bispace)
+    assert len(zb.left.table) == 16**3 and "left" in vars(zb)
+    assert (ids, n, r_mom) == (zb.left.point_ids, zb.left.n_points, list(zb.left.momentum))
     assert "diagonal" in vars(res.fp)
 
 
