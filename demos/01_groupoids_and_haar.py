@@ -24,7 +24,7 @@ haar = gc.haar_from_unit_weights(pg, (F(1), F(2), F(1, 3)))
 print("\nHaar weights by arrow:")
 for a in range(pg.n_arrows):
     print(f"  {pg.arrow_ids[a]:8} -> {haar.w(a)}")
-print("left-invariance check:", gc.check_haar(pg, haar.family))
+print("left-invariance (worst deviation, witness):", gc.check_haar(pg, haar.family))
 print("range-fibre masses   :", fibre_integral(haar))
 
 # breaking invariance is detected with a witness pair

@@ -41,7 +41,10 @@ fwd = gc.induced_measure(m, haar, "forward")
 inv = gc.induced_measure(m, haar, "inverse")
 print("\nm∘λ   :", fwd.weight)
 print("m∘λ⁻¹ :", inv.weight)
-print("symmetric?", gc.is_symmetric(m, haar))
+# the check returns (residual, witness); `passes` judges it like every
+# other check: 0 on exact data, at most tol on float data
+residual, witness = gc.is_symmetric(m, haar)
+print("symmetry residual:", residual, "at", witness, "-> symmetric?", gc.passes(residual, m.exact and haar.exact))
 
 m_sym = gc.unit_measure(pg, (F(3), F(3)))
 orbits = orbit_space(unit_action(pg))

@@ -62,5 +62,6 @@ from .correspondence import (
 )
 from .composition import CompositionResult, compose, find_bispace_isomorphism
 from .cstar import GramReport, verify_theorem
+from .report import DEFAULT_TOL, passes
 
 __version__ = "0.1.0"

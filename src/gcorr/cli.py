@@ -19,7 +19,7 @@ from . import catalog, cstar, io_json
 from .composition import CompositionStageError, GroupoidMismatch, compose
 from .correspondence import validate
 from .randgen import random_pair
-from .report import Report
+from .report import DEFAULT_TOL, Report
 from .util import GcorrError, parse_scalar
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _read_cochain(path: str, point_ids) -> tuple:
     return tuple(values)
 
 
-def _load_valid_pair(path_x: str, path_y: str, tol: float = 1e-9):
+def _load_valid_pair(path_x: str, path_y: str, tol: float = DEFAULT_TOL):
     """Parse both inputs and validate them at `tol`; None after reporting
     the first problem on stderr."""
     try:
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance, finite and at least 0")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance, finite and at least 0")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("validate", help="check one instance file")

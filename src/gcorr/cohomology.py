@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
+from .report import passes
 from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
 
 ADDITIVE = "additive"
@@ -86,13 +87,6 @@ class ProbabilityFamily:
 
     groupoid: FiniteGroupoid
     weight: tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
-class CocycleCheck:
-    ok: bool
-    max_deviation: float
-    witness: Optional[tuple[str, ...]]
 
 
 def _ratios(values: Sequence[Scalar]) -> tuple[list, list]:
@@ -166,16 +160,12 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     return worst, witness
 
 
-def check_cocycle(c: Cocycle1, rel_tol: Optional[float] = None) -> CocycleCheck:
-    """Homomorphism identity on all composable pairs, identities at units.
-
-    Exact inputs are compared exactly; float inputs use `rel_tol`
-    (default 1e-9).
-    """
-    exact = all_exact(c.value)
-    tol = 0.0 if exact and rel_tol is None else (1e-9 if rel_tol is None else rel_tol)
-    worst, witness = c._sweep
-    return CocycleCheck(worst <= tol, worst, witness if worst > tol else None)
+def check_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
+    """Homomorphism identity on all composable pairs, identities at units:
+    the worst `rdev` and the first witness attaining it (None if 0), from
+    the cached sweep.  c is a cocycle when the deviation `passes` (exact
+    when its values are)."""
+    return c._sweep
 
 
 def d0(t: Cochain0) -> Cocycle1:
@@ -199,6 +189,11 @@ def invariant_probability_family(
     orbit-constant, then each fibre weight is F(src γ)·w(γ)/h(u).  F
     defaults to the constant 1; only its values up to a per-orbit scale
     matter.
+
+    The check is exact on any data.  Left invariance maps the range fibre
+    at s(γ) onto the one at r(γ) and keeps F(src)·w term by term, so the
+    fibres of one orbit carry the same multiset of terms, and `ksum` sums
+    them exactly or correctly rounded, hence to the same value.
     """
     if haar.groupoid is not g and haar.groupoid != g:
         raise ValueError("Haar system lives on a different groupoid")
@@ -207,10 +202,13 @@ def invariant_probability_family(
     if any(not (f > 0) for f in F):
         raise NonPositive("F must be strictly positive")
     h = fibre_integral(haar, F)
-    tol = 0.0 if all_exact(h) else 1e-12
+    worst, witness = 0.0, None
     for a in range(g.n_arrows):  # h constant along arrows => constant on orbits
-        if adev(h[g.src[a]], h[g.dst[a]]) > tol:
-            raise GcorrError(f"fibre mass is not orbit-constant at {g.arrow_ids[a]}")
+        d = adev(h[g.src[a]], h[g.dst[a]])
+        if d > worst:
+            worst, witness = d, g.arrow_ids[a]
+    if not passes(worst, exact=True):
+        raise GcorrError(f"fibre mass is not orbit-constant at {witness} (dev {worst})")
     weight = tuple(
         F[g.src[a]] * haar.w(a) / h[g.dst[a]] for a in range(g.n_arrows)
     )
@@ -223,14 +221,14 @@ def solve_coboundary_additive(c: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     b(u) is minus the p-average of the cocycle over the range fibre at u
     (the sign makes the stated identity come out; averaging c itself splits
     the cocycle with the opposite sign).  Raises NotACocycle if c fails the
-    homomorphism sweep.
+    homomorphism sweep, which `passes` at `DEFAULT_TOL` on float data.
     """
     if c.flavor != ADDITIVE:
         raise ValueError("expected an additive cocycle")
     g = c.groupoid
-    chk = check_cocycle(c)
-    if not chk.ok:
-        raise NotACocycle(chk.witness, chk.max_deviation)
+    worst, witness = check_cocycle(c)
+    if not passes(worst, all_exact(c.value)):
+        raise NotACocycle(witness, worst)
     vals = tuple(
         -ksum(c.value[a] * p.weight[a] for a in g.fibre_dst[u])
         for u in range(g.n_units)
@@ -288,9 +286,9 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     left invariance of p and the cocycle identity give
     b(t) = Σ_{η∈G^s} p(η)·delta(γ)⁻¹·delta(η)⁻¹ = b(s) / delta(γ).
     Conversely a split cocycle is a coboundary, hence a cocycle.  So the
-    guard is the O(arrows) split residual of b (0 on exact data, 1e-9 on
-    float data), not the sweep over composable pairs; it raises
-    NotACocycle naming the first arrow that b does not split.
+    guard is the O(arrows) split residual of b, which `passes` at
+    `DEFAULT_TOL` on float data, not the sweep over composable pairs; it
+    raises NotACocycle naming the first arrow that b does not split.
     """
     if delta.flavor != MULTIPLICATIVE:
         raise ValueError("expected a multiplicative cocycle")
@@ -301,6 +299,6 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     )
     b = Cochain0(g, vals, MULTIPLICATIVE)
     res = coboundary_residual(delta, b)
-    if res > (0.0 if all_exact(delta.value) and all_exact(vals) else 1e-9):
+    if not passes(res, all_exact(delta.value) and all_exact(vals)):
         raise NotACocycle((coboundary_witness(delta, b),), res)
     return b

@@ -43,9 +43,9 @@ arrows.  Their axioms follow from those of the inputs, certified at
 parse; the tests hold the sweeps that would re-check them as oracles.
 `fp.diagonal`, `tg_z` with `tg_z_index` and `chi`, `delta_z` and Z's
 outer G₁ table `z_bispace.left` are built only when read.
-Residual lines pass under `Report.check` (0 on exact data, `tol` on float
-data), except those that the report module names as keeping their own
-rule.
+Every residual line and stage guard is judged by `report.passes`: 0 on
+exact data, `tol` on float data; `lambda_pi_rep_independence` is exact
+on any data.
 
 Each fact is certified once.  μ is the unique measure with b·m = μ∘λ_π,
 so the mu_disintegration line also says that μ is normalized and does
@@ -97,7 +97,7 @@ from .measures import (
     quotient_family,
     unit_measure,
 )
-from .report import Report
+from .report import DEFAULT_TOL, Report, passes
 from .util import GcorrError, IndexTable, ONE, Scalar, adev, all_exact, rdev, to_float
 
 
@@ -540,23 +540,23 @@ def build_mu(
     omega: Bispace,
     bm_y: Sequence[Scalar],
     haar_y: HaarSystem,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[MeasureFamily, tuple[float, Optional[int]]]:
     """Push b·m down to Ω with the cutoff e, as the sum of m against e·b;
     returns (μ, the disintegration residual of b·m against μ∘λ_π with the
     first point of Z attaining it).
 
     Raises NotInvariant, naming the worst arrow of G₂⋉Y, when B·β (`bm_y`)
-    is not symmetric there (`is_symmetric`, whose `tol` is scaled by the
-    largest weight).  Lemma: on the arrow (z, γ) of Z⋊G₂ the two sides of
+    is not symmetric there, that is when `is_symmetric`'s residual fails
+    `passes` at `tol`.  Lemma: on the arrow (z, γ) of Z⋊G₂ the two sides of
     the symmetry of b·m are λ(x)·B(y)β(y)·α₂(γ) and
     λ(x·γ)·B(γ⁻¹y)β(γ⁻¹y)·α₂(γ⁻¹); X's family is G₂-invariant
     (`family_right_invariance` of X), so they agree iff B·β is symmetric
     at φ(z, γ).  An orbit-constant change of b keeps the symmetry.
     """
-    sym = is_symmetric(unit_measure(haar_y.groupoid, bm_y), haar_y, tol)
-    if not sym.symmetric:
-        raise NotInvariant(sym.residual, "b·m is not symmetric", sym.witness)
+    res, witness = is_symmetric(unit_measure(haar_y.groupoid, bm_y), haar_y)
+    if not passes(res, haar_y.exact and all_exact(bm_y), tol):
+        raise NotInvariant(res, "b·m is not symmetric", witness)
     weight = push_down(m.weight, tuple(x * y for x, y in zip(e, b.value)), orbits)
     mu = MeasureFamily(orbits.orbit_ids, m.base_ids, omega.right.momentum, weight)
     bm = tuple(b.value[z] * m.weight[z] for z in range(len(m.weight)))
@@ -649,7 +649,7 @@ def compose(
     corr_x: Correspondence,
     corr_y: Correspondence,
     b_values: Optional[Sequence[Scalar]] = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> CompositionResult:
     """Run the whole pipeline and certify every step.
 
@@ -686,15 +686,15 @@ def compose(
 
     lam_pi = stage("build_lambda_pi", build_lambda_pi, fp, orbits, chi2)
     rep_res, rep_wit = lambda_pi_rep_independence(red, r_orbits, lam_pi)
-    report.add("lambda_pi_rep_independence", rep_res == 0.0, rep_res, rep_wit)
+    report.check("lambda_pi_rep_independence", rep_res, True, tol, rep_wit)
 
     # δ_Z is read off Y's adjoining cocycle at inverse arrows, so the
     # (cached) sweep of that cocycle certifies it
     haar_y = leg_haar(corr_y)
     delta_y = stage("build_delta_z", build_delta_z, corr_y)
     exact_dz = all_exact(delta_y.value)
-    chk = check_cocycle(corr_y.adjoining, rel_tol=None if exact_dz else tol)
-    report.add("delta_z_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
+    dz_res, dz_wit = check_cocycle(corr_y.adjoining)
+    report.check("delta_z_cocycle", dz_res, exact_dz, tol, str(dz_wit) if dz_wit else None)
     g3_res, g3_wit = delta_z_invariance_residuals(corr_y, fp)
     report.check("delta_z_right_invariance", g3_res, exact_dz, tol, g3_wit)
 
@@ -769,7 +769,7 @@ def compose(
 
 
 def find_bispace_isomorphism(
-    a: Correspondence, b: Correspondence, max_points: int = 12, tol: float = 1e-9
+    a: Correspondence, b: Correspondence, max_points: int = 12, tol: float = DEFAULT_TOL
 ) -> Optional[dict[str, str]]:
     """An equivariant, measure-preserving bijection of spaces, or None.
 

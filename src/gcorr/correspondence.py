@@ -30,7 +30,7 @@ from .groupoids import (
     units_only_groupoid,
 )
 from .measures import HaarSystem, MeasureFamily, counting_haar, invariance_residual
-from .report import Report
+from .report import DEFAULT_TOL, Report
 from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, rdev, to_float
 
 
@@ -186,7 +186,7 @@ def make_correspondence(
     family: MeasureFamily,
     adjoining_values: Optional[Sequence[Scalar]] = None,
     check: bool = True,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     left_tg: Optional[tuple[FiniteGroupoid, dict[tuple[int, int], int]]] = None,
 ) -> Correspondence:
     """Assemble a correspondence, deriving the adjoining cocycle if absent.
@@ -213,7 +213,7 @@ def make_correspondence(
     return corr
 
 
-def validate(corr: Correspondence, tol: float = 1e-9) -> Report:
+def validate(corr: Correspondence, tol: float = DEFAULT_TOL) -> Report:
     """Check the measure data, with residuals and witnesses: λ is right
     invariant and Δ is a cocycle implementing its quasi-invariance.  The
     checked constructors that built the structure certified it."""
@@ -224,8 +224,8 @@ def validate(corr: Correspondence, tol: float = 1e-9) -> Report:
     res, wit = invariance_residual(corr.space.right, corr.family.weight)
     rep.check("family_right_invariance", res, corr.family.exact, tol, wit)
 
-    chk = check_cocycle(corr.adjoining, rel_tol=None if all_exact(corr.adjoining.value) else tol)
-    rep.add("adjoining_cocycle", chk.ok, chk.max_deviation, str(chk.witness) if chk.witness else None)
+    res, wit = check_cocycle(corr.adjoining)
+    rep.check("adjoining_cocycle", res, all_exact(corr.adjoining.value), tol, str(wit) if wit else None)
 
     res, wit = quasi_invariance_residual(
         corr.left_haar, corr.space, corr.family, corr.adjoining_at

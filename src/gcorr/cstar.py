@@ -36,6 +36,10 @@ entry, with NaN or ∞ counted as an infinite deviation; inner products scale
 like the families, so an absolute bound would fail valid data that is
 merely large.  For the same reason positivity divides the smallest
 eigenvalue of each representation matrix by max(1, its spectral norm).
+The certificate computes in floats on any input, so `GramReport` judges
+every deviation by `report.passes` as float data: isometry and
+intertwining at `tol`, and the negated relative eigenvalue at
+`POSITIVITY_TOL`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .correspondence import Correspondence
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem
 from .randgen import SplitMix64
-from .report import Report
+from .report import DEFAULT_TOL, Report, passes
 from .util import GcorrError, IndexTable, crdev
 
 
@@ -256,11 +260,11 @@ class GramReport:
 
     @property
     def isometry_ok(self) -> bool:
-        return self.isometry_max_dev <= self.tol
+        return passes(self.isometry_max_dev, False, self.tol)
 
     @property
     def intertwining_ok(self) -> bool:
-        return self.intertwining_max_dev <= self.tol
+        return passes(self.intertwining_max_dev, False, self.tol)
 
     @property
     def surjective(self) -> bool:
@@ -268,7 +272,7 @@ class GramReport:
 
     @property
     def positive_ok(self) -> bool:
-        return self.positivity_min_eig >= -POSITIVITY_TOL
+        return passes(-self.positivity_min_eig, False, POSITIVITY_TOL)
 
     @property
     def passed(self) -> bool:
@@ -276,22 +280,15 @@ class GramReport:
 
     def report(self) -> Report:
         rep = Report("hilbert-module isometry certificate")
-        rep.add(
+        rep.check(
             f"isometry ({self.isometry_pairs} basis pairs + {self.trials} random)",
-            self.isometry_ok,
-            self.isometry_max_dev,
-            self.isometry_witness,
+            self.isometry_max_dev, False, self.tol, self.isometry_witness,
         )
-        rep.add(
+        rep.check(
             f"intertwining ({self.intertwining_checks} checks)",
-            self.intertwining_ok,
-            self.intertwining_max_dev,
-            self.intertwining_witness,
+            self.intertwining_max_dev, False, self.tol, self.intertwining_witness,
         )
-        rep.add(
-            f"surjectivity (rank {self.surjectivity_rank} of {self.omega_dim})",
-            self.surjective,
-        )
+        rep.add(f"surjectivity (rank {self.surjectivity_rank} of {self.omega_dim})", self.surjective)
         rep.add(
             "inner-product positivity (relative min eigenvalue)",
             self.positive_ok,
@@ -385,7 +382,7 @@ def verify_theorem(
     result: CompositionResult,
     trials: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Certify the composite against the balanced tensor product.
 
@@ -529,10 +526,10 @@ def verify_theorem(
         trials=trials,
         isometry_pairs=iso_pairs,
         isometry_max_dev=iso_dev,
-        isometry_witness=iso_wit if iso_dev > tol else None,
+        isometry_witness=iso_wit,
         intertwining_checks=checks,
         intertwining_max_dev=inter_dev,
-        intertwining_witness=inter_wit if inter_dev > tol else None,
+        intertwining_witness=inter_wit,
         surjectivity_rank=rank,
         omega_dim=orbits.n_orbits,
         positivity_min_eig=min_eig,

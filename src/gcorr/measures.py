@@ -8,7 +8,8 @@ T = arrows, f = dst, subject to left invariance.
 `compose` reads the helpers shared with the stand-alone push-down here:
 the fibre integral behind every cutoff, the push-down sum with its
 disintegration residual, and the (worst, witness) invariance residual of
-a function on a G-space, which the report judges by `Report.check`.
+a function on a G-space.  Each check returns (worst, witness); the
+verdict is `report.passes`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
+from .report import DEFAULT_TOL, passes
 from .util import GcorrError, IndexTable, Scalar, adev, all_exact, ksum, rdev, to_float
 
 
@@ -113,13 +115,6 @@ class HaarSystem:
         return self.groupoid == other.groupoid and self.family.weight == other.family.weight
 
 
-@dataclass(frozen=True)
-class HaarCheck:
-    ok: bool
-    max_violation: float
-    witness: Optional[tuple[str, str]]  # (η, γ) with weight(ηγ) != weight(γ)
-
-
 def _haar_deviations(
     g: FiniteGroupoid, weight: Sequence[Scalar], rows: Iterable[int]
 ) -> Iterator[tuple[int, int, float]]:
@@ -133,8 +128,9 @@ def _haar_deviations(
                 yield a, b, d
 
 
-def check_haar(g: FiniteGroupoid, family: MeasureFamily) -> HaarCheck:
-    """Left invariance: weight(η∘γ) = weight(γ) on every composable pair.
+def check_haar(g: FiniteGroupoid, family: MeasureFamily) -> tuple[float, Optional[tuple[str, str]]]:
+    """Left invariance: weight(η∘γ) = weight(γ) on every composable pair;
+    the worst `adev` and the first (η, γ) attaining it (None if 0).
 
     Lemma: the arrows η whose deviation is 0 (equal and finite weights)
     against every γ are closed under composition, by associativity:
@@ -146,22 +142,21 @@ def check_haar(g: FiniteGroupoid, family: MeasureFamily) -> HaarCheck:
     if len(family.total_ids) != g.n_arrows or family.along != g.dst:
         raise ValueError("family must live on the arrows along dst")
     weight = family.weight
-    if not any(_haar_deviations(g, weight, g.unit_arrow + g.generators)):
-        return HaarCheck(True, 0.0, None)
-    worst = 0.0
-    witness = None
-    for a, b, d in _haar_deviations(g, weight, range(g.n_arrows)):
-        if d > worst:
-            worst = d
-            witness = (g.arrow_ids[a], g.arrow_ids[b])
-    return HaarCheck(worst == 0.0, worst, witness if worst else None)
+    worst, witness = 0.0, None
+    if any(_haar_deviations(g, weight, g.unit_arrow + g.generators)):
+        for a, b, d in _haar_deviations(g, weight, range(g.n_arrows)):
+            if d > worst:
+                worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
+    return worst, witness
 
 
 def make_haar(g: FiniteGroupoid, weights: Sequence[Scalar]) -> HaarSystem:
+    """The Haar system of `weights`; its left invariance `passes` exact on
+    any data, since `check_haar` compares weights with no arithmetic."""
     fam = MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, tuple(weights))
-    chk = check_haar(g, fam)
-    if not chk.ok:
-        raise NotHaar(chk.witness, chk.max_violation)
+    worst, witness = check_haar(g, fam)
+    if not passes(worst, exact=True):
+        raise NotHaar(witness, worst)
     return HaarSystem(g, fam)
 
 
@@ -206,25 +201,20 @@ def induced_measure(m: MeasureFamily, haar: HaarSystem, direction: str) -> Group
     return GroupoidMeasure(g, w)
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
-    symmetric: bool
-    residual: float
-    witness: Optional[str] = None  # the first arrow attaining the residual
-
-
-def is_symmetric(m: MeasureFamily, haar: HaarSystem, tol: float = 0.0) -> SymmetryCheck:
-    """Whether m∘λ = m∘λ⁻¹ arrow by arrow; residual is the worst |difference|,
-    judged against `tol` scaled by the largest weight (0 on exact data)."""
+def is_symmetric(m: MeasureFamily, haar: HaarSystem) -> tuple[float, Optional[str]]:
+    """How far m∘λ is from m∘λ⁻¹, arrow by arrow, and the first arrow
+    attaining it (None if 0): the worst |difference|, divided on float
+    data by max(1, largest weight), since it is a difference of measures
+    rather than a relative deviation.  m is symmetric when the residual
+    `passes` (exact when m and λ are)."""
     fwd = induced_measure(m, haar, "forward").weight
     inv = induced_measure(m, haar, "inverse").weight
     devs = [adev(a, b) for a, b in zip(fwd, inv)]
     residual = max(devs, default=0.0)
     witness = haar.groupoid.arrow_ids[devs.index(residual)] if residual else None
-    if all_exact(fwd) and all_exact(inv):
-        return SymmetryCheck(residual == 0.0, residual, witness)
-    scale = max((abs(float(w)) for w in fwd + inv), default=1.0)
-    return SymmetryCheck(residual <= tol * max(scale, 1.0), residual, witness)
+    if not (m.exact and haar.exact):
+        residual /= max(1.0, max(abs(float(w)) for w in fwd + inv))
+    return residual, witness
 
 
 def quotient_family(haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
@@ -350,27 +340,29 @@ def push_measure_down(
     haar: HaarSystem,
     orbits: OrbitSpace,
     e: Optional[Sequence[Scalar]] = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> MeasureFamily:
     """Push an invariant measure on the units down to the orbit space.
 
     Returns the unique measure μ with μ∘[λ] = m.  Requires m symmetric
-    (within `tol` on float data) and e a normalized cutoff; the result does
-    not depend on the choice of e.  The postcondition μ∘[λ] = m is the
-    `disintegration_residual`: 0 on exact data, at most `tol` on float.
+    (`is_symmetric`) and e a normalized cutoff (`cutoff_residual`); the
+    result does not depend on the choice of e.  The postcondition
+    μ∘[λ] = m is the `disintegration_residual`.  Each of the three guards
+    raises unless its residual `passes` at `tol`, exact when every value
+    it reads is.
     """
-    sym = is_symmetric(m, haar, tol)
-    if not sym.symmetric:
-        raise NotInvariant(sym.residual, witness=sym.witness)
+    res, witness = is_symmetric(m, haar)
+    if not passes(res, m.exact and haar.exact, tol):
+        raise NotInvariant(res, witness=witness)
     if e is None:
         e = default_cutoff(haar)
-    if cutoff_residual(haar, e) > (0.0 if all_exact(e) and haar.exact else tol):
+    if not passes(cutoff_residual(haar, e), all_exact(e) and haar.exact, tol):
         raise ValueError("cutoff is not normalized on every fibre")
     mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, push_down(m.weight, e, orbits))
     ql = quotient_family(haar, orbits)
-    worst, _ = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
-    if worst > (0.0 if mu.exact and ql.exact and m.exact else tol):
-        raise NotInvariant(worst, "push-down failed to disintegrate m")
+    worst, witness = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
+    if not passes(worst, mu.exact and ql.exact and m.exact, tol):
+        raise NotInvariant(worst, "push-down failed to disintegrate m", m.total_ids[witness])
     return mu
 
 

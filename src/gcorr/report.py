@@ -1,36 +1,44 @@
-"""Pass/fail reporting shared by validation, composition and the CLI.
+"""Pass/fail reporting shared by validation, composition, the certificate
+and the CLI, and the one pass rule that all of them judge by.
 
-`Report.check` is the pass rule for a residual: 0 on exact data, at most
-`tol` on float data; a NaN residual fails.  Every residual line of
-`compose` and `validate` uses it, except `lambda_pi_rep_independence`
-(exact equality on any data) and the cocycle lines (`check_cocycle` at
-`rel_tol`), which record the verdict of a rule of their own via
-`Report.add`.  The groupoid, Haar and bispace axioms have no line: the
-checked constructors certify them where the structure is built.
+`passes(residual, exact, tol)` is that rule: a residual passes at 0 on
+exact data and at most `tol` on float data, and a NaN residual fails.
+Every checker returns the pair (worst residual, witness) that names the
+first point attaining it whenever the residual is nonzero, and its
+caller decides the verdict here: `Report.check` for every residual line
+of `validate`, `compose` and the certificate, and `passes` itself where a
+verdict is taken outside a report line:
 
-Four tolerance rules still fork outside `Report.check`, each for a reason:
+* `make_haar` (left invariance of the Haar weights) and
+  `invariant_probability_family` (orbit-constancy of the fibre mass),
+  exact on any data: the weights of a left invariant family repeat
+  exactly along every arrow, and the fibres of one orbit carry the same
+  multiset of weights, which `ksum` sums exactly or correctly rounded;
+* `solve_coboundary_additive` and `decompose_multiplicative`, at
+  `DEFAULT_TOL`, since the cohomology layer takes no `tol`;
+* the symmetry of `is_symmetric`, read by `build_mu` and
+  `push_measure_down`, and `push_measure_down`'s cutoff and
+  disintegration guards, at the caller's `tol`;
+* `GramReport`'s isometry, intertwining and positivity verdicts, float
+  on any data, positivity at its own bound `POSITIVITY_TOL`.
 
-* `decompose_multiplicative`'s split guard (0 on exact data, 1e-9 on
-  float data) is a stage guard of the cohomology layer, which takes no
-  `tol`: it raises before any line exists.  `compose` records the same
-  residual as `b_ratio_relation` under `Report.check`; there it runs on
-  G₂⋉Y.
-* `invariant_probability_family`'s orbit-constancy of the fibre mass h
-  (0 on exact data, an absolute 1e-12 on float data) guards the Haar
-  input, whose fibre masses on valid data are sums of the same weights,
-  equal up to rounding; it raises, and in `compose` it too runs on G₂⋉Y.
-* `push_measure_down`, the stand-alone push-down, raises on a cutoff that
-  is not normalized and on a failed disintegration, judging each at 0
-  only when every value it reads is exact; it has no report to write to.
-* `is_symmetric` compares |m∘λ − m∘λ⁻¹|, a difference of measures rather
-  than a relative deviation, so on float data it scales `tol` by the
-  largest weight; its verdict is a `build_mu` stage error, not a line.
+`lambda_pi_rep_independence` is judged exact on any data: both sides are
+sums of the same weights.  The groupoid, Haar and bispace axioms have no
+line: the checked constructors certify them where the structure is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+DEFAULT_TOL = 1e-9  # the float tolerance of every check that is not given one
+
+
+def passes(residual: float, exact: bool, tol: float = DEFAULT_TOL) -> bool:
+    """The pass rule: `residual` is at most 0 on exact data and at most
+    `tol` on float data; NaN fails."""
+    return residual <= (0.0 if exact else tol)
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,8 @@ class Report:
         return res
 
     def check(self, name: str, residual, exact: bool, tol: float, witness=None) -> CheckResult:
-        """Record a residual under the pass rule: 0 on exact data, `tol` on float."""
-        return self.add(name, residual <= (0.0 if exact else tol), residual, witness)
+        """Record a residual under `passes`."""
+        return self.add(name, passes(residual, exact, tol), residual, witness)
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

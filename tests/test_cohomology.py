@@ -59,12 +59,12 @@ class TestInvariantProbabilityFamily:
 class TestCheckCocycle:
     def test_unit_arrow_witness(self, pair2):
         c = gc.Cocycle1(pair2, (F(1), F(0), F(0), F(1)), ADDITIVE)
-        chk = gc.check_cocycle(c)
-        assert not chk.ok and chk.witness is not None
+        worst, witness = gc.check_cocycle(c)
+        assert not gc.passes(worst, True) and witness is not None
 
     def test_d0_image_always_passes(self, pair2):
         t = gc.Cochain0(pair2, (F(2), F(-5)), ADDITIVE)
-        assert gc.check_cocycle(gc.d0(t)).ok
+        assert gc.check_cocycle(gc.d0(t)) == (0.0, None)
 
     def test_multiplicative_positive_required(self, z2):
         with pytest.raises(Exception):
@@ -176,7 +176,7 @@ class TestDecomposeMultiplicative:
         values = list(gc.d0(t).value)
         values[rng.randint(0, g.n_arrows - 1)] *= F(3, 2)
         delta = gc.Cocycle1(g, tuple(values), MULTIPLICATIVE)
-        assert not gc.check_cocycle(delta).ok
+        assert gc.check_cocycle(delta)[0] > 0
         with pytest.raises(NotACocycle) as info:
             gc.decompose_multiplicative(delta, p)
         assert info.value.deviation > 0 and info.value.witness[0] in g.arrow_ids
@@ -193,12 +193,11 @@ class TestDecomposeMultiplicative:
             tuple(fwd.weight[a] / inv.weight[a] for a in range(4)),
             MULTIPLICATIVE,
         )
-        assert gc.check_cocycle(delta).ok
+        assert gc.check_cocycle(delta) == (0.0, None)
         p = gc.invariant_probability_family(pair2, haar)
         b = gc.decompose_multiplicative(delta, p)
         bm = gc.unit_measure(pair2, tuple(b.value[u] * m.weight[u] for u in range(2)))
-        chk = gc.is_symmetric(bm, haar, tol=1e-12)
-        assert chk.symmetric
+        assert gc.is_symmetric(bm, haar) == (0.0, None)
 
 
 def _sweep_oracle(c):
@@ -331,10 +330,11 @@ class TestCocycleSweep:
 
     def test_check_cocycle_applies_tolerance_to_the_cached_sweep(self, pair2):
         c = gc.Cocycle1(pair2, (F(0), F(1, 10**12), F(0), F(0)), ADDITIVE)
-        assert not gc.check_cocycle(c).ok  # exact: no tolerance
-        loose = gc.check_cocycle(c, rel_tol=1e-9)
-        assert loose.ok and loose.witness is None
-        assert loose.max_deviation == gc.check_cocycle(c).max_deviation > 0
+        worst, witness = gc.check_cocycle(c)
+        assert 0 < worst <= 1e-9 and witness is not None
+        assert not gc.passes(worst, True)  # exact: no tolerance
+        assert gc.passes(worst, False, 1e-9)
+        assert gc.check_cocycle(c) == (worst, witness)  # the cached sweep
 
 
 class TestSplitSweep:

@@ -33,7 +33,7 @@ class TestDeriveAdjoining:
         for (a, p), k in corr.left_tg_index.items():
             q = act.table[(a, p)]
             assert corr.adjoining.value[k] == lam[p] / lam[q]
-        assert gc.check_cocycle(corr.adjoining).ok
+        assert gc.check_cocycle(corr.adjoining) == (0.0, None)
         # the nontrivial entries are 1/3 and 3
         assert set(corr.adjoining.value) == {F(1), F(1, 3), F(3)}
 

@@ -358,7 +358,7 @@ def test_infinite_values_still_read_infinite():
     assert invariance_residual(corr_x.space.right, weights)[0] == math.inf
     g = units_only_groupoid(["a", "b"])  # S is empty: only the identity rows see it
     assert invariance_residual(trivial_action("left", g, ["p", "q"], (0, 1)), [1.0, math.nan])[0] == math.inf
-    assert not check_haar(g, MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, (1.0, math.inf))).ok
+    assert check_haar(g, MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, (1.0, math.inf)))[0] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def _parse_time_lookups(n: int) -> int:
     groupoids = {id(g): counted_groupoid(g) for corr in (corr_x, corr_y) for g in (corr.left, corr.right)}
     for g in groupoids.values():
         assert groupoid_violations(g) == []
-        assert check_haar(g, MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, (Fraction(1),) * g.n_arrows)).ok
+        assert check_haar(g, MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, (Fraction(1),) * g.n_arrows)) == (0.0, None)
     for corr in (corr_x, corr_y):
         left, right = (
             dataclasses.replace(act, groupoid=groupoids[id(act.groupoid)], table=counted(act.table))

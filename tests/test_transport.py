@@ -127,10 +127,10 @@ def _assert_oracles_pass(res, tol=1e-9):
     chi2 = res.corr_x.right_haar
     assert len(res.tg_z_index) == res.tg_z.n_arrows
     assert all(res.chi.w(k) == chi2.w(a) for (_, a), k in res.tg_z_index.items())
-    assert check_haar(res.tg_z, res.chi.family).ok
-    sweep = check_cocycle(res.delta_z, rel_tol=None if exact else tol)
-    assert sweep.ok
-    assert sweep.max_deviation <= _line(res.report, "delta_z_cocycle").residual
+    assert check_haar(res.tg_z, res.chi.family) == (0.0, None)
+    sweep, _ = check_cocycle(res.delta_z)
+    assert gc.passes(sweep, exact, tol)
+    assert sweep <= _line(res.report, "delta_z_cocycle").residual
     g1, g3 = z_invariance_oracle(res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)
     assert g1 == 0.0
     assert g3 == _line(res.report, "delta_z_right_invariance").residual
@@ -393,8 +393,7 @@ def oracle_lines(res, tol=1e-9):
     bm = tuple(x * y for x, y in zip(b, m))
     mu = push_down(m, tuple(x * y for x, y in zip(e, b)), res.orbits)
     delta12, wd = delta12_oracle(res, b)
-    exact = all_exact(res.corr_y.adjoining.value)
-    cocycle = check_cocycle(res.corr_y.adjoining, rel_tol=None if exact else tol).max_deviation
+    cocycle = check_cocycle(res.corr_y.adjoining)[0]
     lines = {
         "m_right_invariance": invariance_residual(res.z_bispace.right, m)[0],
         "lambda_pi_rep_independence": lambda_pi_oracle(res),
@@ -406,7 +405,7 @@ def oracle_lines(res, tol=1e-9):
         "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits)[0],
         "delta12_well_defined": wd,
     }
-    symmetric = is_symmetric(unit_measure(res.tg_z, bm), res.chi, tol).symmetric
+    symmetric = gc.passes(is_symmetric(unit_measure(res.tg_z, bm), res.chi)[0], all_exact(bm) and res.chi.exact, tol)
     return lines, {"b": b, "e": e, "mu": mu, "delta12": delta12, "symmetric": symmetric}
 
 
