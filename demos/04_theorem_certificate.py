@@ -2,9 +2,10 @@
 """Certify that composition matches the balanced tensor product.
 
 For each catalog pair and one seeded random pair, the comparison map is
-checked to preserve the algebra-valued inner products (on the full
-point-mass basis and random vectors), to intertwine the left actions, and
-to have full rank: a unitary of Hilbert modules at finite dimension.
+checked to preserve the algebra-valued inner products (on the point-mass
+basis, modulo balancing on exact data, and on random vectors), to
+intertwine the left actions, and to have full rank: a unitary of Hilbert
+modules at finite dimension.
 
 Run:  python demos/04_theorem_certificate.py
 """

@@ -1,7 +1,8 @@
 """Command-line front end: validate / compose / verify / example / random.
 
-Exit codes: 0 ok, 1 parse or validation failure (and a bad `--tol` or
-`--trials`), 2 composition failure, 3 theorem tolerance breach, or a
+Exit codes: 0 ok, 1 parse or validation failure (an unreadable input
+file, an unwritable output file, a bad `--tol` or `--trials`), 2
+composition failure, 3 theorem tolerance breach, or a
 certificate that cannot run because a weight has no positive finite
 float (one line on stderr naming it).  `--tol` must be a finite number
 of at least 0; any other value is rejected before an input is read.
@@ -35,8 +36,29 @@ def _emit(report: Report, as_json: bool) -> None:
         print(report.render())
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of `path`; a file that cannot be read or decoded is
+    a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise io_json.ParseError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise io_json.ParseError(path, exc.strerror or str(exc)) from exc
+
+
+def _write_text(path: str, text: str) -> bool:
+    """Write `text` to `path`; False after naming the path on stderr."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"write error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _load(path: str) -> io_json.InstanceData:
-    return io_json.parse_instance(Path(path).read_text(), source=path)
+    return io_json.parse_instance(_read_text(path), source=path)
 
 
 def _load_pair(path_x: str, path_y: str):
@@ -66,7 +88,7 @@ def cmd_validate(args) -> int:
 
 def _read_cochain(path: str, point_ids) -> tuple:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise io_json.ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     if not isinstance(doc, dict):
@@ -119,9 +141,8 @@ def cmd_compose(args) -> int:
         stage = getattr(exc, "stage", "input")
         print(f"composition failed at {stage}: {exc}", file=sys.stderr)
         return EXIT_COMPOSITION
-    Path(args.out).write_text(
-        io_json.serialize_instance([("composite", result.composite)])
-    )
+    if not _write_text(args.out, io_json.serialize_instance([("composite", result.composite)])):
+        return EXIT_VALIDATION
     _emit(result.report, args.json)
     return EXIT_OK
 
@@ -160,7 +181,8 @@ def cmd_example(args) -> int:
     except GcorrError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    _write_pair(args.out, corr_x, corr_y)
+    if not _write_pair(args.out, corr_x, corr_y):
+        return EXIT_VALIDATION
     print(f"{args.name}: {meta['description']}")
     print(f"wrote {args.out}.x.json and {args.out}.y.json")
     return EXIT_OK
@@ -174,14 +196,16 @@ def cmd_random(args) -> int:
         print(f"bad --sizes {args.sizes!r}; expected e.g. 16,16,8", file=sys.stderr)
         return EXIT_VALIDATION
     corr_x, corr_y = random_pair(args.seed, max_x=max_x, max_y=max_y, max_mid=max_mid)
-    _write_pair(args.out, corr_x, corr_y)
+    if not _write_pair(args.out, corr_x, corr_y):
+        return EXIT_VALIDATION
     print(f"wrote {args.out}.x.json and {args.out}.y.json (seed {args.seed})")
     return EXIT_OK
 
 
-def _write_pair(prefix: str, corr_x, corr_y) -> None:
-    Path(f"{prefix}.x.json").write_text(io_json.serialize_instance([("x", corr_x)]))
-    Path(f"{prefix}.y.json").write_text(io_json.serialize_instance([("y", corr_y)]))
+def _write_pair(prefix: str, corr_x, corr_y) -> bool:
+    return _write_text(f"{prefix}.x.json", io_json.serialize_instance([("x", corr_x)])) and _write_text(
+        f"{prefix}.y.json", io_json.serialize_instance([("y", corr_y)])
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

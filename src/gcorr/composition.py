@@ -122,6 +122,7 @@ class CompositionResult:
     fp: FibreProduct  # Z; its diagonal middle action is built when read
     z_bispace: ZBispace  # outer G₁-G₃ structure on Z
     orbits: OrbitSpace  # π: Z -> Ω
+    reduction: MiddleReduction  # Z⋊G₂ reduced to R = {(x₀, y)}; `z_of` lists R
     omega: Bispace
     m: MeasureFamily  # on Z along s_Z
     lambda_pi: MeasureFamily  # along π
@@ -752,7 +753,7 @@ def compose(
     report.notes["scalar_mode"] = "exact" if exact_mu and exact12 else "float"
 
     result = CompositionResult(
-        corr_x, corr_y, fp, z_bispace, orbits, omega, m, lam_pi, b, e, mu, delta12,
+        corr_x, corr_y, fp, z_bispace, orbits, red, omega, m, lam_pi, b, e, mu, delta12,
         composite, report,
     )
     if not report.passed:

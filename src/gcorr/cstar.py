@@ -40,6 +40,18 @@ The certificate computes in floats on any input, so `GramReport` judges
 every deviation by `report.passes` as float data: isometry and
 intertwining at `tol`, and the negated relative eigenvalue at
 `POSITIVITY_TOL`.
+
+The certificate runs on generators where the data allow it.  The tensor
+product is balanced, so the point masses on the transversal
+R = {(x₀, y)} that `compose` builds span it modulo balancing: the basis
+isometry follows from the balancing of the comparison map on G₂'s
+generators and the Gram entries on R×R, and the intertwining from the
+checks on G₁'s generators.  These lemmas are exact, so the reduced pass
+runs on exact data only (every family and cocycle exact, the adjoining
+cocycle lines passing), and it decides only when a word bound places
+every full-sweep deviation within `tol`.  Whenever it cannot, and on
+float data, the full sweeps run as they always did and supply the
+verdict and the witness (`verify_theorem`).
 """
 
 from __future__ import annotations
@@ -47,10 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .cohomology import check_cocycle
 from .composition import CompositionResult, GroupoidMismatch
 from .correspondence import Correspondence
 from .groupoids import FiniteGroupoid
@@ -248,7 +261,8 @@ def representation_matrices(
 class GramReport:
     tol: float
     trials: int
-    isometry_pairs: int
+    isometry_pairs: int  # basis pairs compared: |R|² after balancing, else |Z|²
+    balancing_checks: Optional[int]  # None when the full sweep decided
     isometry_max_dev: float
     isometry_witness: Optional[str]
     intertwining_checks: int
@@ -280,8 +294,11 @@ class GramReport:
 
     def report(self) -> Report:
         rep = Report("hilbert-module isometry certificate")
+        basis = f"{self.isometry_pairs} basis pairs"
+        if self.balancing_checks:  # 0: no generator moves a point, R = Z
+            basis += f" on R + {self.balancing_checks} balancing"
         rep.check(
-            f"isometry ({self.isometry_pairs} basis pairs + {self.trials} random)",
+            f"isometry ({basis} + {self.trials} random)",
             self.isometry_max_dev, False, self.tol, self.isometry_witness,
         )
         rep.check(
@@ -345,23 +362,27 @@ def tensor_basis_gram(
 
 
 def image_basis_gram(
-    result: CompositionResult, os_: Sequence[int]
+    result: CompositionResult, os_: Sequence[int], within: Optional[Sequence[bool]] = None
 ) -> dict[tuple[int, int, int], float]:
     """Composite inner products of the point-mass images: each image is
     supported on a single orbit, so the Gram entries factor through the
-    per-point weights of the comparison map."""
+    per-point weights of the comparison map.  `within` (a flag per point
+    of Z) keeps the entries whose two points it flags."""
     orbits = result.orbits
     g3 = result.composite.right
     act_or = result.composite.space.right
     ell = result.ell
     mu = result.mu.float_weight
+    members = orbits.members
+    if within is not None:
+        members = [[i for i in group if within[i]] for group in members]
     r: dict[tuple[int, int, int], float] = {}
     for o in os_:
         for gbar in g3.fibre_dst[act_or.momentum[o]]:
             o2 = act_or.table[(o, gbar)]
-            for i in orbits.members[o]:
+            for i in members[o]:
                 li_mu = ell[i] * mu[o]
-                for j in orbits.members[o2]:
+                for j in members[o2]:
                     r[(i, j, gbar)] = li_mu * ell[j]
     return r
 
@@ -376,6 +397,135 @@ def image_rank(result: CompositionResult) -> int:
     return len({proj[z] for z, w in enumerate(result.ell) if 0 < w < math.inf})
 
 
+def _devs(lhs: float, rhs: float, same: bool = True) -> tuple[float, float]:
+    """`crdev` of the two sides of a check, and their relative deviation
+    |a − b| / max(|a|, |b|) (∞ on NaN).  Sides on different orbits
+    (`same` False) are compared term by term with 0, at relative ∞."""
+    if not same:
+        return max(crdev(lhs, 0.0), crdev(0.0, rhs)), math.inf
+    d = crdev(lhs, rhs)
+    if not d:
+        return 0.0, 0.0
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    return d, rel if rel == rel else math.inf
+
+
+def basis_isometry(
+    corr_x: Correspondence,
+    corr_y: Correspondence,
+    result: CompositionResult,
+    within: Optional[Sequence[bool]] = None,
+) -> tuple[float, Optional[str], float]:
+    """`tensor_basis_gram` against `image_basis_gram` on the point masses
+    of Z, or on those that `within` flags: the worst `crdev` over the keys
+    of either, the first key attaining it, and the worst relative one."""
+    n_z, ids, g3 = len(result.fp.pairs), result.fp.point_ids, corr_y.right
+    if within is None:
+        q = tensor_basis_gram(corr_x, corr_y, result, range(n_z))
+    else:
+        q = tensor_basis_gram(corr_x, corr_y, result, [z for z in range(n_z) if within[z]])
+        q = {key: v for key, v in q.items() if within[key[1]]}
+    r = image_basis_gram(result, range(result.orbits.n_orbits), within)
+    worst, witness, rho = 0.0, None, 0.0
+    for key in q.keys() | r.keys():
+        d, rel = _devs(q.get(key, 0.0), r.get(key, 0.0))
+        rho = max(rho, rel)
+        if d > worst:
+            i, j, gbar = key
+            worst, witness = d, f"basis ({ids[i]}, {ids[j]}) at {g3.arrow_ids[gbar]}"
+    return worst, witness, rho
+
+
+def balancing_deviation(
+    corr_x: Correspondence, corr_y: Correspondence, result: CompositionResult
+) -> tuple[float, Optional[str], float, int]:
+    """Balancing of the comparison map U on G₂'s `generators`: the worst
+    `crdev` of U(δ_x·δ_s ⊗ δ_y) against U(δ_x ⊗ δ_s·δ_y), its first
+    witness, the worst relative deviation (`_devs`) and the number of
+    checks.
+
+    δ_x·δ_s = w₂(s⁻¹)·δ_{x·s} and δ_s·δ_y = w₂(s)·√Δ₂(s, y)·δ_{s·y}, so
+    each check compares w₂(s⁻¹)·ell[(x·s, y)] with
+    w₂(s)·√Δ₂(s, y)·ell[(x, s·y)], which U sends to the same orbit.  One
+    check runs per z₁ = (x·s, y) in Z and generator s with source m(z₁),
+    in O(1).
+    """
+    g2, fp, orbits = corr_x.right, result.fp, result.orbits
+    w2 = corr_x.right_haar.family.float_weight
+    sqrt_y = corr_y.sqrt_adjoining
+    xr_table, x_momentum = corr_x.space.right.table, corr_x.space.right.momentum
+    yl_table = corr_y.space.left.table
+    ell, proj, index = result.ell, orbits.proj, fp.index
+    gens_from: list[list[int]] = [[] for _ in range(g2.n_units)]
+    for s in g2.generators:
+        gens_from[g2.src[s]].append(s)
+    worst, witness, rho, checks = 0.0, None, 0.0, 0
+    for z1, (x1, y) in enumerate(fp.pairs):
+        for s in gens_from[x_momentum[x1]]:
+            checks += 1
+            s_inv = g2.inv[s]
+            z2 = index[(xr_table[(x1, s_inv)], yl_table[(s, y)])]
+            d, rel = _devs(w2[s_inv] * ell[z1], w2[s] * sqrt_y[(s, y)] * ell[z2], proj[z1] == proj[z2])
+            rho = max(rho, rel)
+            if d > worst:
+                worst, witness = d, f"balancing {fp.point_ids[z1]} ~ {fp.point_ids[z2]} by {g2.arrow_ids[s]}"
+    return worst, witness, rho, checks
+
+
+def intertwining_deviation(
+    corr_x: Correspondence, result: CompositionResult, rows: Iterable[int]
+) -> tuple[float, Optional[str], float, int]:
+    """Intertwining on the point masses for the arrows a of G₁ in `rows`:
+    the worst `crdev` of λ′(δ_a·δ_x ⊗ δ_y) against δ_a·λ′(δ_x ⊗ δ_y) over
+    z = (x, y) in Z, its first witness, the worst relative deviation
+    (`_devs`) and the number of checks.
+
+    The checks read the tables instead of calling the operations.  Lemma:
+    for z = (x, y) in Z and an arrow a of G₁ with s(a) = r(x), each side
+    of the check has a single term,
+
+        λ′(δ_a·δ_x ⊗ δ_y) = (w₁(a)·√Δ₁(a, x))·ell[(a·x, y)]  at π(a·x, y),
+        δ_a·λ′(δ_x ⊗ δ_y) = (w₁(a)·ell[z])·√Δ₁₂(a, πz)       at a·πz,
+
+    because a point mass meets one table entry per operation, and the
+    operation chain forms exactly these products: its other factors are
+    1 + 0j, exact in every product.  So each check gives the deviation of
+    the chain bit for bit, in O(1) instead of O(|fibre|).
+    """
+    g1, fp, composite = corr_x.left, result.fp, result.composite
+    x_left, x_momentum = corr_x.space.left.table, corr_x.space.left.momentum
+    o_left = composite.space.left.table
+    w_x, w_o = corr_x.left_haar.family.float_weight, composite.left_haar.family.float_weight
+    sqrt_x, sqrt_o = corr_x.sqrt_adjoining, composite.sqrt_adjoining
+    ell, proj, index = result.ell, result.orbits.proj, fp.index
+    zs_over: dict[int, list[int]] = {}  # left unit -> the z = (x, y) with x over it
+    for z, (x, _) in enumerate(fp.pairs):
+        zs_over.setdefault(x_momentum[x], []).append(z)
+    worst, witness, rho, checks = 0.0, None, 0.0, 0
+    for a1 in rows:
+        for z in zs_over.get(g1.src[a1], ()):
+            x, y = fp.pairs[z]
+            checks += 1
+            z1 = index[(x_left[(a1, x)], y)]
+            lhs = w_x[a1] * sqrt_x[(a1, x)] * ell[z1]
+            o = proj[z]
+            rhs = w_o[a1] * ell[z] * sqrt_o[(a1, o)]
+            d, rel = _devs(lhs, rhs, proj[z1] == o_left[(a1, o)])
+            rho = max(rho, rel)
+            if d > worst:
+                worst = d
+                witness = f"({g1.arrow_ids[a1]}) on ({fp.point_ids[z]})"
+    return worst, witness, rho, checks
+
+
+def _conclusive(rho: float, length: int, fibre: int, tol: float) -> bool:
+    """Whether reduced checks on exact data with worst relative deviation
+    rho decide the full sweep's verdict: words of up to `length` checks,
+    Gram sums of up to `fibre` terms (the bound in `verify_theorem`)."""
+    eps = (fibre + 16) * 2.0**-52
+    return length * (rho + eps) + eps <= tol
+
+
 def verify_theorem(
     corr_x: Correspondence,
     corr_y: Correspondence,
@@ -386,53 +536,89 @@ def verify_theorem(
 ) -> GramReport:
     """Certify the composite against the balanced tensor product.
 
-    (a) On the full point-mass basis of the tensor product, the tensor
-        inner product (direct triple sum) agrees with the composite inner
-        product of the images on every arrow of the right groupoid, and the
-        same identity is fuzzed with `trials` random elementary tensors
-        through the generic operation chain.
-    (b) The map intertwines the left actions, on every basis arrow against
-        every basis tensor, plus random elements.
+    (a) The map U(δ_x⊗δ_y) = ell[(x, y)]·δ_{π(x,y)} preserves the inner
+        product of point masses: the tensor inner product (direct triple
+        sum) agrees with the composite inner product of the images on
+        every arrow of the right groupoid; the same identity is fuzzed with
+        `trials` random elementary tensors through the generic operation
+        chain.
+    (b) U intertwines the left actions on the point masses
+        (`intertwining_deviation`), plus random elements.
     (c) The image matrix has full rank (dense range at finite dimension).
     Positivity spot-checks of inner products round out the report.
+
+    Certify on generators.  When X, Y and the composite are exact and
+    their adjoining cocycle lines pass, (a) and (b) run first on the
+    generating sets S₂ of G₂ and S₁ of G₁ (`FiniteGroupoid.generators`):
+
+    * (a) checks that U is balanced on S₂ (`balancing_deviation`,
+      |Z|·|S₂| checks of O(1)) and the basis Gram entries on R×R only,
+      R = {(x₀, y)} the transversal that `compose` reduced Z⋊G₂ to
+      (`MiddleReduction.z_of`).  The Gram sums then run over R instead of
+      Z: Θ(n²) instead of Θ(n³) on the ladder.  Lemma (balancing and
+      closure; Holkar 2015, cited in PAPER.md): the tensor inner product
+      is balanced by construction, ⟨ξ·φ ⊗ η, ·⟩ = ⟨ξ ⊗ φ·η, ·⟩, and both
+      actions are representations, so U is balanced on all of G₂ once it
+      is on S₂.  Write x = x₀·t_x with t_x = s₁∘…∘s_k, each s_i in S₂: k
+      balancing steps take δ_(x,y) to a positive multiple of
+      δ_(x₀, t_x·y), a point of R, on both sides of U.  So every basis
+      Gram entry is an entry on R×R times the factors of at most 2k
+      balancing steps.  The tensor side is balanced for inputs that pass
+      `validate`, which every command checks before composing.
+    * (b) sweeps S₁ × Z.  Lemma: with Δ₁ and Δ₁₂ cocycles and w₁ left
+      invariant, the ratio of the two sides at a∘b on z is the product of
+      the ratios at a on b·z and at b on z; at an identity e both sides
+      are w₁(e)·ell[z], as Δ₁ and Δ₁₂ are 1 there.
+
+    The word bound.  The lemmas are exact and the checks are floats, each
+    within ε = (F + 16)·2⁻⁵² of its exact value, F the largest range fibre
+    of G₁ or G₂ (a Gram entry sums at most F terms).  A shortest word
+    e∘s₁∘…∘s_k has distinct prefixes in one range fibre, so k < F, and
+    relative deviations multiply along a word.  With ρ the worst relative
+    deviation |a − b| / max(|a|, |b|) of the reduced checks, every entry
+    of the full sweep therefore deviates by at most K·(ρ + ε) + ε, with
+    K = 2F₂ − 1 for (a) and K = F₁ for (b); its `crdev` is no larger.  The
+    reduced pass decides only when that bound is within `tol`, and then
+    reports its own worst `crdev` and witness.
+
+    The explanation path.  Otherwise (a deviation the bound cannot place
+    within `tol`, float data, a failing cocycle line, or tol = 0), the
+    full sweep runs as it would without the reduced pass, bit for bit, and
+    supplies the verdict, the residual and the witness.
 
     The random trials run as stacked rows, a block of them per pass of the
     operation chain; each trial draws f, f′, g, g′ and φ in that order, and
     a witness names the first trial that reaches the largest deviation.
-
-    The basis intertwining checks read the tables instead of calling the
-    operations.  Lemma: for z = (x, y) in Z and an arrow a of G₁ with
-    s(a) = r(x), each side of the check has a single term,
-
-        λ′(δ_a·δ_x ⊗ δ_y) = (w₁(a)·√Δ₁(a, x))·ell[(a·x, y)]  at π(a·x, y),
-        δ_a·λ′(δ_x ⊗ δ_y) = (w₁(a)·ell[z])·√Δ₁₂(a, πz)       at a·πz,
-
-    because a point mass meets one table entry per operation, and the
-    operation chain forms exactly these products: its other factors are
-    1 + 0j, exact in every product.  So each check gives the deviation of
-    the chain bit for bit, in O(1) instead of O(|fibre|).
     """
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     composite = result.composite
-    g1, g3 = corr_x.left, corr_y.right
+    g1, g2, g3 = corr_x.left, corr_x.right, corr_y.right
     fp, orbits = result.fp, result.orbits
     n_z = len(fp.pairs)
+    on_generators = all(
+        c.exact and passes(check_cocycle(c.adjoining)[0], True) for c in (corr_x, corr_y, composite)
+    )
+    f1, f2 = (max(map(len, g.fibre_dst), default=1) for g in (g1, g2))
+    fibre = max(f1, f2)
 
-    iso_dev, iso_wit = 0.0, None
-    inter_dev, inter_wit = 0.0, None
-
-    # -- (a) exhaustive basis sweep, sparse on both sides -------------------
-    q = tensor_basis_gram(corr_x, corr_y, result, range(n_z))
-    r = image_basis_gram(result, range(orbits.n_orbits))
-
-    for key in q.keys() | r.keys():
-        d = crdev(q.get(key, 0.0), r.get(key, 0.0))
-        if d > iso_dev:
-            i, j, gbar = key
-            iso_dev = d
-            iso_wit = f"basis ({fp.point_ids[i]}, {fp.point_ids[j]}) at {g3.arrow_ids[gbar]}"
-    iso_pairs = n_z * n_z
+    # -- (a) basis isometry: on R×R with balancing, else every pair ----------
+    balancing = None
+    if on_generators:
+        r_points = result.reduction.z_of
+        within = bytearray(n_z)
+        for z in r_points:
+            within[z] = 1
+        iso_dev, iso_wit, rho = basis_isometry(corr_x, corr_y, result, within)
+        bal_dev, bal_wit, bal_rho, balancing = balancing_deviation(corr_x, corr_y, result)
+        if bal_dev > iso_dev:
+            iso_dev, iso_wit = bal_dev, bal_wit
+        iso_pairs = len(r_points) ** 2
+        if not _conclusive(max(rho, bal_rho), 2 * f2 - 1, fibre, tol):
+            balancing = None
+    if balancing is None:
+        iso_dev, iso_wit, _ = basis_isometry(corr_x, corr_y, result)
+        iso_pairs = n_z * n_z
 
     # point masses off the fibre product map to zero on both sides
     off = (
@@ -450,31 +636,13 @@ def verify_theorem(
             iso_dev = max(iso_dev, 1.0)
             iso_wit = f"off-product basis ({corr_x.space.point_ids[x]}, {corr_y.space.point_ids[y]})"
 
-    # -- (b) intertwining on the basis, read off the tables (the lemma) -----
-    x_left, x_momentum = corr_x.space.left.table, corr_x.space.left.momentum
-    o_left = composite.space.left.table
-    w_x, w_o = corr_x.left_haar.family.float_weight, composite.left_haar.family.float_weight
-    sqrt_x, sqrt_o = corr_x.sqrt_adjoining, composite.sqrt_adjoining
-    ell, proj, index = result.ell, orbits.proj, fp.index
-    zs_over: dict[int, list[int]] = {}  # left unit -> the z = (x, y) with x over it
-    for z, (x, _) in enumerate(fp.pairs):
-        zs_over.setdefault(x_momentum[x], []).append(z)
-    checks = 0
-    for a1 in range(g1.n_arrows):
-        for z in zs_over.get(g1.src[a1], ()):
-            x, y = fp.pairs[z]
-            checks += 1
-            z1 = index[(x_left[(a1, x)], y)]
-            lhs = w_x[a1] * sqrt_x[(a1, x)] * ell[z1]
-            o = proj[z]
-            rhs = w_o[a1] * ell[z] * sqrt_o[(a1, o)]
-            if proj[z1] == o_left[(a1, o)]:
-                d = crdev(lhs, rhs)
-            else:
-                d = max(crdev(lhs, 0.0), crdev(0.0, rhs))
-            if d > inter_dev:
-                inter_dev = d
-                inter_wit = f"({g1.arrow_ids[a1]}) on ({fp.point_ids[z]})"
+    # -- (b) intertwining on the basis: S₁ × Z, else every arrow of G₁ -----
+    decided = False
+    if on_generators:
+        inter_dev, inter_wit, rho, checks = intertwining_deviation(corr_x, result, g1.generators)
+        decided = _conclusive(rho, f1, fibre, tol)
+    if not decided:
+        inter_dev, inter_wit, _, checks = intertwining_deviation(corr_x, result, range(g1.n_arrows))
 
     # -- random trials through the generic operation chain ------------------
     rng = SplitMix64(seed)
@@ -525,6 +693,7 @@ def verify_theorem(
         tol=tol,
         trials=trials,
         isometry_pairs=iso_pairs,
+        balancing_checks=balancing,
         isometry_max_dev=iso_dev,
         isometry_witness=iso_wit,
         intertwining_checks=checks,

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import gcorr as gc
+from gcorr import catalog
 from gcorr.cohomology import ProbabilityFamily
 from gcorr.cstar import AlgebraElement
 from gcorr.groupoids import FiniteGroupoid, make_action, make_bispace
 from gcorr.measures import MeasureFamily, counting_haar
+from gcorr.randgen import random_pair
 from gcorr.report import Report
 from gcorr.util import adev, ksum
 
@@ -141,6 +143,30 @@ def coeff_dict(c) -> dict:
 
 # the family caps of the benchmark's random-mix pairs (bench/workloads.py)
 MIX_CAPS = {"max_x": 28, "max_y": 28, "max_mid": 16, "max_outer": 8}
+
+# "the 45 pairs": the catalog pairs and random_pair(0..39) at MIX_CAPS
+PAIRS_45 = tuple(catalog.EXAMPLE_NAMES) + tuple(f"mix-{i}" for i in range(40))
+
+
+def pair_45(name):
+    """One of `PAIRS_45`, as exact correspondences."""
+    if name.startswith("mix-"):
+        return random_pair(int(name[4:]), **MIX_CAPS)
+    return catalog.example_pair(name)[:2]
+
+
+def full_sweep_certificate(corr_x, corr_y, result, **kwargs):
+    """`verify_theorem` with the reduced passes on the generators never
+    deciding: the full basis sweeps supply every verdict, as on float data."""
+    from gcorr import cstar
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cstar, "_conclusive", lambda *args: False)
+        return cstar.verify_theorem(corr_x, corr_y, result, **kwargs)
+
+
+def line_verdicts(gram) -> list[bool]:
+    return [c.passed for c in gram.report().checks]
 
 
 def scaled_family(corr, c, exact=True):

@@ -17,7 +17,16 @@ from gcorr.correspondence import (
 from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
 from gcorr.measures import MeasureFamily, invariance_residual
 from gcorr.randgen import SplitMix64, random_pair
-from tests.conftest import max_residual, quasi_invariance_residual_dense, translation_correspondence
+from gcorr.composition import compose
+from tests.conftest import (
+    PAIRS_45,
+    ladder_pair,
+    max_residual,
+    pair_45,
+    quasi_invariance_residual_dense,
+    scaled_family,
+    translation_correspondence,
+)
 
 
 class TestDeriveAdjoining:
@@ -212,3 +221,105 @@ def test_random_correspondences_validate_exactly(seed):
             corr.left_haar, corr.space, corr.family, corr.adjoining_at
         )
         assert res == 0
+
+
+def _full_sweep(corr):
+    return quasi_invariance_residual(corr.left_haar, corr.space, corr.family, corr.adjoining_at)
+
+
+def _identity_line(corr):
+    line = next(c for c in gc.validate(corr).checks if c.name == "adjoining_identity")
+    return line.passed, line.residual, line.witness
+
+
+def _with_adjoining(corr, values):
+    return gc.make_correspondence(
+        corr.left_haar, corr.right_haar, corr.space, corr.family, values, check=False
+    )
+
+
+class TestAdjoiningIdentityOnGenerators:
+    """`validate` checks the quasi-invariance identity on the lifts of G's
+    generators where Δ is exact and its cocycle line passes, and runs the
+    full sweep for the verdict and witness everywhere else."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_line_equals_the_full_sweep(self, name, exact):
+        corr_x, corr_y = pair_45(name)
+        if not exact:
+            corr_x, corr_y = (scaled_family(c, 1, exact=False) for c in (corr_x, corr_y))
+        composite = compose(corr_x, corr_y).composite
+        for corr in (corr_x, corr_y, composite):
+            res, wit = _full_sweep(corr)
+            assert _identity_line(corr) == (gc.passes(res, corr.exact), res, wit), name
+
+    def test_lifts_are_the_only_pairs_read_on_exact_data(self, monkeypatch):
+        from gcorr import correspondence
+
+        corr_x, _ = ladder_pair(6)  # Z/6 has the one generator g1
+        seen = []
+
+        def adjoining_at(a, p):
+            seen.append(a)
+            return corr_x.adjoining_at(a, p)
+
+        assert quasi_invariance_residual(
+            corr_x.left_haar, corr_x.space, corr_x.family, adjoining_at, on_generators=True
+        ) == (0.0, None)
+        assert set(seen) == set(corr_x.left.generators) and len(seen) == 6
+        float_x = scaled_family(corr_x, 1, exact=False)
+        flags = []
+        original = correspondence.quasi_invariance_residual
+        monkeypatch.setattr(
+            correspondence, "quasi_invariance_residual",
+            lambda *args, on_generators: flags.append(on_generators) or original(*args, on_generators=on_generators),
+        )
+        gc.validate(corr_x)
+        gc.validate(float_x)
+        assert flags == [True, False]
+
+    def test_tamper_at_a_non_generator_arrow_gets_the_full_sweep_witness(self):
+        corr_x, _ = ladder_pair(6)
+        g = corr_x.left
+        a = next(a for a in range(g.n_arrows) if a not in g.generators and a not in g.unit_arrow)
+        values = list(corr_x.adjoining.value)
+        values[corr_x.left_tg_index[(a, 0)]] *= F(3, 2)
+        bad = _with_adjoining(corr_x, values)
+        res, wit = _full_sweep(bad)
+        assert res > 0 and wit == f"({g.arrow_ids[a]}, {bad.space.point_ids[0]})"
+        assert _identity_line(bad) == (False, res, wit)
+        # the lifts alone miss it: Δ is no longer a cocycle, so the lemma
+        # does not hold and `validate` must not take the generator pass
+        assert quasi_invariance_residual(
+            bad.left_haar, bad.space, bad.family, bad.adjoining_at, on_generators=True
+        ) == (0.0, None)
+
+    @pytest.mark.parametrize("i", [3, 7, 11, 15])
+    def test_identity_tamper_breaking_the_cocycle_line_gets_the_full_sweep(self, i):
+        """The benchmark's tampered random-mix pairs: one adjoining value of
+        the second leg doubled at an identity arrow."""
+        _, corr_y = pair_45(f"mix-{i}")
+        g = corr_y.left
+        k = next(k for (a, _), k in corr_y.left_tg_index.items() if a in g.unit_arrow)
+        values = list(corr_y.adjoining.value)
+        values[k] *= 2
+        bad = _with_adjoining(corr_y, values)
+        rep = gc.validate(bad)
+        assert not next(c for c in rep.checks if c.name == "adjoining_cocycle").passed
+        res, wit = _full_sweep(bad)
+        assert _identity_line(bad) == (False, res, wit)
+
+    def test_family_tamper_is_found_on_the_lifts(self):
+        """Δ stays a cocycle, so the generator pass runs, finds the
+        deviation, and the full sweep supplies residual and witness."""
+        corr_x, corr_y = ladder_pair(6)
+        weights = list(corr_y.family.weight)
+        weights[4] *= F(5, 4)
+        fam = MeasureFamily(corr_y.family.total_ids, corr_y.family.base_ids, corr_y.family.along, tuple(weights))
+        bad = gc.make_correspondence(corr_y.left_haar, corr_y.right_haar, corr_y.space, fam, corr_y.adjoining.value, check=False)
+        assert gc.check_cocycle(bad.adjoining)[0] == 0
+        on_lifts = quasi_invariance_residual(bad.left_haar, bad.space, bad.family, bad.adjoining_at, on_generators=True)
+        res, wit = _full_sweep(bad)
+        assert on_lifts == (res, wit) and res > 0
+        assert _identity_line(bad) == (False, res, wit)

@@ -30,11 +30,15 @@ from gcorr.randgen import SplitMix64, random_pair
 from gcorr.util import crdev
 from tests.conftest import (
     MIX_CAPS,
+    PAIRS_45,
     coeff_array,
     coeff_dict,
+    full_sweep_certificate,
     involution,
     is_unit_arrow,
     ladder_pair,
+    line_verdicts,
+    pair_45,
     scaled_family,
     translation_correspondence,
 )
@@ -641,7 +645,9 @@ class TestIntertwiningSweep:
         corr_x, corr_y, _ = catalog.example_pair("induction-finite")
         res = compose(corr_x, corr_y)
         gram = verify_theorem(corr_x, corr_y, res, trials=0, seed=0)
-        assert gram.intertwining_checks > len(res.fp.pairs)  # several arrows act on each z
+        # exact data: the basis sweep runs on S₁ × Z, and G₁ has one generator here
+        assert len(corr_x.left.generators) == 1
+        assert gram.intertwining_checks == len(corr_x.left.generators) * len(res.fp.pairs)
 
         ops = ("left_action", "lambda_prime", "inner_product", "tensor_inner_product")
         counts = {}
@@ -664,6 +670,174 @@ class TestIntertwiningSweep:
                 counts[(n, trials)] = dict(calls)
         assert all(counts[(4, 20)][op] > 0 for op in ops)
         assert all(c == counts[(4, 20)] for c in counts.values()), counts
+
+
+def _tampered_lambda_pi(res, z, factor):
+    from gcorr.measures import MeasureFamily
+
+    lp = res.lambda_pi
+    weight = list(lp.weight)
+    weight[z] *= factor
+    return dataclasses.replace(res, lambda_pi=MeasureFamily(lp.total_ids, lp.base_ids, lp.along, tuple(weight)))
+
+
+def _point_outside_r(res) -> int:
+    r_points = set(res.reduction.z_of)
+    return next(z for z in range(len(res.fp.pairs)) if z not in r_points)
+
+
+class TestCertifyOnGenerators:
+    """On exact data the basis phases run on the generators (balancing on
+    S₂ with the Gram on R×R, intertwining on S₁ × Z); the full sweeps
+    decide whenever that pass cannot, and on float data."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_reduced_and_full_passes_agree(self, name, exact):
+        corr_x, corr_y = pair_45(name)
+        if not exact:
+            corr_x, corr_y = (scaled_family(c, 1, exact=False) for c in (corr_x, corr_y))
+        res = compose(corr_x, corr_y)
+        gram = verify_theorem(corr_x, corr_y, res, trials=5, seed=0)
+        full = full_sweep_certificate(corr_x, corr_y, res, trials=5, seed=0)
+        assert line_verdicts(gram) == line_verdicts(full) and gram.passed
+        if exact:  # the pass on the generators decided, with no more work
+            assert gram.balancing_checks is not None
+            assert gram.isometry_pairs <= full.isometry_pairs
+            assert gram.intertwining_checks <= full.intertwining_checks
+        else:  # float data: the full sweeps, bit for bit
+            assert gram == full
+
+    def test_ladder_counts(self):
+        corr_x, corr_y = ladder_pair(10)
+        res = compose(corr_x, corr_y)
+        gram = verify_theorem(corr_x, corr_y, res, trials=5, seed=0)
+        # |R| = 10, |Z|·|S₂| = 100 balancing checks, |S₁|·|Z| = 100 intertwining checks
+        assert (gram.isometry_pairs, gram.balancing_checks, gram.intertwining_checks) == (100, 100, 105)
+        names = [c.name for c in gram.report().checks[:2]]
+        assert names == ["isometry (100 basis pairs on R + 100 balancing + 5 random)", "intertwining (105 checks)"]
+
+    def test_units_only_groupoids(self):
+        """With identity arrows only, R = Z and no point moves: the isometry
+        compares every basis pair, as the full sweep does, and the
+        intertwining has no generator to check (the cocycle lines certify
+        Δ₁ = Δ₁₂ = 1 at identities)."""
+        corr_x, corr_y, _ = catalog.example_pair("quiver")
+        res = compose(corr_x, corr_y)
+        gram = verify_theorem(corr_x, corr_y, res, trials=5, seed=0)
+        full = full_sweep_certificate(corr_x, corr_y, res, trials=5, seed=0)
+        assert gram.balancing_checks == 0 and corr_x.left.generators == ()
+        assert gram.report().checks[0] == full.report().checks[0]
+        assert gram.intertwining_checks == 5 < full.intertwining_checks
+
+    def test_restricted_image_gram_is_the_full_one_on_r(self):
+        from gcorr.cstar import image_basis_gram
+
+        corr_x, corr_y = random_pair(7, **MIX_CAPS)
+        res = compose(corr_x, corr_y)
+        within = [z in set(res.reduction.z_of) for z in range(len(res.fp.pairs))]
+        orbits = range(res.orbits.n_orbits)
+        full = image_basis_gram(res, orbits)
+        want = {k: v for k, v in full.items() if within[k[0]] and within[k[1]]}
+        assert _bits(image_basis_gram(res, orbits, within)) == _bits(want)
+
+    def test_tol_zero_always_runs_the_full_sweeps(self):
+        corr_x, corr_y = ladder_pair(5)
+        res = compose(corr_x, corr_y)
+        gram = verify_theorem(corr_x, corr_y, res, trials=0, seed=0, tol=0.0)
+        assert gram == full_sweep_certificate(corr_x, corr_y, res, trials=0, seed=0, tol=0.0)
+        assert gram.balancing_checks is None
+
+    @pytest.mark.parametrize("factor", [F(2), F(1, 3)])
+    def test_lambda_pi_tamper_outside_r_fails_and_names_the_point(self, factor):
+        corr_x, corr_y = ladder_pair(5)
+        res = compose(corr_x, corr_y)
+        z = _point_outside_r(res)
+        bad = _tampered_lambda_pi(res, z, factor)
+        assert bad.exact
+        gram = verify_theorem(corr_x, corr_y, bad, trials=0, seed=0)
+        assert gram == full_sweep_certificate(corr_x, corr_y, bad, trials=0, seed=0)
+        assert not gram.isometry_ok and gram.balancing_checks is None
+        assert gram.isometry_witness.startswith("basis") and res.fp.point_ids[z] in gram.isometry_witness
+        assert not gram.intertwining_ok
+
+    def test_mu_tamper_fails_the_basis_phase(self):
+        from gcorr.measures import MeasureFamily
+
+        corr_x, corr_y = random_pair(9, **MIX_CAPS)
+        res = compose(corr_x, corr_y)
+        mu = res.mu
+        weight = list(mu.weight)
+        weight[-1] *= 2
+        bad = dataclasses.replace(res, mu=MeasureFamily(mu.total_ids, mu.base_ids, mu.along, tuple(weight)))
+        assert bad.exact
+        gram = verify_theorem(corr_x, corr_y, bad, trials=0, seed=0)
+        full = full_sweep_certificate(corr_x, corr_y, bad, trials=0, seed=0)
+        assert gram.balancing_checks is None and not gram.isometry_ok
+        assert gram.report().checks[0] == full.report().checks[0]
+        members = {res.fp.point_ids[z] for z in res.orbits.members[len(weight) - 1]}
+        assert any(p in gram.isometry_witness for p in members)
+
+    def test_exact_delta12_tamper_fails_intertwining_and_names_it(self):
+        from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
+        from gcorr.correspondence import Correspondence
+
+        corr_x, corr_y = ladder_pair(5)
+        res = compose(corr_x, corr_y)
+        comp = res.composite
+        g1 = comp.left  # an arrow off the generators: the lifts alone would miss it
+        a = next(a for a in range(g1.n_arrows) if not is_unit_arrow(g1, a) and a not in g1.generators)
+        k = comp.left_tg_index[(a, 0)]
+        values = list(res.delta12.value)
+        values[k] *= F(9)
+        delta = Cocycle1(res.delta12.groupoid, tuple(values), MULTIPLICATIVE)
+        hacked = dataclasses.replace(res, delta12=delta, composite=Correspondence(
+            comp.left_haar, comp.right_haar, comp.space, comp.family, delta, comp.left_tg, comp.left_tg_index,
+        ))
+        assert hacked.exact
+        gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
+        assert gram == full_sweep_certificate(corr_x, corr_y, hacked, trials=0, seed=0)
+        assert not gram.intertwining_ok and gram.isometry_ok
+        on = {res.fp.point_ids[z] for z in res.orbits.members[0]}
+        assert any(gram.intertwining_witness == f"({g1.arrow_ids[a]}) on ({p})" for p in on)
+
+    def test_word_bound_keeps_a_drift_from_passing(self):
+        """λ_π(x_k, y) times (1 + 3·10⁻¹⁰)^min(k, 8 − k) on ladder 8: a
+        drift that every generator check reads as 3·10⁻¹⁰, within
+        tol = 10⁻⁹, but that grows along words to 2.4·10⁻⁹ at a Gram entry
+        and 1.2·10⁻⁹ at an intertwining check.  The word bound
+        K·(ρ + ε) + ε > tol keeps the reduced passes from deciding, and
+        the full sweeps fail both lines, as without the reduced pass."""
+        from gcorr.cstar import balancing_deviation, basis_isometry, intertwining_deviation
+        from gcorr.measures import MeasureFamily
+
+        n = 8
+        corr_x, corr_y = ladder_pair(n)
+        res = compose(corr_x, corr_y)
+        lp = res.lambda_pi
+        weight = list(lp.weight)
+        for z, (x, _) in enumerate(res.fp.pairs):
+            k = int(corr_x.space.point_ids[x][1:])
+            weight[z] *= (1 + F(3, 10**10)) ** min(k, n - k)
+        bad = dataclasses.replace(res, lambda_pi=MeasureFamily(lp.total_ids, lp.base_ids, lp.along, tuple(weight)))
+        within = [z in set(res.reduction.z_of) for z in range(len(res.fp.pairs))]
+        assert balancing_deviation(corr_x, corr_y, bad)[0] <= 1e-9
+        assert basis_isometry(corr_x, corr_y, bad, within)[0] <= 1e-9
+        assert intertwining_deviation(corr_x, bad, corr_x.left.generators)[0] <= 1e-9
+        gram = verify_theorem(corr_x, corr_y, bad, trials=0, seed=0)
+        assert gram == full_sweep_certificate(corr_x, corr_y, bad, trials=0, seed=0)
+        assert not gram.isometry_ok and not gram.intertwining_ok
+
+    def test_a_failing_cocycle_line_runs_the_full_sweeps(self):
+        corr_x, corr_y = ladder_pair(4)
+        res = compose(corr_x, corr_y)
+        values = list(corr_x.adjoining.value)
+        values[corr_x.left_tg_index[(1, 0)]] *= 2
+        bad_x = gc.make_correspondence(corr_x.left_haar, corr_x.right_haar, corr_x.space, corr_x.family, values, check=False)
+        hacked = dataclasses.replace(res, corr_x=bad_x)
+        gram = verify_theorem(bad_x, corr_y, hacked, trials=0, seed=0)
+        assert gram == full_sweep_certificate(bad_x, corr_y, hacked, trials=0, seed=0)
+        assert gram.balancing_checks is None and not gram.intertwining_ok
 
 
 class TestRandomTrials:

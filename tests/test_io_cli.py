@@ -439,6 +439,55 @@ class TestCliRejectsBadInputs:
         assert "second input fails validation" in capsys.readouterr().err
 
 
+class TestUnreadablePathsExitOne:
+    """A path that cannot be read or written ends in one line on stderr
+    that names it, and exit code 1, never a traceback."""
+
+    @staticmethod
+    def _one_line(capsys, prefix: str) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        return err
+
+    def test_validate_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["validate", str(missing)]) == 1
+        assert "No such file" in self._one_line(capsys, f"parse error: {missing}: ")
+
+    def test_verify_missing_second_file(self, fn_files, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["verify", str(fn_files[0]), str(missing)]) == 1
+        self._one_line(capsys, f"parse error: {missing}: ")
+
+    def test_missing_cochain_file(self, fn_files, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        argv = ["compose", *map(str, fn_files), str(tmp_path / "o.json"), "--cochain-file", str(missing)]
+        assert cli.main(argv) == 1
+        self._one_line(capsys, f"parse error: {missing}: ")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert cli.main(["validate", str(tmp_path)]) == 1
+        self._one_line(capsys, f"parse error: {tmp_path}: ")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"format": "gcorr", "name": "caf\u00e9"}'.encode("latin-1"))
+        assert cli.main(["validate", str(bad)]) == 1
+        assert "not UTF-8" in self._one_line(capsys, f"parse error: {bad}: ")
+
+    def test_compose_out_in_missing_directory(self, fn_files, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "o.json"
+        assert cli.main(["compose", *map(str, fn_files), str(out)]) == 1
+        self._one_line(capsys, f"write error: {out}: ")
+
+    @pytest.mark.parametrize("argv", [["example", "fn-compose"], ["random"]], ids=["example", "random"])
+    def test_pair_out_in_missing_directory(self, argv, tmp_path, capsys):
+        prefix = tmp_path / "no-such-dir" / "pair"
+        assert cli.main([*argv, str(prefix)]) == 1
+        self._one_line(capsys, f"write error: {prefix}.x.json: ")
+
+
 class TestMalformedStructureExitsOne:
     """Wrong container types and arities are parse errors with a path."""
 

@@ -32,7 +32,7 @@ from gcorr.composition import compose
 from gcorr.cstar import verify_theorem
 from gcorr.io_json import parse_instance, serialize_instance
 from gcorr.randgen import random_pair
-from tests.conftest import MIX_CAPS, scaled_family
+from tests.conftest import MIX_CAPS, full_sweep_certificate, line_verdicts, scaled_family
 
 # the random-mix pairs that failed at some scale under absolute tolerances
 MIX_SCALED = (3, 9, 19, 24, 28, 30, 33, 34)
@@ -65,6 +65,8 @@ def test_scaling_both_families(name, scale, exact):
     res = compose(sx, sy)  # raises on any failing check
     gram = verify_theorem(sx, sy, res, trials=5, seed=0)
     assert gram.passed, gram.report().render()
+    # the pass on the generators (exact data) gives the full sweeps' verdicts
+    assert line_verdicts(gram) == line_verdicts(full_sweep_certificate(sx, sy, res, trials=5, seed=0))
     if exact:
         assert res.mu.weight == tuple(c * c * w for w in base.mu.weight)
         assert res.delta12.value == base.delta12.value
