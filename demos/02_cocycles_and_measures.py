@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Cocycles, the canonical coboundary solver, and measure push-downs.
 
-Every finite groupoid is proper, so real-valued 1-cocycles split as
-coboundaries.  The solver integrates against the invariant probability
-family built from the Haar system, which fixes the orbit-constant
-ambiguity once and for all.
+Every finite groupoid is proper, so positive 1-cocycles split as
+coboundaries t∘src / t∘dst.  The solver averages the reciprocal of the
+cocycle against the invariant probability family built from the Haar
+system, which fixes the orbit-constant ambiguity once and for all.
 
 Run:  python demos/02_cocycles_and_measures.py
 """
@@ -12,7 +12,7 @@ Run:  python demos/02_cocycles_and_measures.py
 from fractions import Fraction as F
 
 import gcorr as gc
-from gcorr.cohomology import ADDITIVE, coboundary_residual
+from gcorr.cohomology import coboundary_residual
 from gcorr.groupoids import orbit_space, unit_action
 from gcorr.measures import compose_with_quotient, cutoff_from_profile
 
@@ -21,19 +21,13 @@ haar = gc.counting_haar(pg)
 p = gc.invariant_probability_family(pg, haar)
 print("probability family weights:", p.weight)
 
-# -- split an additive cocycle -----------------------------------------------
-t = gc.Cochain0(pg, (F(0), F(5)), ADDITIVE)
-c = gc.d0(t)  # c(arrow) = t(src) - t(dst)
-b = gc.solve_coboundary_additive(c, p)
-print("cochain recovered:", b.value, "(t shifted by the orbit mean)")
-print("residual |c - b∘src + b∘dst|:", coboundary_residual(c, b))
-
-# -- multiplicative version: b is the p-average of Δ⁻¹, still exact ----------
-q = gc.Cochain0(pg, (F(1), F(4)), "multiplicative")
-delta = gc.d0(q)
+# -- split a cocycle: b is the p-average of Δ⁻¹, exact on rational data -----
+q = gc.Cochain0(pg, (F(1), F(4)))
+delta = gc.d0(q)  # Δ(arrow) = q(src) / q(dst)
 bmul = gc.decompose_multiplicative(delta, p)
-print("\nmultiplicative split of q∘src/q∘dst, q=(1,4):", tuple(map(str, bmul.value)))
-print("ratio residual:", coboundary_residual(delta, bmul))
+print("\nsplit of q∘src/q∘dst, q=(1,4):", tuple(map(str, bmul.value)), "(q times an orbit constant)")
+residual, witness = coboundary_residual(delta, bmul)
+print("ratio residual:", residual, "at", witness)
 
 # -- measures: induced measures, symmetry, push-down -------------------------
 m = gc.unit_measure(pg, (F(1), F(2)))

@@ -47,7 +47,6 @@ from .cohomology import (
     d0,
     decompose_multiplicative,
     invariant_probability_family,
-    solve_coboundary_additive,
 )
 from .correspondence import (
     Correspondence,

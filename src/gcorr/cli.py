@@ -191,10 +191,12 @@ def cmd_example(args) -> int:
 def cmd_random(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
-        max_x, max_y, max_mid = (sizes + [16, 16, 8])[:3]
     except ValueError:
-        print(f"bad --sizes {args.sizes!r}; expected e.g. 16,16,8", file=sys.stderr)
+        sizes = []
+    if not 1 <= len(sizes) <= 3 or min(sizes) < 1:
+        print(f"bad --sizes {args.sizes!r}; expected up to three sizes of at least 1, e.g. 16,16,8", file=sys.stderr)
         return EXIT_VALIDATION
+    max_x, max_y, max_mid = sizes + [16, 16, 8][len(sizes):]
     corr_x, corr_y = random_pair(args.seed, max_x=max_x, max_y=max_y, max_mid=max_mid)
     if not _write_pair(args.out, corr_x, corr_y):
         return EXIT_VALIDATION
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="emit a seeded random pair as instance files")
     p.add_argument("out", help="output path prefix")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="16,16,8", help="max points X, max points Y, max middle arrows")
+    p.add_argument("--sizes", default="16,16,8", help="max points X, max points Y, max middle arrows; missing ones default to 16,16,8")
     p.set_defaults(fn=cmd_random)
     return parser
 

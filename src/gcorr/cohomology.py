@@ -1,12 +1,16 @@
-"""1-cocycles on finite groupoids and the canonical coboundary solver.
+"""Positive 1-cocycles on finite groupoids and the canonical coboundary
+solver.
 
-Every finite groupoid is proper, so every real-valued 1-cocycle is the
-coboundary of a 0-cochain.  The solvers integrate against the canonical
-invariant family of probability measures (built from the Haar system with
-the constant test function), which pins one specific cochain out of the
-orbit-constant ambiguity and makes downstream composites deterministic.
-The additive solver averages the cocycle; the multiplicative one averages
-its reciprocal, so rational data gives a rational cochain.
+Every cocycle of the construction is ℝ⁺-valued and multiplicative: the
+adjoining function Δ of a correspondence, the obstruction δ_Z, its
+splitting b and the composite Δ₁₂ (an ℝ-valued cocycle is the log of
+one).  Every finite groupoid is proper, so every such cocycle is the
+coboundary t∘src / t∘dst of a positive 0-cochain.  The solver averages
+the reciprocal of the cocycle against the canonical invariant family of
+probability measures (built from the Haar system with the constant test
+function), which pins one specific cochain out of the orbit-constant
+ambiguity, makes downstream composites deterministic and gives a
+rational cochain on rational data.
 
 The homomorphism sweep behind `check_cocycle` runs once per `Cocycle1`
 object: its worst deviation and first witness are cached on the object,
@@ -15,8 +19,8 @@ So does the O(arrows) split residual of a cochain against a cocycle
 (`coboundary_residual`), once per pair of objects.  Both compare
 cross-multiplied integer numerators and denominators, of exact and float
 values alike, and evaluate a deviation only at an unequal pair or arrow:
-an equal one has deviation 0 on floats too, because an exact float sum
-or product is representable, so IEEE arithmetic returns it.
+an equal one has deviation 0 on floats too, because an exact float
+product is representable, so IEEE arithmetic returns it.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
 from .report import passes
 from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
 
 
 class NotACocycle(GcorrError):
@@ -49,14 +50,11 @@ class NonPositive(GcorrError):
 @dataclass(frozen=True, eq=False)
 class Cocycle1:
     groupoid: FiniteGroupoid
-    value: tuple[Scalar, ...]  # per arrow
-    flavor: str  # ADDITIVE (ℝ-valued) | MULTIPLICATIVE (ℝ⁺-valued)
+    value: tuple[Scalar, ...]  # per arrow, positive
 
     def __post_init__(self):
-        if self.flavor not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == MULTIPLICATIVE and any(not (v > 0) for v in self.value):
-            raise NonPositive("multiplicative cocycle values must be positive")
+        if any(not (v > 0) for v in self.value):
+            raise NonPositive("cocycle values must be positive")
 
     @cached_property
     def _sweep(self) -> tuple[float, Optional[tuple[str, ...]]]:
@@ -72,12 +70,11 @@ class Cocycle1:
 @dataclass(frozen=True, eq=False)
 class Cochain0:
     groupoid: FiniteGroupoid
-    value: tuple[Scalar, ...]  # per unit
-    flavor: str
+    value: tuple[Scalar, ...]  # per unit, positive
 
     def __post_init__(self):
-        if self.flavor == MULTIPLICATIVE and any(not (v > 0) for v in self.value):
-            raise NonPositive("multiplicative cochain values must be positive")
+        if any(not (v > 0) for v in self.value):
+            raise NonPositive("cochain values must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,20 +105,14 @@ def _unequal_pairs(
     c: Cocycle1, num: Sequence, den: Sequence, rows: Iterable[int]
 ) -> Iterator[tuple[int, int, int]]:
     """The (a, b, a∘b) with a in `rows` where c(a∘b) differs from
-    c(a) + c(b) (or c(a)·c(b)) as cross-multiplied integers, in sweep
-    order."""
+    c(a)·c(b) as cross-multiplied integers, in sweep order."""
     g = c.groupoid
     comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
-    additive = c.flavor == ADDITIVE
     for a in rows:
         na, da = num[a], den[a]
         for b in fibre_dst[src[a]]:
             k = comp[(a, b)]
-            if additive:
-                equal = num[k] * da * den[b] == den[k] * (na * den[b] + num[b] * da)
-            else:
-                equal = num[k] * da * den[b] == den[k] * na * num[b]
-            if not equal:
+            if num[k] * da * den[b] != den[k] * na * num[b]:
                 yield a, b, k
 
 
@@ -129,23 +120,21 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     """Worst `rdev` over the identities at units and the homomorphism
     identity on all composable pairs, with the first pair attaining it.
 
-    Lemma: once c is 1 (or 0) at the units, the arrows a with
-    c(a∘b) = c(a)·c(b) (or c(a) + c(b)) exactly for every b are closed
-    under composition, by associativity: c((a∘a′)∘b) = c(a∘(a′∘b)) =
-    c(a)·c(a′)·c(b) = c(a∘a′)·c(b).  So a pass over the identities and `generators` that
-    finds no unequal pair proves the sweep 0; only otherwise does the full
-    sweep run.  The test is exact on floats too, and a non-finite value is
-    unequal to everything, so it is found at its own identity row.
+    Lemma: once c is 1 at the units, the arrows a with c(a∘b) = c(a)·c(b)
+    exactly for every b are closed under composition, by associativity:
+    c((a∘a′)∘b) = c(a∘(a′∘b)) = c(a)·c(a′)·c(b) = c(a∘a′)·c(b).  So a
+    pass over the identities and `generators` that finds no unequal pair
+    proves the sweep 0; only otherwise does the full sweep run.  The test
+    is exact on floats too, and a non-finite value is unequal to
+    everything, so it is found at its own identity row.
     """
     g = c.groupoid
     value = c.value
-    additive = c.flavor == ADDITIVE
-    ident = 0 if additive else 1
     worst = 0.0
     witness = None
 
     for u in range(g.n_units):
-        d = rdev(value[g.unit_arrow[u]], ident)
+        d = rdev(value[g.unit_arrow[u]], 1)
         if d > worst:
             worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
 
@@ -153,8 +142,7 @@ def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
     if not worst and not any(_unequal_pairs(c, num, den, g.unit_arrow + g.generators)):
         return worst, witness
     for a, b, k in _unequal_pairs(c, num, den, range(g.n_arrows)):
-        rhs = value[a] + value[b] if additive else value[a] * value[b]
-        d = rdev(value[k], rhs)
+        d = rdev(value[k], value[a] * value[b])
         if d > worst:
             worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
     return worst, witness
@@ -169,13 +157,9 @@ def check_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
 
 
 def d0(t: Cochain0) -> Cocycle1:
-    """The coboundary of a 0-cochain: t∘src - t∘dst, or t∘src / t∘dst."""
+    """The coboundary of a 0-cochain: t∘src / t∘dst."""
     g = t.groupoid
-    if t.flavor == ADDITIVE:
-        vals = tuple(t.value[g.src[a]] - t.value[g.dst[a]] for a in range(g.n_arrows))
-    else:
-        vals = tuple(t.value[g.src[a]] / t.value[g.dst[a]] for a in range(g.n_arrows))
-    return Cocycle1(g, vals, t.flavor)
+    return Cocycle1(g, tuple(t.value[g.src[a]] / t.value[g.dst[a]] for a in range(g.n_arrows)))
 
 
 def invariant_probability_family(
@@ -215,67 +199,31 @@ def invariant_probability_family(
     return ProbabilityFamily(g, weight)
 
 
-def solve_coboundary_additive(c: Cocycle1, p: ProbabilityFamily) -> Cochain0:
-    """Split an additive cocycle as b∘src - b∘dst.
-
-    b(u) is minus the p-average of the cocycle over the range fibre at u
-    (the sign makes the stated identity come out; averaging c itself splits
-    the cocycle with the opposite sign).  Raises NotACocycle if c fails the
-    homomorphism sweep, which `passes` at `DEFAULT_TOL` on float data.
-    """
-    if c.flavor != ADDITIVE:
-        raise ValueError("expected an additive cocycle")
-    g = c.groupoid
-    worst, witness = check_cocycle(c)
-    if not passes(worst, all_exact(c.value)):
-        raise NotACocycle(witness, worst)
-    vals = tuple(
-        -ksum(c.value[a] * p.weight[a] for a in g.fibre_dst[u])
-        for u in range(g.n_units)
-    )
-    return Cochain0(g, vals, ADDITIVE)
-
-
 def _split_sweep(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
-    """Worst deviation of c from the coboundary of b, arrow by arrow, and
-    the first arrow attaining it: `adev` of c against b∘src - b∘dst, or
-    `rdev` of c·(b∘dst) against b∘src."""
+    """Worst `rdev` of c·(b∘dst) against b∘src, arrow by arrow, and the
+    first arrow attaining it."""
     g = c.groupoid
     src, dst = g.src, g.dst
-    additive = c.flavor == ADDITIVE
     cv, bv = c.value, b.value
     worst, witness = 0.0, None
     num, den = _ratios(cv)
     bn, bd = _ratios(bv)
     for a in range(g.n_arrows):
         s, t = src[a], dst[a]
-        if additive:
-            equal = num[a] * bd[s] * bd[t] == den[a] * (bn[s] * bd[t] - bn[t] * bd[s])
-        else:
-            equal = num[a] * bn[t] * bd[s] == den[a] * bd[t] * bn[s]
-        if not equal:
-            if additive:
-                d = adev(cv[a], bv[s] - bv[t])
-            else:
-                d = rdev(cv[a] * bv[t], bv[s])
+        if num[a] * bn[t] * bd[s] != den[a] * bd[t] * bn[s]:
+            d = rdev(cv[a] * bv[t], bv[s])
             if d > worst:
                 worst, witness = d, g.arrow_ids[a]
     return worst, witness
 
 
-def coboundary_residual(c: Cocycle1, b: Cochain0) -> float:
-    """max over arrows of |c - (b∘src - b∘dst)| (or the ratio version);
-    computed once per (c, b) pair of objects."""
+def coboundary_residual(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
+    """How far b fails to split c as b∘src / b∘dst: the worst `rdev` over
+    arrows and the first arrow attaining it (None if 0), computed once per
+    (c, b) pair of objects."""
     if b not in c._splits:
         c._splits[b] = _split_sweep(c, b)
-    return c._splits[b][0]
-
-
-def coboundary_witness(c: Cocycle1, b: Cochain0) -> Optional[str]:
-    """The first arrow attaining `coboundary_residual(c, b)` (None if 0),
-    read from the same cache."""
-    coboundary_residual(c, b)
-    return c._splits[b][1]
+    return c._splits[b]
 
 
 def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
@@ -290,15 +238,13 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     `DEFAULT_TOL` on float data, not the sweep over composable pairs; it
     raises NotACocycle naming the first arrow that b does not split.
     """
-    if delta.flavor != MULTIPLICATIVE:
-        raise ValueError("expected a multiplicative cocycle")
     g = delta.groupoid
     vals = tuple(
         ksum(p.weight[a] / delta.value[a] for a in g.fibre_dst[u])
         for u in range(g.n_units)
     )
-    b = Cochain0(g, vals, MULTIPLICATIVE)
-    res = coboundary_residual(delta, b)
+    b = Cochain0(g, vals)
+    res, witness = coboundary_residual(delta, b)
     if not passes(res, all_exact(delta.value) and all_exact(vals)):
-        raise NotACocycle((coboundary_witness(delta, b),), res)
+        raise NotACocycle((witness,), res)
     return b

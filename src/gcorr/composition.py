@@ -64,12 +64,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .cohomology import (
-    MULTIPLICATIVE,
     Cochain0,
     Cocycle1,
     check_cocycle,
     coboundary_residual,
-    coboundary_witness,
     decompose_multiplicative,
     invariant_probability_family,
 )
@@ -162,7 +160,7 @@ class CompositionResult:
         values = [ONE] * self.tg_z.n_arrows
         for (z, a), k in self.tg_z_index.items():
             values[k] = self.corr_y.adjoining_at(g2.inv[a], y_of[z])
-        return Cocycle1(self.tg_z, tuple(values), MULTIPLICATIVE)
+        return Cocycle1(self.tg_z, tuple(values))
 
     @cached_property
     def ell(self) -> tuple[float, ...]:
@@ -457,7 +455,7 @@ def build_delta_z(corr_y: Correspondence) -> Cocycle1:
     """
     tg = corr_y.left_tg
     value = corr_y.adjoining.value
-    return Cocycle1(tg, tuple(value[i] for i in tg.inv), MULTIPLICATIVE)
+    return Cocycle1(tg, tuple(value[i] for i in tg.inv))
 
 
 def delta_z_invariance_residuals(corr_y: Correspondence, fp: FibreProduct) -> tuple[float, Optional[str]]:
@@ -701,12 +699,12 @@ def compose(
 
     b_y = stage("build_b", build_b, delta_y, corr_y.left_tg, haar_y)
     z_units = units_only_groupoid(fp.point_ids)
-    b = Cochain0(z_units, tuple(b_y.value[y] for y in y_of), MULTIPLICATIVE)
+    b = Cochain0(z_units, tuple(b_y.value[y] for y in y_of))
     # the split residual of B, already computed by the guard of
     # `decompose_multiplicative` (or below, for an override)
-    split_res, split_wit = coboundary_residual(delta_y, b_y), coboundary_witness(delta_y, b_y)
+    split_res, split_wit = coboundary_residual(delta_y, b_y)
     if b_values is not None:
-        override = Cochain0(z_units, tuple(b_values), MULTIPLICATIVE)
+        override = Cochain0(z_units, tuple(b_values))
         split_res, split_wit = override_split_residual(corr_y, fp, orbits, override)
         if not report.check("override_b_splits_delta", split_res, exact_dz and all_exact(override.value), tol, split_wit).passed:
             raise CompositionStageError("build_b", GcorrError("supplied cochain does not split the obstruction cocycle"), report)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cohomology import MULTIPLICATIVE, Cocycle1, check_cocycle
+from .cohomology import Cocycle1, check_cocycle
 from .groupoids import (
     Bispace,
     FiniteGroupoid,
@@ -240,7 +240,7 @@ def make_correspondence(
     else:
         tg, idx = left_tg or transformation_groupoid(space.left)
         values = tuple(adjoining_values)
-    adj = Cocycle1(tg, values, MULTIPLICATIVE)
+    adj = Cocycle1(tg, values)
     corr = Correspondence(left_haar, right_haar, space, family, adj, tg, idx)
     if check:
         rep = validate(corr, tol=tol)

@@ -14,8 +14,8 @@ verdict is taken outside a report line:
   exact on any data: the weights of a left invariant family repeat
   exactly along every arrow, and the fibres of one orbit carry the same
   multiset of weights, which `ksum` sums exactly or correctly rounded;
-* `solve_coboundary_additive` and `decompose_multiplicative`, at
-  `DEFAULT_TOL`, since the cohomology layer takes no `tol`;
+* `decompose_multiplicative`, at `DEFAULT_TOL`, since the cohomology
+  layer takes no `tol`;
 * the symmetry of `is_symmetric`, read by `build_mu` and
   `push_measure_down`, and `push_measure_down`'s cutoff and
   disintegration guards, at the caller's `tol`;

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 import gcorr as gc
 from gcorr import catalog, cohomology
 from gcorr.cohomology import (
-    ADDITIVE,
-    MULTIPLICATIVE,
     NotACocycle,
     _split_sweep,
     _sweep_cocycle,
@@ -20,7 +18,7 @@ from gcorr.cohomology import (
 from gcorr.composition import compose
 from gcorr.groupoids import make_action, transformation_groupoid
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
-from gcorr.util import adev, rdev
+from gcorr.util import rdev
 from tests.conftest import probability_family_violation, scaled_family
 
 
@@ -58,53 +56,42 @@ class TestInvariantProbabilityFamily:
 
 class TestCheckCocycle:
     def test_unit_arrow_witness(self, pair2):
-        c = gc.Cocycle1(pair2, (F(1), F(0), F(0), F(1)), ADDITIVE)
+        c = gc.Cocycle1(pair2, (F(2), F(1), F(1), F(2)))
         worst, witness = gc.check_cocycle(c)
         assert not gc.passes(worst, True) and witness is not None
 
     def test_d0_image_always_passes(self, pair2):
-        t = gc.Cochain0(pair2, (F(2), F(-5)), ADDITIVE)
+        t = gc.Cochain0(pair2, (F(2), F(5)))
         assert gc.check_cocycle(gc.d0(t)) == (0.0, None)
 
     def test_multiplicative_positive_required(self, z2):
         with pytest.raises(Exception):
-            gc.Cocycle1(z2, (F(1), F(-1)), MULTIPLICATIVE)
+            gc.Cocycle1(z2, (F(1), F(-1)))
+        with pytest.raises(Exception):
+            gc.Cochain0(z2, (F(0),))
 
 
 class TestD0:
     def test_constant_cochain_trivial(self, z3):
-        assert set(gc.d0(gc.Cochain0(z3, (F(4),), ADDITIVE)).value) == {0}
-        assert set(gc.d0(gc.Cochain0(z3, (F(4),), MULTIPLICATIVE)).value) == {1}
+        assert set(gc.d0(gc.Cochain0(z3, (F(4),))).value) == {1}
 
-    def test_pair_groupoid_difference(self, pair2):
-        t = gc.Cochain0(pair2, (F(0), F(5)), ADDITIVE)
+    def test_pair_groupoid_ratio(self, pair2):
+        t = gc.Cochain0(pair2, (F(1), F(5)))
         c = gc.d0(t)
         for a in range(4):
-            assert c.value[a] == t.value[pair2.src[a]] - t.value[pair2.dst[a]]
+            assert c.value[a] == t.value[pair2.src[a]] / t.value[pair2.dst[a]]
 
 
 class TestSolveCoboundary:
-    def test_zero_cocycle(self, z3):
-        p = gc.invariant_probability_family(z3, gc.counting_haar(z3))
-        c = gc.Cocycle1(z3, (F(0),) * 3, ADDITIVE)
-        b = gc.solve_coboundary_additive(c, p)
-        assert b.value == (F(0),)
-
     def test_pair_groupoid_recovers_up_to_constant(self, pair2):
         p = gc.invariant_probability_family(pair2, gc.counting_haar(pair2))
-        t = gc.Cochain0(pair2, (F(0), F(5)), ADDITIVE)
+        t = gc.Cochain0(pair2, (F(1), F(5)))
         c = gc.d0(t)
-        b = gc.solve_coboundary_additive(c, p)
-        assert coboundary_residual(c, b) == 0
-        # differs from t by an orbit constant
-        diff = {b.value[u] - t.value[u] for u in range(2)}
-        assert len(diff) == 1
-
-    def test_rejects_non_cocycle(self, pair2):
-        p = gc.invariant_probability_family(pair2, gc.counting_haar(pair2))
-        c = gc.Cocycle1(pair2, (F(0), F(1), F(0), F(0)), ADDITIVE)
-        with pytest.raises(NotACocycle):
-            gc.solve_coboundary_additive(c, p)
+        b = gc.decompose_multiplicative(c, p)
+        assert coboundary_residual(c, b) == (0.0, None)
+        # differs from t by an orbit-constant factor
+        ratio = {b.value[u] / t.value[u] for u in range(2)}
+        assert len(ratio) == 1
 
     def test_transformation_groupoid_of_z3_on_six_points(self, z3):
         # Z/3 translating two copies of itself: 6 points, 18 arrows
@@ -119,27 +106,27 @@ class TestSolveCoboundary:
         haar = gc.counting_haar(tg)
         p = gc.invariant_probability_family(tg, haar)
         rng = SplitMix64(11)
-        t = gc.Cochain0(tg, tuple(2 * rng.random() - 1 for _ in range(6)), ADDITIVE)
+        t = gc.Cochain0(tg, tuple(math.exp(2 * rng.random() - 1) for _ in range(6)))
         c = gc.d0(t)
-        b = gc.solve_coboundary_additive(c, p)
-        assert coboundary_residual(c, b) < 1e-12
+        b = gc.decompose_multiplicative(c, p)
+        assert coboundary_residual(c, b)[0] < 1e-12
 
     def test_output_class_independent_of_p(self, pair2):
         # two different probability families, same coboundary class
         haar = gc.counting_haar(pair2)
         p1 = gc.invariant_probability_family(pair2, haar)
         p2 = gc.invariant_probability_family(pair2, haar, F=(F(1), F(7)))
-        t = gc.Cochain0(pair2, (F(2), F(9)), ADDITIVE)
+        t = gc.Cochain0(pair2, (F(2), F(9)))
         c = gc.d0(t)
-        b1 = gc.solve_coboundary_additive(c, p1)
-        b2 = gc.solve_coboundary_additive(c, p2)
+        b1 = gc.decompose_multiplicative(c, p1)
+        b2 = gc.decompose_multiplicative(c, p2)
         assert gc.d0(b1).value == gc.d0(b2).value == c.value
 
 
 class TestDecomposeMultiplicative:
     def test_trivial_stays_exact(self, z3):
         p = gc.invariant_probability_family(z3, gc.counting_haar(z3))
-        delta = gc.Cocycle1(z3, (F(1),) * 3, MULTIPLICATIVE)
+        delta = gc.Cocycle1(z3, (F(1),) * 3)
         b = gc.decompose_multiplicative(delta, p)
         assert b.value == (F(1),) and isinstance(b.value[0], F)
 
@@ -147,11 +134,11 @@ class TestDecomposeMultiplicative:
         # Δ = q∘src / q∘dst with q = (1, 4): b(u) averages Δ⁻¹ over the two
         # arrows into u, b = ((1 + 1/4)/2, (1 + 4)/2) = (5/8, 5/2)
         p = gc.invariant_probability_family(pair2, gc.counting_haar(pair2))
-        q = gc.Cochain0(pair2, (F(1), F(4)), MULTIPLICATIVE)
+        q = gc.Cochain0(pair2, (F(1), F(4)))
         delta = gc.d0(q)
         b = gc.decompose_multiplicative(delta, p)
         assert b.value == (F(5, 8), F(5, 2))
-        assert coboundary_residual(delta, b) == 0
+        assert coboundary_residual(delta, b) == (0.0, None)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -160,10 +147,10 @@ class TestDecomposeMultiplicative:
         g = random_groupoid(rng, 50)
         haar = random_haar(rng, g)
         p = gc.invariant_probability_family(g, haar)
-        t = gc.Cochain0(g, tuple(rng.fraction() for _ in range(g.n_units)), MULTIPLICATIVE)
+        t = gc.Cochain0(g, tuple(rng.fraction() for _ in range(g.n_units)))
         delta = gc.d0(t)
         b = gc.decompose_multiplicative(delta, p)
-        assert coboundary_residual(delta, b) < 1e-9
+        assert coboundary_residual(delta, b)[0] < 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_non_cocycle_fails_the_split_guard(self, seed):
@@ -172,10 +159,10 @@ class TestDecomposeMultiplicative:
         rng = SplitMix64(seed)
         g = random_groupoid(rng, 30)
         p = gc.invariant_probability_family(g, random_haar(rng, g))
-        t = gc.Cochain0(g, tuple(rng.fraction() for _ in range(g.n_units)), MULTIPLICATIVE)
+        t = gc.Cochain0(g, tuple(rng.fraction() for _ in range(g.n_units)))
         values = list(gc.d0(t).value)
         values[rng.randint(0, g.n_arrows - 1)] *= F(3, 2)
-        delta = gc.Cocycle1(g, tuple(values), MULTIPLICATIVE)
+        delta = gc.Cocycle1(g, tuple(values))
         assert gc.check_cocycle(delta)[0] > 0
         with pytest.raises(NotACocycle) as info:
             gc.decompose_multiplicative(delta, p)
@@ -191,7 +178,6 @@ class TestDecomposeMultiplicative:
         delta = gc.Cocycle1(
             pair2,
             tuple(fwd.weight[a] / inv.weight[a] for a in range(4)),
-            MULTIPLICATIVE,
         )
         assert gc.check_cocycle(delta) == (0.0, None)
         p = gc.invariant_probability_family(pair2, haar)
@@ -202,19 +188,17 @@ class TestDecomposeMultiplicative:
 
 def _sweep_oracle(c):
     """The per-pair sweep of the cocycle identity on the values as they
-    are: a Fraction (or float) product or sum for every composable pair."""
+    are: a Fraction (or float) product for every composable pair."""
     g = c.groupoid
-    ident = 0 if c.flavor == ADDITIVE else 1
     worst = 0.0
     witness = None
     for u in range(g.n_units):
-        d = rdev(c.value[g.unit_arrow[u]], ident)
+        d = rdev(c.value[g.unit_arrow[u]], 1)
         if d > worst:
             worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
     for a, b in g.composable_pairs():
         lhs = c.value[g.comp[(a, b)]]
-        rhs = c.value[a] + c.value[b] if c.flavor == ADDITIVE else c.value[a] * c.value[b]
-        d = rdev(lhs, rhs)
+        d = rdev(lhs, c.value[a] * c.value[b])
         if d > worst:
             worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
     return worst, witness
@@ -222,15 +206,12 @@ def _sweep_oracle(c):
 
 def _split_oracle(c, b):
     """The per-arrow split deviation on the values as they are: a Fraction
-    (or float) difference or product for every arrow."""
+    (or float) product for every arrow."""
     g = c.groupoid
     worst, witness = 0.0, None
     for a in range(g.n_arrows):
         s, t = g.src[a], g.dst[a]
-        if c.flavor == ADDITIVE:
-            d = adev(c.value[a], b.value[s] - b.value[t])
-        else:
-            d = rdev(c.value[a] * b.value[t], b.value[s])
+        d = rdev(c.value[a] * b.value[t], b.value[s])
         if d > worst:
             worst, witness = d, g.arrow_ids[a]
     return worst, witness
@@ -251,21 +232,17 @@ def _pipeline_cocycles(name, exact=True):
     return [corr_x.adjoining, corr_y.adjoining, res.delta_z, res.delta12]
 
 
-def _random_cocycle(seed, flavor, exact, where, shift):
+def _random_cocycle(seed, exact, where, shift):
     """d0 of a seeded cochain on a random groupoid, its value at arrow
-    `where` moved by `shift` (added, or multiplied in by 1 + |shift|)."""
+    `where` multiplied by 1 + |shift|."""
     rng = SplitMix64(seed)
     g = random_groupoid(rng, 30)
     # small values make equal deviations, so the first witness is tested
     units = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(g.n_units))
-    t = gc.Cochain0(g, units if exact else tuple(float(v) for v in units), flavor)
+    t = gc.Cochain0(g, units if exact else tuple(float(v) for v in units))
     values = list(gc.d0(t).value)
-    k = where % g.n_arrows
-    if flavor == ADDITIVE:
-        values[k] += shift
-    else:
-        values[k] *= 1 + abs(shift)
-    return gc.Cocycle1(g, tuple(values), flavor), t
+    values[where % g.n_arrows] *= 1 + abs(shift)
+    return gc.Cocycle1(g, tuple(values)), t
 
 
 PIPELINE_PAIRS = [f"catalog-{name}" for name in catalog.EXAMPLE_NAMES] + [
@@ -279,14 +256,14 @@ class TestCocycleSweep:
     @pytest.mark.parametrize("name", PIPELINE_PAIRS)
     def test_pipeline_cocycles_match_oracle(self, name):
         for c in _pipeline_cocycles(name):
-            fresh = gc.Cocycle1(c.groupoid, c.value, c.flavor)  # no cached sweep
+            fresh = gc.Cocycle1(c.groupoid, c.value)  # no cached sweep
             assert _sweep_cocycle(fresh) == _sweep_oracle(fresh)
 
     @pytest.mark.parametrize("name", PIPELINE_PAIRS)
     def test_float_pipeline_cocycles_match_oracle(self, name):
         for c in _pipeline_cocycles(name, exact=False):
             assert all(isinstance(v, float) for v in c.value)
-            fresh = gc.Cocycle1(c.groupoid, c.value, c.flavor)
+            fresh = gc.Cocycle1(c.groupoid, c.value)
             assert _sweep_cocycle(fresh) == _sweep_oracle(fresh)
 
     @pytest.mark.parametrize("name", PIPELINE_PAIRS)
@@ -296,7 +273,7 @@ class TestCocycleSweep:
                 for bad in (c.value[k] * (1 + 3e-13), c.value[k] * 1.5, math.inf):
                     values = list(c.value)
                     values[k] = bad
-                    tampered = gc.Cocycle1(c.groupoid, tuple(values), c.flavor)
+                    tampered = gc.Cocycle1(c.groupoid, tuple(values))
                     worst, witness = _sweep_cocycle(tampered)
                     assert (worst, witness) == _sweep_oracle(tampered)
                     assert worst == math.inf if bad == math.inf else worst < math.inf
@@ -304,12 +281,11 @@ class TestCocycleSweep:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 10**6),
-        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
         st.integers(0, 10**6),
         st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6),
     )
-    def test_perturbed_exact_cocycles_match_oracle(self, seed, flavor, where, shift):
-        c, _ = _random_cocycle(seed, flavor, True, where, shift)
+    def test_perturbed_exact_cocycles_match_oracle(self, seed, where, shift):
+        c, _ = _random_cocycle(seed, True, where, shift)
         worst, witness = _sweep_cocycle(c)
         assert (worst, witness) == _sweep_oracle(c)
         assert (worst > 0) == (shift != 0)
@@ -317,19 +293,18 @@ class TestCocycleSweep:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 10**6),
-        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
         st.integers(0, 10**6),
         st.sampled_from([0.0, 1e-13, -0.25, 2.0, math.inf]),
     )
-    def test_float_cocycles_match_oracle(self, seed, flavor, where, shift):
+    def test_float_cocycles_match_oracle(self, seed, where, shift):
         """Float d0 values carry rounding, so many pairs differ by an ulp."""
-        c, _ = _random_cocycle(seed, flavor, False, where, shift)
+        c, _ = _random_cocycle(seed, False, where, shift)
         worst, witness = _sweep_cocycle(c)
         assert (worst, witness) == _sweep_oracle(c)
         assert (worst == math.inf) == (shift == math.inf)
 
     def test_check_cocycle_applies_tolerance_to_the_cached_sweep(self, pair2):
-        c = gc.Cocycle1(pair2, (F(0), F(1, 10**12), F(0), F(0)), ADDITIVE)
+        c = gc.Cocycle1(pair2, (F(1), 1 + F(1, 10**12), F(1), F(1)))
         worst, witness = gc.check_cocycle(c)
         assert 0 < worst <= 1e-9 and witness is not None
         assert not gc.passes(worst, True)  # exact: no tolerance
@@ -349,19 +324,18 @@ class TestSplitSweep:
         values = list(res.b.value)
         for k in {0, len(values) - 1}:
             for bad in (values[k] * (1 + 3e-13), values[k] * 2, math.inf):
-                tampered = gc.Cochain0(res.b.groupoid, tuple(values[:k] + [bad] + values[k + 1:]), MULTIPLICATIVE)
+                tampered = gc.Cochain0(res.b.groupoid, tuple(values[:k] + [bad] + values[k + 1:]))
                 assert _split_sweep(res.delta_z, tampered) == _split_oracle(res.delta_z, tampered)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 10**6),
-        st.sampled_from([ADDITIVE, MULTIPLICATIVE]),
         st.booleans(),
         st.integers(0, 10**6),
         st.sampled_from([F(0), F(1, 3), F(-2), F(1, 10**13), math.inf]),
     )
-    def test_random_split_matches_oracle(self, seed, flavor, exact, where, shift):
-        c, t = _random_cocycle(seed, flavor, exact, where, shift)
+    def test_random_split_matches_oracle(self, seed, exact, where, shift):
+        c, t = _random_cocycle(seed, exact, where, shift)
         worst, witness = _split_sweep(c, t)
         assert (worst, witness) == _split_oracle(c, t)
         assert (worst == math.inf) == (shift == math.inf)

@@ -442,7 +442,7 @@ def _tampered(name):
 
     def build_b(*args):
         b = original(*args)
-        return Cochain0(b.groupoid, _bumped(b.value), b.flavor)
+        return Cochain0(b.groupoid, _bumped(b.value))
     return build_b
 
 
@@ -497,11 +497,11 @@ class TestSymmetryWitness:
         b still splits δ_Z, but b·m is no longer symmetric: the build_mu
         stage error names the arrow of G₂⋉Y at which B·β attains the
         residual."""
-        from gcorr.cohomology import MULTIPLICATIVE, Cochain0, d0
+        from gcorr.cohomology import Cochain0, d0
 
         corr_x, corr_y, _ = catalog.example_pair("induction-finite")
         tg = corr_y.left_tg
-        t = Cochain0(tg, tuple(F(u + 2) for u in range(tg.n_units)), MULTIPLICATIVE)
+        t = Cochain0(tg, tuple(F(u + 2) for u in range(tg.n_units)))
         values = tuple(v * w for v, w in zip(corr_y.adjoining.value, d0(t).value))
         bad_y = gc.make_correspondence(
             corr_y.left_haar, corr_y.right_haar, corr_y.space, corr_y.family, values, check=False

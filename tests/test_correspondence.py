@@ -14,7 +14,7 @@ from gcorr.correspondence import (
     quasi_invariance_residual,
     subgroup_groupoid,
 )
-from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
+from gcorr.cohomology import Cocycle1
 from gcorr.measures import MeasureFamily, invariance_residual
 from gcorr.randgen import SplitMix64, random_pair
 from gcorr.composition import compose
@@ -104,7 +104,7 @@ class TestValidate:
         rep = gc.validate(
             gc.Correspondence(
                 corr.left_haar, corr.right_haar, corr.space, corr.family,
-                Cocycle1(corr.left_tg, tuple(bad), MULTIPLICATIVE),
+                Cocycle1(corr.left_tg, tuple(bad)),
                 corr.left_tg, corr.left_tg_index,
             )
         )

@@ -15,6 +15,7 @@ from gcorr.cstar import (
     AlgebraElement,
     Mismatch,
     ModuleElement,
+    _cmul,
     convolve,
     delta_arrow,
     delta_point,
@@ -433,6 +434,22 @@ class TestVerifyTheorem:
                 assert abs(q.get((i, j, gbar), 0.0) - tensor(gbar)) < 1e-12
                 assert abs(r.get((i, j, gbar), 0.0) - image(gbar)) < 1e-12
 
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_off_product_point_masses_are_zero_on_both_sides(self, name):
+        """δ_x ⊗ δ_y with (x, y) ∉ Z maps to 0 under λ′, which reads only
+        pairs of Z, and has tensor norm 0: ⟨δ_x, δ_x⟩ lives on the loops
+        at s(x), which act on no δ_y with r(y) ≠ s(x)."""
+        corr_x, corr_y = pair_45(name)
+        res = compose(corr_x, corr_y)
+        n_x, n_y = corr_x.space.n_points, corr_y.space.n_points
+        off = [(x, y) for x in range(n_x) for y in range(n_y) if (x, y) not in res.fp.index]
+        xs, ys = [x for x, _ in off], [y for _, y in off]
+        f = ModuleElement(corr_x, np.eye(n_x, dtype=np.complex128)[xs])
+        g_ = ModuleElement(corr_y, np.eye(n_y, dtype=np.complex128)[ys])
+        assert lambda_prime(f, g_, res).coeff.shape[0] == len(off)
+        assert not lambda_prime(f, g_, res).coeff.any()
+        assert not tensor_inner_product(f, g_, f, g_, corr_x, corr_y).coeff.any()
+
     def test_catalog_instances_pass(self):
         for name in catalog.EXAMPLE_NAMES:
             corr_x, corr_y, _ = catalog.example_pair(name)
@@ -457,7 +474,7 @@ class TestVerifyTheorem:
         o = res.orbits.members[0]
         for z in o:
             bad_b[z] = float(bad_b[z]) * 4.0  # scales mu on one orbit only
-        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b), res.b.flavor))
+        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b)))
         gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
         assert not gram.isometry_ok
 
@@ -470,16 +487,16 @@ class TestVerifyTheorem:
         k = max(range(len(bad)), key=lambda i: not is_unit_arrow(res.delta12.groupoid, i))
         bad[k] *= 9.0
         from gcorr.correspondence import Correspondence
-        from gcorr.cohomology import Cocycle1, MULTIPLICATIVE
+        from gcorr.cohomology import Cocycle1
 
         comp = res.composite
         hacked_comp = Correspondence(
             comp.left_haar, comp.right_haar, comp.space, comp.family,
-            Cocycle1(comp.left_tg, tuple(bad), MULTIPLICATIVE),
+            Cocycle1(comp.left_tg, tuple(bad)),
             comp.left_tg, comp.left_tg_index,
         )
         hacked = dataclasses.replace(
-            res, delta12=Cocycle1(res.delta12.groupoid, tuple(bad), MULTIPLICATIVE), composite=hacked_comp
+            res, delta12=Cocycle1(res.delta12.groupoid, tuple(bad)), composite=hacked_comp
         )
         gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
         assert not gram.intertwining_ok
@@ -593,6 +610,71 @@ class TestFloatViewsBitForBit:
             zs = range(len(res.fp.pairs))
             got = tensor_basis_gram(corr_x, corr_y, res, zs)
             assert _bits(got) == _bits(oracle_tensor_basis_gram(corr_x, corr_y, res, zs)), name
+
+
+def _full_formula_apply(table, u, v, conj=False):
+    """`cstar._apply` with each real factor r taken as r + 0j through the
+    full complex product, as CPython multiplies a complex by a float."""
+    ur, ui = u.real[..., table.left], u.imag[..., table.left]
+    if conj:
+        ui = -ui
+    if table.pre is not None:
+        ur, ui = _cmul(ur, ui, table.pre, 0.0)
+    tr, ti = _cmul(ur, ui, v.real[..., table.right], v.imag[..., table.right])
+    if table.post is not None:
+        tr, ti = _cmul(tr, ti, table.post, 0.0)
+    lead, n = tr.shape[:-1], table.n_out
+    rows = math.prod(lead)
+    idx = (np.arange(rows)[:, None] * n + table.out).ravel() if lead else table.out
+    out = np.empty(lead + (n,), dtype=np.complex128)
+    out.real = np.bincount(idx, tr.ravel(), rows * n).reshape(out.shape)
+    out.imag = np.bincount(idx, ti.ravel(), rows * n).reshape(out.shape)
+    return out
+
+
+class TestRealFactors:
+    """`_apply` multiplies by a real table factor with one product per
+    part; every output equals the full complex formula's, bit for bit."""
+
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_outputs_equal_the_full_formula(self, name, monkeypatch):
+        import gcorr.cstar as cstar
+
+        corr_x, corr_y = pair_45(name)
+        res = compose(corr_x, corr_y)
+        rng = SplitMix64(7)
+
+        def operands(n_u, n_v):
+            """Random rows, and negated point masses (their zeros are −0,
+            so some terms differ in the sign of zero) against random rows
+            on either side."""
+            def rand(k, n):
+                return rng.cnum_array(k * n).reshape(k, n)
+            yield rand(4, n_u), rand(4, n_v)
+            yield -np.eye(n_u, dtype=np.complex128), rand(n_u, n_v)
+            yield rand(n_v, n_u), -np.eye(n_v, dtype=np.complex128)
+
+        calls = []
+        for corr in (corr_x, corr_y, res.composite):
+            n_pts = corr.space.n_points
+            for haar in (corr.left_haar, corr.right_haar):
+                g = haar.groupoid
+                for u, v in operands(g.n_arrows, g.n_arrows):
+                    calls.append((convolve, AlgebraElement(g, u), AlgebraElement(g, v), haar))
+            for u, v in operands(corr.left.n_arrows, n_pts):
+                calls.append((left_action, AlgebraElement(corr.left, u), ModuleElement(corr, v), corr))
+            for u, v in operands(n_pts, corr.right.n_arrows):
+                calls.append((right_action, ModuleElement(corr, u), AlgebraElement(corr.right, v), corr))
+            for u, v in operands(n_pts, n_pts):
+                calls.append((inner_product, ModuleElement(corr, u), ModuleElement(corr, v), corr))
+        for u, v in operands(corr_x.space.n_points, corr_y.space.n_points):
+            calls.append((lambda_prime, ModuleElement(corr_x, u), ModuleElement(corr_y, v), res))
+
+        got = [op(*args).coeff for op, *args in calls]
+        monkeypatch.setattr(cstar, "_apply", _full_formula_apply)
+        want = [op(*args).coeff for op, *args in calls]
+        for (op, *_), a, b in zip(calls, got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), op.__name__
 
 
 def chain_sweep(corr_x, corr_y, res):
@@ -779,7 +861,7 @@ class TestCertifyOnGenerators:
         assert any(p in gram.isometry_witness for p in members)
 
     def test_exact_delta12_tamper_fails_intertwining_and_names_it(self):
-        from gcorr.cohomology import MULTIPLICATIVE, Cocycle1
+        from gcorr.cohomology import Cocycle1
         from gcorr.correspondence import Correspondence
 
         corr_x, corr_y = ladder_pair(5)
@@ -790,7 +872,7 @@ class TestCertifyOnGenerators:
         k = comp.left_tg_index[(a, 0)]
         values = list(res.delta12.value)
         values[k] *= F(9)
-        delta = Cocycle1(res.delta12.groupoid, tuple(values), MULTIPLICATIVE)
+        delta = Cocycle1(res.delta12.groupoid, tuple(values))
         hacked = dataclasses.replace(res, delta12=delta, composite=Correspondence(
             comp.left_haar, comp.right_haar, comp.space, comp.family, delta, comp.left_tg, comp.left_tg_index,
         ))
@@ -898,7 +980,7 @@ class TestRelativeDeviations:
         res = compose(corr_x, corr_y)
         bad_b = list(res.b.value)
         bad_b[0] = float(bad_b[0]) * (1 + 1e-6)  # one image entry off by ~1e-6, relatively
-        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b), res.b.flavor))
+        hacked = dataclasses.replace(res, b=res.b.__class__(res.tg_z, tuple(bad_b)))
         gram = verify_theorem(corr_x, corr_y, hacked, trials=0, seed=0)
         assert not gram.isometry_ok
         assert 1e-7 < gram.isometry_max_dev < 1e-5

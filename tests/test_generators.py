@@ -21,7 +21,7 @@ import pytest
 
 import gcorr as gc
 from gcorr import catalog
-from gcorr.cohomology import ADDITIVE, MULTIPLICATIVE, Cochain0, Cocycle1, _ratios, _sweep_cocycle, _unequal_pairs, d0
+from gcorr.cohomology import Cochain0, Cocycle1, _ratios, _sweep_cocycle, _unequal_pairs, d0
 from gcorr.groupoids import (
     ActionComposition,
     Bispace,
@@ -335,11 +335,12 @@ def test_value_tampers_agree_with_the_full_sweep(name, exact, full_sweeps):
                 rows = g.unit_arrow + g.generators
                 assert any(_moved_values(act, values, rows)) == any(_moved_values(act, values, range(g.n_arrows)))
         tg = corr.left_tg
-        cochain = Cochain0(tg, tuple(Fraction(k % 5 - 2) for k in range(tg.n_units)), ADDITIVE)
-        additive = d0(cochain).value if exact else tuple(float(v) for v in d0(cochain).value)
-        for flavor, clean in ((MULTIPLICATIVE, corr.adjoining.value), (ADDITIVE, additive)):
+        # a coboundary that is nontrivial where the adjoining cocycle is 1
+        cochain = Cochain0(tg, tuple(Fraction(k % 5 + 1) for k in range(tg.n_units)))
+        ratios = d0(cochain).value if exact else tuple(float(v) for v in d0(cochain).value)
+        for clean in (corr.adjoining.value, ratios):
             for values in _tampered_values(clean, exact):
-                bad = Cocycle1(tg, values, flavor)
+                bad = Cocycle1(tg, values)
                 assert _sweep_cocycle(bad) == full_sweeps(_sweep_cocycle, bad)
                 num, den = _ratios(values)
                 rows = tg.unit_arrow + tg.generators
@@ -351,7 +352,7 @@ def test_infinite_values_still_read_infinite():
     corr_x, _ = _legs("ladder-5", exact=False)
     values = list(corr_x.adjoining.value)
     values[7] = math.inf
-    worst, witness = _sweep_cocycle(Cocycle1(corr_x.left_tg, tuple(values), MULTIPLICATIVE))
+    worst, witness = _sweep_cocycle(Cocycle1(corr_x.left_tg, tuple(values)))
     assert worst == math.inf and witness is not None
     weights = list(corr_x.family.weight)
     weights[3] = math.nan
@@ -391,7 +392,7 @@ def _parse_time_lookups(n: int) -> int:
         assert bispace_violations(Bispace(left, right)) == []
         assert invariance_residual(right, corr.family.weight) == (0.0, None)
         tg, _ = transformation_groupoid(left)
-        assert _sweep_cocycle(Cocycle1(tg, corr.adjoining.value, MULTIPLICATIVE)) == (0.0, None)
+        assert _sweep_cocycle(Cocycle1(tg, corr.adjoining.value)) == (0.0, None)
     return sum(c.reads for c in counters)
 
 

@@ -635,6 +635,32 @@ class TestCliExampleRandom:
         assert (tmp_path / "a.x.json").read_bytes() == (tmp_path / "b.x.json").read_bytes()
         assert (tmp_path / "a.y.json").read_bytes() == (tmp_path / "b.y.json").read_bytes()
 
+    @pytest.mark.parametrize("sizes, caps", [
+        ("4", (4, 16, 8)),
+        ("4,5", (4, 5, 8)),
+        ("4,5,6", (4, 5, 6)),
+        ("1,1,1", (1, 1, 1)),
+    ])
+    def test_random_sizes_pad_with_the_missing_defaults(self, sizes, caps, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(seed, **kwargs):
+            seen.append((seed, kwargs))
+            return random_pair(seed, **kwargs)
+
+        monkeypatch.setattr(cli, "random_pair", capture)
+        assert cli.main(["random", str(tmp_path / "r"), "--seed", "3", f"--sizes={sizes}"]) == 0
+        assert seen == [(3, dict(zip(("max_x", "max_y", "max_mid"), caps)))]
+
+    @pytest.mark.parametrize("sizes", ["0,0,0", "-1,4,4", "4,4,0", "4,4,4,4", "", "4,", "a"])
+    def test_random_bad_sizes_exit_one_with_one_line(self, sizes, tmp_path, capsys):
+        assert cli.main(["random", str(tmp_path / "r"), f"--sizes={sizes}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"bad --sizes {sizes!r}")
+        assert not (tmp_path / "r.x.json").exists()
+
     def test_random_instances_validate_and_verify(self, tmp_path):
         for seed in (0, 5):
             prefix = tmp_path / f"r{seed}"

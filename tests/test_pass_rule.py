@@ -143,16 +143,16 @@ def push_disintegration(factor, exact, tol=DEFAULT_TOL):
 def decompose_guard(factor, exact):
     """`decompose_multiplicative` on a coboundary off by `factor` at one arrow."""
     g, haar, _ = _pair_groupoid_data((1, 1), exact)
-    t = gc.Cochain0(g, (Fraction(1), Fraction(2)) if exact else (1.0, 2.0), "multiplicative")
+    t = gc.Cochain0(g, (Fraction(1), Fraction(2)) if exact else (1.0, 2.0))
     values = list(gc.d0(t).value)
     k = next(a for a in range(g.n_arrows) if a not in g.unit_arrow)
     values[k] *= factor
-    delta = gc.Cocycle1(g, tuple(values), "multiplicative")
+    delta = gc.Cocycle1(g, tuple(values))
     try:
         b = gc.decompose_multiplicative(delta, gc.invariant_probability_family(g, haar))
     except NotACocycle as exc:
         return exc.deviation, False
-    return coboundary_residual(delta, b), True
+    return coboundary_residual(delta, b)[0], True
 
 
 def gram_isometry(factor, exact, tol=DEFAULT_TOL):

@@ -186,7 +186,7 @@ def test_tampered_delta_z_value_fails_build_b(monkeypatch, name):
         k = delta_z.groupoid.n_arrows // 2
         values[k] *= 2
         seen["witness"] = delta_z.groupoid.arrow_ids[k]
-        return Cocycle1(delta_z.groupoid, tuple(values), delta_z.flavor)
+        return Cocycle1(delta_z.groupoid, tuple(values))
 
     _wrap(monkeypatch, "build_delta_z", tamper)
     with pytest.raises(CompositionStageError) as info:
@@ -400,7 +400,7 @@ def oracle_lines(res, tol=1e-9):
         "delta_z_cocycle": max(cocycle, delta_z_pullback_residual(res)),
         "delta_z_right_invariance": z_invariance_oracle(
             res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)[1],
-        "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res)),
+        "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res))[0],
         "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
         "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits)[0],
         "delta12_well_defined": wd,
