@@ -11,6 +11,7 @@ of at least 0; any other value is rejected before an input is read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from .composition import CompositionStageError, GroupoidMismatch, compose
 from .correspondence import validate
 from .randgen import random_pair
 from .report import DEFAULT_TOL, Report
-from .util import GcorrError, parse_scalar
+from .util import GcorrError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -31,7 +32,7 @@ EXIT_THEOREM = 3
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(io_json.canonical_json(report.to_json()))
     else:
         print(report.render())
 
@@ -93,15 +94,11 @@ def _read_cochain(path: str, point_ids) -> tuple:
         raise io_json.ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     if not isinstance(doc, dict):
         raise io_json.ParseError(path, "expected a JSON object {point-id: weight}")
-    values = []
-    for p in point_ids:
-        if p not in doc:
-            raise io_json.ParseError(path, f"cochain file misses point {p!r}")
-        try:
-            values.append(parse_scalar(doc[p]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise io_json.ParseError(f"{path}.{p}", str(exc)) from exc
-    return tuple(values)
+    known = set(point_ids)
+    for key in doc:
+        if key not in known:
+            raise io_json.ParseError(f"{path}.{key}", "not a point of the middle space Z")
+    return io_json.positive_weights(doc, point_ids, path, "cochain file misses point {!r}")
 
 
 def _load_valid_pair(path_x: str, path_y: str, tol: float = DEFAULT_TOL):
@@ -210,7 +207,10 @@ def _write_pair(prefix: str, corr_x, corr_y) -> bool:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each `parse_args` call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gcorr",
         description="validate, compose and certify finite groupoid correspondences",

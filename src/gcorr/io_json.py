@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .correspondence import Correspondence, make_correspondence
 from .groupoids import (
@@ -58,6 +59,8 @@ def _need(obj: dict, key: str, path: str, kind: type = object):
 
 def _ids(value, path: str) -> list[str]:
     """A list of string ids."""
+    if type(value) is list and all(type(item) is str for item in value):
+        return value
     for k, item in enumerate(_expect(value, list, path)):
         _expect(item, str, f"{path}[{k}]")
     return value
@@ -65,18 +68,46 @@ def _ids(value, path: str) -> list[str]:
 
 def _id_map(value, path: str) -> dict[str, str]:
     """An object mapping ids to ids."""
+    if type(value) is dict and all(type(item) is str for item in value.values()):
+        return value
     for key, item in _expect(value, dict, path).items():
         _expect(item, str, f"{path}.{key}")
     return value
 
 
 def _triples(value, path: str, n_ids: int = 3) -> list[list]:
-    """A list of entries of arity 3 whose first `n_ids` fields are ids."""
+    """A list of entries of arity 3 whose first `n_ids` (2 or 3) fields are ids."""
+    if type(value) is list and all(
+        type(entry) is list and len(entry) == 3 and type(entry[0]) is str and type(entry[1]) is str
+        and (n_ids == 2 or type(entry[2]) is str)
+        for entry in value
+    ):
+        return value
     for k, entry in enumerate(_expect(value, list, path)):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{path}[{k}]", "expected a triple")
         _ids(entry[:n_ids], f"{path}[{k}]")
     return value
+
+
+def positive_weights(doc: dict, ids, path: str, missing: str) -> tuple:
+    """The weights `doc[i]` for `i` in `ids`, each positive and finite.
+
+    An absent id is a ParseError at `path` with the message `missing`
+    formatted with the id; a bad weight is one at `path.i`.
+    """
+    weights = []
+    for i in ids:
+        if i not in doc:
+            raise ParseError(path, missing.format(i))
+        try:
+            w = parse_scalar(doc[i])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{path}.{i}", str(exc)) from exc
+        if not (w > 0):
+            raise ParseError(f"{path}.{i}", f"weight must be positive, got {w}")
+        weights.append(w)
+    return tuple(weights)
 
 
 def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
@@ -99,19 +130,9 @@ def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
     except GroupoidAxiomError as exc:
         raise ParseError(path, str(exc)) from exc
     haar_doc = _need(doc, "haar", path, dict)
-    weights = []
-    for a in arrows:
-        if a not in haar_doc:
-            raise ParseError(f"{path}.haar", f"missing weight for arrow {a!r}")
-        try:
-            w = parse_scalar(haar_doc[a])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{path}.haar.{a}", str(exc)) from exc
-        if not (w > 0):
-            raise ParseError(f"{path}.haar.{a}", f"weight must be positive, got {w}")
-        weights.append(w)
+    weights = positive_weights(haar_doc, arrows, f"{path}.haar", "missing weight for arrow {!r}")
     try:
-        return make_haar(g, tuple(weights))
+        return make_haar(g, weights)
     except GcorrError as exc:
         raise ParseError(f"{path}.haar", str(exc)) from exc
 
@@ -175,19 +196,9 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
         raise ParseError(f"{path}.space", str(exc)) from exc
 
     fam_doc = _need(doc, "family", path, dict)
-    weights = []
-    for p in points:
-        if p not in fam_doc:
-            raise ParseError(f"{path}.family", f"missing weight for point {p!r}")
-        try:
-            w = parse_scalar(fam_doc[p])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{path}.family.{p}", str(exc)) from exc
-        if not (w > 0):
-            raise ParseError(f"{path}.family.{p}", f"weight must be positive, got {w}")
-        weights.append(w)
+    weights = positive_weights(fam_doc, points, f"{path}.family", "missing weight for point {!r}")
     try:
-        family = MeasureFamily(tuple(points), right_haar.groupoid.unit_ids, right.momentum, tuple(weights))
+        family = MeasureFamily(tuple(points), right_haar.groupoid.unit_ids, right.momentum, weights)
     except ValueError as exc:
         raise ParseError(f"{path}.family", str(exc)) from exc
 
@@ -330,4 +341,30 @@ def serialize_instance(correspondences: list[tuple[str, Correspondence]]) -> str
         "groupoids": {name: _groupoid_doc(h) for name, h in registry},
         "correspondences": corr_docs,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc) + "\n"
+
+
+def canonical_json(obj) -> str:
+    """What `json.dumps` writes for `obj` with a 2-space indent and sorted
+    keys, byte for byte.
+
+    With an indent, `json` leaves its C encoder for a pure-Python generator
+    that yields one token at a time; this writer escapes strings with the C
+    `encode_basestring_ascii` and joins each container's items into one
+    string instead.  Lists and tuples are written alike, dict keys must be
+    strings, and every other leaf goes to `json.dumps` itself.
+    """
+    return _canonical(obj, "\n")
+
+
+def _canonical(value, newline: str) -> str:
+    if type(value) is str:
+        return _encode_str(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [_encode_str(key) + ": " + _canonical(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_canonical(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(value)

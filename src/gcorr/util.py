@@ -147,9 +147,16 @@ def parse_scalar(raw) -> Scalar:
 
     Strings are exact: "3/4" and "0.75" both become Fraction(3, 4).
     JSON numbers are taken as they come; a float marks the value inexact.
-    Non-finite floats (JSON `Infinity`, `NaN`) are rejected.
+    Non-finite floats (JSON `Infinity`, `NaN`) are rejected.  A string of
+    plain ASCII digits "p" or "p/q" skips `Fraction`'s regex (q = 0 raises
+    the same error either way); every other string is left to
+    `Fraction(raw)`.
     """
     if isinstance(raw, str):
+        if raw.isascii():
+            num, slash, den = raw.partition("/")
+            if num.isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
         return Fraction(raw)
     if isinstance(raw, bool):
         raise ValueError("boolean is not a weight")

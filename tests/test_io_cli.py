@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcorr import catalog, cli, groupoids, measures
-from gcorr.io_json import ParseError, parse_instance, serialize_instance
+from gcorr.io_json import ParseError, canonical_json, parse_instance, serialize_instance
 from gcorr.randgen import random_pair
-from tests.conftest import ladder_pair
+from gcorr.util import format_scalar, parse_scalar
+from tests.conftest import PAIRS_45, ladder_pair, pair_45
 
 
 @pytest.fixture
@@ -424,6 +425,55 @@ class TestCliRejectsBadInputs:
         assert code == 1
         assert f"{cfile}.{bad}" in capsys.readouterr().err
 
+    def _compose_with_cochain(self, ind_files, tmp_path, edit):
+        """`compose` with the canonical cochain as floats, changed by `edit`;
+        the exit code and the cochain file."""
+        x, y = ind_files
+        data_x, data_y = parse_instance(x.read_text()), parse_instance(y.read_text())
+        from gcorr.composition import compose
+
+        res = compose(data_x.correspondences[0][1], data_y.correspondences[0][1])
+        cochain = {pid: float(res.b.value[z]) for z, pid in enumerate(res.fp.point_ids)}
+        edit(cochain, res.fp.point_ids)
+        cfile = tmp_path / "cochain.json"
+        cfile.write_text(json.dumps(cochain))
+        code = cli.main([
+            "compose", str(x), str(y), str(tmp_path / "o.json"), "--cochain-file", str(cfile)
+        ])
+        return code, cfile
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, "0", "-3/4"])
+    def test_nonpositive_cochain_rejected(self, weight, ind_files, tmp_path, capsys):
+        bad = []
+
+        def edit(cochain, point_ids):
+            bad.append(point_ids[-1])
+            cochain[point_ids[-1]] = weight
+
+        code, cfile = self._compose_with_cochain(ind_files, tmp_path, edit)
+        assert code == 1
+        assert f"parse error: {cfile}.{bad[0]}: weight must be positive" in capsys.readouterr().err
+
+    def test_cochain_key_outside_z_rejected(self, ind_files, tmp_path, capsys):
+        def edit(cochain, point_ids):
+            cochain["no-such-point"] = 1.0
+
+        code, cfile = self._compose_with_cochain(ind_files, tmp_path, edit)
+        assert code == 1
+        assert f"parse error: {cfile}.no-such-point: not a point of the middle space Z" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_cochain_missing_point_rejected(self, ind_files, tmp_path, capsys):
+        missing = []
+
+        def edit(cochain, point_ids):
+            missing.append(point_ids[1])
+            del cochain[point_ids[1]]
+
+        code, cfile = self._compose_with_cochain(ind_files, tmp_path, edit)
+        assert code == 1
+        assert f"parse error: {cfile}: cochain file misses point {missing[0]!r}" in capsys.readouterr().err
+
     def test_compose_and_verify_both_validate_inputs(self, ind_files, tmp_path, capsys):
         # an identity arrow must carry adjoining value 1
         x, y = ind_files
@@ -785,3 +835,159 @@ class TestEachStructureIsSweptOnce:
         assert {name: max(c.values()) for name, c in counts.items()} == dict.fromkeys(self.SWEEPS, 1)
         assert {name: len(c) for name, c in counts.items()} == self.SWEPT[pair]
 
+
+
+def _indented(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_json_strings = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€ 😀 ab') | st.characters(), max_size=8)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | _json_strings
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    """`canonical_json` writes what `json.dumps(indent=2, sort_keys=True)` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    def test_byte_identical_to_indented_dumps(self, value):
+        assert canonical_json(value) == _indented(value)
+
+    @pytest.mark.parametrize("value", [[], (), {}, [[]], {"a": {}}, ((),), "", [None, True, False]])
+    def test_empty_containers_and_scalars(self, value):
+        assert canonical_json(value) == _indented(value)
+
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_real_documents(self, name):
+        from gcorr import cstar
+        from gcorr.composition import compose
+        from gcorr.correspondence import validate
+
+        corr_x, corr_y = pair_45(name)
+        result = compose(corr_x, corr_y)
+        files = [
+            serialize_instance([("x", corr_x)]),
+            serialize_instance([("y", corr_y)]),
+            serialize_instance([("composite", result.composite)]),
+        ]
+        for text in files:
+            assert text == _indented(json.loads(text)) + "\n"
+        # an identity arrow's adjoining value set to 2: a failing report with witnesses
+        doc = json.loads(files[1])
+        corr = doc["correspondences"][0]
+        unit_arrows = set(doc["groupoids"][corr["left"]]["unit_arrows"].values())
+        entry = next(e for e in corr["adjoining"] if e[0] in unit_arrows)
+        entry[2] = "2"
+        tampered = parse_instance(json.dumps(doc)).correspondences[0][1]
+        reports = [
+            validate(corr_x), validate(corr_y), validate(tampered), result.report,
+            cstar.verify_theorem(corr_x, corr_y, result, trials=2).report(),
+        ]
+        assert not reports[2].passed
+        for rep in reports:
+            assert canonical_json(rep.to_json()) == _indented(rep.to_json())
+
+
+def _catalog_doc(name, side):
+    corr_x, corr_y, _ = catalog.example_pair(name)
+    return json.loads(serialize_instance([(side, corr_x if side == "x" else corr_y)]))
+
+
+def _set_last_value(mapping, value):
+    mapping[sorted(mapping)[-1]] = value
+
+
+class TestReaderFastPaths:
+    """A container the one-pass test rejects is walked item by item, so a bad
+    entry past the first is named exactly as before."""
+
+    @pytest.mark.parametrize("name, side, mutate, message", [
+        ("fn-compose", "y", lambda d: d["groupoids"]["G1"]["units"].__setitem__(3, 7),
+         "doc.groupoids.G1.units[3]: expected a string, got 7"),
+        ("group-hom", "x", lambda d: d["groupoids"]["G0"]["comp"].__setitem__(5, d["groupoids"]["G0"]["comp"][5][:2]),
+         "doc.groupoids.G0.comp[5]: expected a triple"),
+        ("fn-compose", "y", lambda d: d["correspondences"][0]["space"]["left_action"][2].__setitem__(1, None),
+         "doc.correspondences[0].space.left_action[2][1]: expected a string, got null"),
+        ("fn-compose", "y", lambda d: _set_last_value(d["groupoids"]["G1"]["src"], ["u"]),
+         'doc.groupoids.G1.src.id:x4: expected a string, got ["u"]'),
+        ("subgroup", "y", lambda d: d["correspondences"][0]["adjoining"][3].__setitem__(1, 4),
+         "doc.correspondences[0].adjoining[3][1]: expected a string, got 4"),
+    ], ids=["units", "comp", "left_action", "src", "adjoining"])
+    def test_bad_entry_past_the_first_keeps_its_path(self, name, side, mutate, message):
+        doc = _catalog_doc(name, side)
+        mutate(doc)
+        with pytest.raises(ParseError) as info:
+            parse_instance(json.dumps(doc), source="doc")
+        assert str(info.value) == message
+        assert info.value.path == message.split(": ")[0]
+
+    @pytest.mark.parametrize("raw", [
+        "3/4", "07/010", "0.75", "1e3", " 3/4", "+3", "-3/4", "1_000/3", "٣/4", "3/-4",
+        "", "/", "3/", "/4", "1/0", "12", "0", "0/5",
+    ])
+    def test_parse_scalar_agrees_with_fraction(self, raw):
+        try:
+            expected = F(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_scalar(raw)
+            assert str(info.value) == str(exc)  # a ParseError carries this text
+        else:
+            got = parse_scalar(raw)
+            assert type(got) is F and got == expected
+
+
+class TestCachedParser:
+    """One parser per process, and no option of one call leaks into the next."""
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_compose_options_do_not_leak(self, fn_files, tmp_path, monkeypatch):
+        from gcorr.composition import compose
+        from gcorr.report import DEFAULT_TOL
+
+        seen = []
+
+        def recording(corr_x, corr_y, b_values=None, tol=DEFAULT_TOL):
+            seen.append((b_values, tol))
+            return compose(corr_x, corr_y, b_values=b_values, tol=tol)
+
+        monkeypatch.setattr(cli, "compose", recording)
+        x, y = fn_files
+        res = compose(parse_instance(x.read_text()).correspondences[0][1], parse_instance(y.read_text()).correspondences[0][1])
+        cfile = tmp_path / "cochain.json"
+        cfile.write_text(json.dumps({pid: format_scalar(res.b.value[z]) for z, pid in enumerate(res.fp.point_ids)}))
+        out = str(tmp_path / "o.json")
+        assert cli.main(["compose", str(x), str(y), out, "--cochain-file", str(cfile), "--tol", "1e-6"]) == 0
+        assert cli.main(["compose", str(x), str(y), out]) == 0
+        assert seen[0] == (tuple(res.b.value), 1e-6)
+        assert seen[1] == (None, DEFAULT_TOL)
+
+    def test_verify_options_do_not_leak(self, fn_files, monkeypatch, capsys):
+        from gcorr import cstar
+
+        original = cstar.verify_theorem
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["trials"], kwargs["seed"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cstar, "verify_theorem", recording)
+        x, y = fn_files
+        assert cli.main(["verify", str(x), str(y), "--trials", "0", "--seed", "5"]) == 0
+        assert "+ 0 random)" in capsys.readouterr().out
+        assert cli.main(["verify", str(x), str(y)]) == 0
+        assert "+ 200 random)" in capsys.readouterr().out
+        assert seen == [(0, 5), (200, 0)]
