@@ -59,34 +59,28 @@ def _need(obj: dict, key: str, path: str, kind: type = object):
 
 def _ids(value, path: str) -> list[str]:
     """A list of string ids."""
-    if type(value) is list and all(type(item) is str for item in value):
-        return value
     for k, item in enumerate(_expect(value, list, path)):
-        _expect(item, str, f"{path}[{k}]")
+        if type(item) is not str:
+            _expect(item, str, f"{path}[{k}]")
     return value
 
 
 def _id_map(value, path: str) -> dict[str, str]:
     """An object mapping ids to ids."""
-    if type(value) is dict and all(type(item) is str for item in value.values()):
-        return value
     for key, item in _expect(value, dict, path).items():
-        _expect(item, str, f"{path}.{key}")
+        if type(item) is not str:
+            _expect(item, str, f"{path}.{key}")
     return value
 
 
 def _triples(value, path: str, n_ids: int = 3) -> list[list]:
-    """A list of entries of arity 3 whose first `n_ids` (2 or 3) fields are ids."""
-    if type(value) is list and all(
-        type(entry) is list and len(entry) == 3 and type(entry[0]) is str and type(entry[1]) is str
-        and (n_ids == 2 or type(entry[2]) is str)
-        for entry in value
-    ):
-        return value
+    """A list of entries of arity 3 whose first `n_ids` fields are ids."""
     for k, entry in enumerate(_expect(value, list, path)):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{path}[{k}]", "expected a triple")
-        _ids(entry[:n_ids], f"{path}[{k}]")
+        for item in entry[:n_ids]:
+            if type(item) is not str:
+                _ids(entry[:n_ids], f"{path}[{k}]")
     return value
 
 

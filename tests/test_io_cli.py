@@ -908,8 +908,9 @@ def _set_last_value(mapping, value):
 
 
 class TestReaderFastPaths:
-    """A container the one-pass test rejects is walked item by item, so a bad
-    entry past the first is named exactly as before."""
+    """Each reader loop tests an item's type inline and builds the item's
+    path only when it fails, so a bad entry past the first is named exactly
+    as before."""
 
     @pytest.mark.parametrize("name, side, mutate, message", [
         ("fn-compose", "y", lambda d: d["groupoids"]["G1"]["units"].__setitem__(3, 7),
