@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import gcorr as gc
 from gcorr.cohomology import coboundary_residual
 from gcorr.groupoids import orbit_space, unit_action
-from gcorr.measures import compose_with_quotient, cutoff_from_profile
+from gcorr.measures import cutoff_from_profile
 
 pg = gc.pair_groupoid(["1", "2"])
 haar = gc.counting_haar(pg)
@@ -44,7 +44,9 @@ m_sym = gc.unit_measure(pg, (F(3), F(3)))
 orbits = orbit_space(unit_action(pg))
 mu = gc.push_measure_down(m_sym, haar, orbits)
 print("\npushed-down measure:", mu.weight)
-print("disintegrates back :", compose_with_quotient(mu, haar, orbits).weight)
+# μ∘[λ] weighs a unit v by μ at its orbit times the quotient family at v
+ql = gc.quotient_family(haar, orbits)
+print("disintegrates back :", tuple(mu.weight[orbits.proj[v]] * ql.weight[v] for v in range(pg.n_units)))
 
 # the push-down ignores the choice of cutoff
 e2 = cutoff_from_profile(haar, (F(9), F(1)))

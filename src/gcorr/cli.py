@@ -59,15 +59,15 @@ def _write_text(path: str, text: str) -> bool:
 
 
 def _load(path: str) -> io_json.InstanceData:
-    return io_json.parse_instance(_read_text(path), source=path)
+    """The instance in `path`, which must hold a correspondence."""
+    data = io_json.parse_instance(_read_text(path), source=path)
+    if not data.correspondences:
+        raise io_json.ParseError(path, "instance files must contain a correspondence")
+    return data
 
 
 def _load_pair(path_x: str, path_y: str):
-    data_x = _load(path_x)
-    data_y = _load(path_y)
-    if not data_x.correspondences or not data_y.correspondences:
-        raise io_json.ParseError(path_x, "instance files must contain a correspondence")
-    return data_x.correspondences[0][1], data_y.correspondences[0][1]
+    return _load(path_x).correspondences[0][1], _load(path_y).correspondences[0][1]
 
 
 def cmd_validate(args) -> int:
@@ -94,11 +94,9 @@ def _read_cochain(path: str, point_ids) -> tuple:
         raise io_json.ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
     if not isinstance(doc, dict):
         raise io_json.ParseError(path, "expected a JSON object {point-id: weight}")
-    known = set(point_ids)
-    for key in doc:
-        if key not in known:
-            raise io_json.ParseError(f"{path}.{key}", "not a point of the middle space Z")
-    return io_json.positive_weights(doc, point_ids, path, "cochain file misses point {!r}")
+    weights = io_json.positive_weights(doc, point_ids, path, "cochain file misses point {!r}")
+    io_json.known_keys(doc, set(point_ids), path, "not a point of the middle space Z")
+    return weights
 
 
 def _load_valid_pair(path_x: str, path_y: str, tol: float = DEFAULT_TOL):

@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
 from .report import passes
-from .util import GcorrError, ONE, Scalar, adev, all_exact, ksum, rdev
+from .util import GcorrError, ONE, Scalar, adev, all_exact, generators_first, ksum, rdev, worst_of
 
 
 class NotACocycle(GcorrError):
@@ -117,35 +118,29 @@ def _unequal_pairs(
 
 
 def _sweep_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
-    """Worst `rdev` over the identities at units and the homomorphism
-    identity on all composable pairs, with the first pair attaining it.
+    """Worst `rdev` over the identities at units and then the homomorphism
+    identity on all composable pairs, swept `generators_first`, with the
+    first unit arrow or pair attaining it.
 
     Lemma: once c is 1 at the units, the arrows a with c(a∘b) = c(a)·c(b)
     exactly for every b are closed under composition, by associativity:
-    c((a∘a′)∘b) = c(a∘(a′∘b)) = c(a)·c(a′)·c(b) = c(a∘a′)·c(b).  So a
-    pass over the identities and `generators` that finds no unequal pair
-    proves the sweep 0; only otherwise does the full sweep run.  The test
-    is exact on floats too, and a non-finite value is unequal to
-    everything, so it is found at its own identity row.
+    c((a∘a′)∘b) = c(a∘(a′∘b)) = c(a)·c(a′)·c(b) = c(a∘a′)·c(b).  A unit
+    arrow u with c(u) ≠ 1 is unequal at (u, u), since c(u) > 0, so the
+    probe finds it too.  The test is exact on floats, and a non-finite
+    value is unequal to everything, so it is found at its own identity row.
     """
     g = c.groupoid
     value = c.value
-    worst = 0.0
-    witness = None
-
-    for u in range(g.n_units):
-        d = rdev(value[g.unit_arrow[u]], 1)
-        if d > worst:
-            worst, witness = d, (g.arrow_ids[g.unit_arrow[u]],)
-
     num, den = _ratios(value)
-    if not worst and not any(_unequal_pairs(c, num, den, g.unit_arrow + g.generators)):
-        return worst, witness
-    for a, b, k in _unequal_pairs(c, num, den, range(g.n_arrows)):
-        d = rdev(value[k], value[a] * value[b])
-        if d > worst:
-            worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
-    return worst, witness
+    worst, key = worst_of(chain(
+        ((d, (u,)) for u in g.unit_arrow if (d := rdev(value[u], 1))),
+        generators_first(
+            _unequal_pairs(c, num, den, g.unit_arrow + g.generators),
+            ((rdev(value[k], value[a] * value[b]), (a, b))
+             for a, b, k in _unequal_pairs(c, num, den, range(g.n_arrows))),
+        ),
+    ))
+    return worst, None if key is None else tuple(g.arrow_ids[a] for a in key)
 
 
 def check_cocycle(c: Cocycle1) -> tuple[float, Optional[tuple[str, ...]]]:
@@ -186,13 +181,10 @@ def invariant_probability_family(
     if any(not (f > 0) for f in F):
         raise NonPositive("F must be strictly positive")
     h = fibre_integral(haar, F)
-    worst, witness = 0.0, None
-    for a in range(g.n_arrows):  # h constant along arrows => constant on orbits
-        d = adev(h[g.src[a]], h[g.dst[a]])
-        if d > worst:
-            worst, witness = d, g.arrow_ids[a]
+    # h constant along arrows => constant on orbits
+    worst, a = worst_of((d, a) for a, (s, t) in enumerate(zip(g.src, g.dst)) if (d := adev(h[s], h[t])))
     if not passes(worst, exact=True):
-        raise GcorrError(f"fibre mass is not orbit-constant at {witness} (dev {worst})")
+        raise GcorrError(f"fibre mass is not orbit-constant at {g.arrow_ids[a]} (dev {worst})")
     weight = tuple(
         F[g.src[a]] * haar.w(a) / h[g.dst[a]] for a in range(g.n_arrows)
     )
@@ -203,18 +195,15 @@ def _split_sweep(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
     """Worst `rdev` of c·(b∘dst) against b∘src, arrow by arrow, and the
     first arrow attaining it."""
     g = c.groupoid
-    src, dst = g.src, g.dst
     cv, bv = c.value, b.value
-    worst, witness = 0.0, None
     num, den = _ratios(cv)
     bn, bd = _ratios(bv)
-    for a in range(g.n_arrows):
-        s, t = src[a], dst[a]
-        if num[a] * bn[t] * bd[s] != den[a] * bd[t] * bn[s]:
-            d = rdev(cv[a] * bv[t], bv[s])
-            if d > worst:
-                worst, witness = d, g.arrow_ids[a]
-    return worst, witness
+    worst, a = worst_of(
+        (rdev(cv[a] * bv[t], bv[s]), a)
+        for a, (s, t) in enumerate(zip(g.src, g.dst))
+        if num[a] * bn[t] * bd[s] != den[a] * bd[t] * bn[s]
+    )
+    return worst, None if a is None else g.arrow_ids[a]
 
 
 def coboundary_residual(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:

@@ -96,7 +96,7 @@ from .measures import (
     unit_measure,
 )
 from .report import DEFAULT_TOL, Report, passes
-from .util import GcorrError, IndexTable, ONE, Scalar, adev, all_exact, rdev, to_float
+from .util import GcorrError, IndexTable, ONE, Scalar, adev, all_exact, rdev, to_float, worst_of
 
 
 class GroupoidMismatch(GcorrError):
@@ -426,12 +426,10 @@ def lambda_pi_rep_independence(
     By `build_lambda_pi`'s lemma, with |G₂^u|/|[z]| = |Stab(x₀)|/|orbit
     in R|, the two sum the same terms in the same order."""
     lam_r = quotient_family(red.chi, r_orbits)
-    worst, witness = 0.0, None
-    for r, z in enumerate(red.z_of):
-        d = adev(lam_r.weight[r], lambda_pi.weight[z])
-        if d > worst:
-            worst, witness = d, lam_r.total_ids[r]
-    return worst, witness
+    worst, r = worst_of(
+        (d, r) for r, z in enumerate(red.z_of) if (d := adev(lam_r.weight[r], lambda_pi.weight[z]))
+    )
+    return worst, None if r is None else lam_r.total_ids[r]
 
 
 def leg_haar(corr_y: Correspondence) -> HaarSystem:
@@ -467,16 +465,16 @@ def delta_z_invariance_residuals(corr_y: Correspondence, fp: FibreProduct) -> tu
     sweep of the middle fibre of every outer pair.  G₁ invariance is
     exact: a·(x, y) = (a·x, y) keeps the y leg.
     """
-    g2, y_left, y_right = corr_y.left, corr_y.space.left, corr_y.space.right
-    worst, witness = 0.0, None
-    for y in sorted({y for _, y in fp.pairs}):
-        for c in y_right.groupoid.fibre_dst[y_right.momentum[y]]:
-            y1 = y_right.table[(y, c)]
-            for a in g2.fibre_dst[y_left.momentum[y]]:
-                d = rdev(corr_y.adjoining_at(g2.inv[a], y1), corr_y.adjoining_at(g2.inv[a], y))
-                if d > worst:
-                    worst, witness = d, f"({y_right.point_ids[y]}, {y_right.groupoid.arrow_ids[c]})"
-    return worst, witness
+    g2, y_left, y_right, at = corr_y.left, corr_y.space.left, corr_y.space.right, corr_y.adjoining_at
+    worst, key = worst_of(
+        (d, (y, c))
+        for y in sorted({y for _, y in fp.pairs})
+        for c in y_right.groupoid.fibre_dst[y_right.momentum[y]]
+        for y1 in [y_right.table[(y, c)]]
+        for a in g2.fibre_dst[y_left.momentum[y]]
+        if (d := rdev(at(g2.inv[a], y1), at(g2.inv[a], y)))
+    )
+    return worst, None if key is None else f"({y_right.point_ids[key[0]]}, {y_right.groupoid.arrow_ids[key[1]]})"
 
 
 def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: ZBispace) -> tuple[float, Optional[str]]:
@@ -518,16 +516,18 @@ def override_split_residual(
     arrow.  r·γ = (x·γ, γ⁻¹·y) is read off the legs, so each member of an
     orbit is compared directly with its representative.  O(Σ_z |Stab z|).
     """
-    g2, x_right, y_left = corr_y.left, fp.x_right, fp.y_left
-    worst, witness = 0.0, None
-    for r in orbits.reps:
-        x, y = fp.pairs[r]
-        for a in g2.fibre_dst[x_right.momentum[x]]:
-            z = fp.index[(x_right.table[(x, a)], y_left.table[(g2.inv[a], y)])]
-            d = rdev(corr_y.adjoining_at(g2.inv[a], y) * b.value[r], b.value[z])
-            if d > worst:
-                worst, witness = d, f"({fp.point_ids[r]};{g2.arrow_ids[a]})"
-    return worst, witness
+    g2, x_right, y_left, bv = corr_y.left, fp.x_right, fp.y_left, b.value
+    worst, key = worst_of(
+        (d, (r, a))
+        for r in orbits.reps
+        for x, y in [fp.pairs[r]]
+        for a in g2.fibre_dst[x_right.momentum[x]]
+        if (d := rdev(
+            corr_y.adjoining_at(g2.inv[a], y) * bv[r],
+            bv[fp.index[(x_right.table[(x, a)], y_left.table[(g2.inv[a], y)])]],
+        ))
+    )
+    return worst, None if key is None else f"({fp.point_ids[key[0]]};{g2.arrow_ids[key[1]]})"
 
 
 def build_mu(
@@ -635,13 +635,12 @@ def delta1_invariance_residual(corr_x: Correspondence, x_orbits: OrbitSpace) -> 
     G₂-orbit of X, so Δ₁₂ is well defined exactly when Δ₁(a, ·) is
     constant on the G₂-orbits of X that reach Z.
     """
-    worst, witness = 0.0, None
-    for (a, x), k in corr_x.left_tg_index.items():
-        r = x_orbits.reps[x_orbits.proj[x]]
-        d = rdev(corr_x.adjoining.value[k], corr_x.adjoining_at(a, r))
-        if d > worst:
-            worst, witness = d, f"({corr_x.left.arrow_ids[a]}, {corr_x.space.point_ids[x]})"
-    return worst, witness
+    value, reps, proj = corr_x.adjoining.value, x_orbits.reps, x_orbits.proj
+    worst, key = worst_of(
+        (d, (a, x)) for (a, x), k in corr_x.left_tg_index.items()
+        if (d := rdev(value[k], corr_x.adjoining_at(a, reps[proj[x]])))
+    )
+    return worst, None if key is None else f"({corr_x.left.arrow_ids[key[0]]}, {corr_x.space.point_ids[key[1]]})"
 
 
 def compose(
@@ -709,11 +708,10 @@ def compose(
         if not report.check("override_b_splits_delta", split_res, exact_dz and all_exact(override.value), tol, split_wit).passed:
             raise CompositionStageError("build_b", GcorrError("supplied cochain does not split the obstruction cocycle"), report)
         ratio = tuple(b.value[z] / override.value[z] for z in range(len(y_of)))
-        ratio_res, ratio_wit = 0.0, None
-        for z in range(len(y_of)):
-            d = rdev(ratio[z], ratio[orbits.reps[orbits.proj[z]]])
-            if d > ratio_res:
-                ratio_res, ratio_wit = d, fp.point_ids[z]
+        ratio_res, ratio_at = worst_of(
+            (d, z) for z in range(len(y_of)) if (d := rdev(ratio[z], ratio[orbits.reps[orbits.proj[z]]]))
+        )
+        ratio_wit = None if ratio_at is None else fp.point_ids[ratio_at]
         report.check("override_b_ratio_orbit_constant", ratio_res, all_exact(ratio), tol, ratio_wit)
         b = override
     exact_b = all_exact(b.value)

@@ -31,7 +31,7 @@ from .groupoids import (
 )
 from .measures import HaarSystem, MeasureFamily, counting_haar, invariance_residual
 from .report import DEFAULT_TOL, Report
-from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, rdev, to_float
+from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, generators_first, rdev, to_float, worst_of
 
 
 class NotWellDefined(GcorrError):
@@ -159,16 +159,17 @@ def _quasi_invariance_deviations(
     family: MeasureFamily,
     adjoining_at: Callable[[int, int], Scalar],
     pairs: Iterable[tuple[int, int]],
-) -> Iterator[tuple[float, int, int]]:
-    """The (d, η, z) over `pairs` with nonzero d = `rdev` of the two sides
-    of the quasi-invariance identity at the point mass (η, z), in order."""
+) -> Iterator[tuple[float, tuple[int, int]]]:
+    """The (d, (η, z)) over `pairs` with nonzero d = `rdev` of the two
+    sides of the quasi-invariance identity at the point mass (η, z), in
+    order."""
     g, table, w, lam = left_haar.groupoid, space.left.table, left_haar.w, family.weight
     for a, p in pairs:
         lhs = w(g.inv[a]) * lam[p]
         rhs = adjoining_at(a, p) * w(a) * lam[table[(a, p)]]
         d = rdev(lhs, rhs)
         if d:
-            yield d, a, p
+            yield d, (a, p)
 
 
 def quasi_invariance_residual(
@@ -186,8 +187,9 @@ def quasi_invariance_residual(
 
     so the sweep below spans all test functions by linearity.
 
-    `on_generators` certifies on G⋉X's generators first: the lifts (s, z)
-    of s in the left groupoid's `generators` (`ActionComposition.generators`).
+    `on_generators` sweeps `generators_first`, with the probe over the
+    lifts (s, z) of s in the left groupoid's `generators`
+    (`ActionComposition.generators`).
     Lemma: the identity says Δ = D for D(η, z) = w(η⁻¹)λ(z) / (w(η)λ(ηz)).
     A Haar system built by `make_haar` is left invariant exactly, so
     w(η) = W(s(η)) for W(u) the weight of the identity at u, and
@@ -196,23 +198,16 @@ def quasi_invariance_residual(
     which Δ = D hold exactly are closed under composition, so Δ = D on the
     lifts implies Δ = D everywhere.  The caller sets `on_generators` only
     where that holds exactly: exact data whose `adjoining_cocycle` line
-    passes.  A pass over the lifts that finds no deviation proves the
-    residual 0; only otherwise does the full sweep run, for the worst
-    deviation and its first witness, as it does on float data.
+    passes; on float data the full sweep runs alone.
     """
     g = left_haar.groupoid
+    devs = _quasi_invariance_deviations(left_haar, space, family, adjoining_at, space.left.pairs())
     if on_generators:
         at = space.left.points_at
         lifts = ((s, p) for s in g.generators for p in at[g.src[s]])
-        if not any(_quasi_invariance_deviations(left_haar, space, family, adjoining_at, lifts)):
-            return 0.0, None
-    worst, witness = 0.0, None
-    for d, a, p in _quasi_invariance_deviations(
-        left_haar, space, family, adjoining_at, space.left.pairs()
-    ):
-        if d > worst:
-            worst, witness = d, f"({g.arrow_ids[a]}, {space.point_ids[p]})"
-    return worst, witness
+        devs = generators_first(_quasi_invariance_deviations(left_haar, space, family, adjoining_at, lifts), devs)
+    worst, key = worst_of(devs)
+    return worst, None if key is None else f"({g.arrow_ids[key[0]]}, {space.point_ids[key[1]]})"
 
 
 def make_correspondence(

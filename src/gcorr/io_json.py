@@ -4,8 +4,8 @@ Weights travel as strings ("3/4" or "0.25") when exact and as JSON numbers
 when inexact; parsing is the mirror image, so a file round-trips to
 canonical form byte-identically.  All structural problems (a missing field,
 a container of the wrong JSON type, an entry of the wrong arity) and all
-referential integrity problems raise ParseError with a path into the
-document.
+referential integrity problems, a key of an id-keyed table that names no
+id among them, raise ParseError with a path into the document.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class InstanceData:
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
+_NOT_ARROW, _NOT_UNIT, _NOT_POINT = "not an arrow of the groupoid", "not a unit of the groupoid", "not a point of the space"
 
 
 def _expect(value, kind: type, path: str):
@@ -71,6 +72,14 @@ def _id_map(value, path: str) -> dict[str, str]:
         if type(item) is not str:
             _expect(item, str, f"{path}.{key}")
     return value
+
+
+def known_keys(doc: dict, ids, path: str, message: str) -> None:
+    """A ParseError at `path.key`, with `message`, for the first key of
+    `doc` outside the distinct `ids`.  Called once every id has been read
+    from `doc`, so only a `doc` with more keys than ids has one."""
+    if len(doc) > len(ids):
+        raise ParseError(f"{path}.{next(key for key in doc if key not in ids)}", message)
 
 
 def _triples(value, path: str, n_ids: int = 3) -> list[list]:
@@ -123,16 +132,26 @@ def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
         )
     except GroupoidAxiomError as exc:
         raise ParseError(path, str(exc)) from exc
+    for table in ("src", "dst", "inv"):
+        known_keys(doc[table], g._arrow_lookup, f"{path}.{table}", _NOT_ARROW)
+    if unit_arrows is not None:
+        known_keys(unit_arrows, g._unit_lookup, f"{path}.unit_arrows", _NOT_UNIT)
     haar_doc = _need(doc, "haar", path, dict)
     weights = positive_weights(haar_doc, arrows, f"{path}.haar", "missing weight for arrow {!r}")
+    known_keys(haar_doc, g._arrow_lookup, f"{path}.haar", _NOT_ARROW)
     try:
         return make_haar(g, weights)
     except GcorrError as exc:
         raise ParseError(f"{path}.haar", str(exc)) from exc
 
 
-def _parse_action(side, haar, points, momentum_doc, table_doc, path) -> GSpaceAction:
+def _parse_action(side, haar, points, space_doc, space_path) -> GSpaceAction:
+    """The `side` action of the space document at `space_path`: its
+    `{side}_momentum` and `{side}_action` tables."""
     g = haar.groupoid
+    momentum_doc = _need(space_doc, f"{side}_momentum", space_path, dict)
+    table_doc = _need(space_doc, f"{side}_action", space_path)
+    path = f"{space_path}.{side}_action"
     p_idx = {p: i for i, p in enumerate(points)}
     momentum = []
     for p in points:
@@ -140,6 +159,7 @@ def _parse_action(side, haar, points, momentum_doc, table_doc, path) -> GSpaceAc
         if not isinstance(u, str) or u not in g._unit_lookup:
             raise ParseError(f"{path}.momentum.{p}", f"unknown unit {u!r}")
         momentum.append(g.unit_index(u))
+    known_keys(momentum_doc, p_idx, f"{space_path}.{side}_momentum", _NOT_POINT)
     table = {}
     for k, entry in enumerate(_triples(table_doc, path)):
         if side == "left":
@@ -170,20 +190,11 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
     right_haar = groupoids[right_name]
     space_doc = _need(doc, "space", path, dict)
     points = _ids(_need(space_doc, "points", f"{path}.space"), f"{path}.space.points")
-    if len(set(points)) != len(points):
+    point_set = set(points)
+    if len(point_set) != len(points):
         raise ParseError(f"{path}.space.points", "duplicate point ids")
-    left = _parse_action(
-        "left", left_haar, points,
-        _need(space_doc, "left_momentum", f"{path}.space", dict),
-        _need(space_doc, "left_action", f"{path}.space"),
-        f"{path}.space.left_action",
-    )
-    right = _parse_action(
-        "right", right_haar, points,
-        _need(space_doc, "right_momentum", f"{path}.space", dict),
-        _need(space_doc, "right_action", f"{path}.space"),
-        f"{path}.space.right_action",
-    )
+    left = _parse_action("left", left_haar, points, space_doc, f"{path}.space")
+    right = _parse_action("right", right_haar, points, space_doc, f"{path}.space")
     try:
         space = make_bispace(left, right)
     except GroupoidAxiomError as exc:
@@ -191,6 +202,7 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
 
     fam_doc = _need(doc, "family", path, dict)
     weights = positive_weights(fam_doc, points, f"{path}.family", "missing weight for point {!r}")
+    known_keys(fam_doc, point_set, f"{path}.family", _NOT_POINT)
     try:
         family = MeasureFamily(tuple(points), right_haar.groupoid.unit_ids, right.momentum, weights)
     except ValueError as exc:

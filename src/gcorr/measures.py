@@ -7,8 +7,8 @@ T = arrows, f = dst, subject to left invariance.
 
 `compose` reads the helpers shared with the stand-alone push-down here:
 the fibre integral behind every cutoff, the push-down sum with its
-disintegration residual, and the (worst, witness) invariance residual of
-a function on a G-space.  Each check returns (worst, witness); the
+disintegration residual, and the invariance residual of a function on a
+G-space.  Each check returns (worst, witness) by `util.worst_of`; the
 verdict is `report.passes`.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
 from .report import DEFAULT_TOL, passes
-from .util import GcorrError, IndexTable, Scalar, adev, all_exact, ksum, rdev, to_float
+from .util import GcorrError, IndexTable, Scalar, adev, all_exact, generators_first, ksum, rdev, to_float, worst_of
 
 
 class NotHaar(GcorrError):
@@ -117,37 +117,34 @@ class HaarSystem:
 
 def _haar_deviations(
     g: FiniteGroupoid, weight: Sequence[Scalar], rows: Iterable[int]
-) -> Iterator[tuple[int, int, float]]:
-    """The (η, γ, d) with η in `rows`, γ composable and nonzero
+) -> Iterator[tuple[float, tuple[int, int]]]:
+    """The (d, (η, γ)) with η in `rows`, γ composable and nonzero
     d = `adev`(weight(η∘γ), weight(γ)), in sweep order."""
     comp, src, fibre_dst = g.comp, g.src, g.fibre_dst
     for a in rows:
         for b in fibre_dst[src[a]]:
             d = adev(weight[comp[(a, b)]], weight[b])
             if d:
-                yield a, b, d
+                yield d, (a, b)
 
 
 def check_haar(g: FiniteGroupoid, family: MeasureFamily) -> tuple[float, Optional[tuple[str, str]]]:
     """Left invariance: weight(η∘γ) = weight(γ) on every composable pair;
-    the worst `adev` and the first (η, γ) attaining it (None if 0).
+    the worst `adev` and the first (η, γ) attaining it (None if 0), swept
+    `generators_first`.
 
     Lemma: the arrows η whose deviation is 0 (equal and finite weights)
     against every γ are closed under composition, by associativity:
-    weight((η∘η′)∘γ) = weight(η∘(η′∘γ)) = weight(η′∘γ) = weight(γ).  So a
-    pass over the identities and `generators` that finds no deviation
-    proves the full sweep 0; only otherwise does the full sweep run, for
-    the worst deviation and its first witness.
+    weight((η∘η′)∘γ) = weight(η∘(η′∘γ)) = weight(η′∘γ) = weight(γ).
     """
     if len(family.total_ids) != g.n_arrows or family.along != g.dst:
         raise ValueError("family must live on the arrows along dst")
     weight = family.weight
-    worst, witness = 0.0, None
-    if any(_haar_deviations(g, weight, g.unit_arrow + g.generators)):
-        for a, b, d in _haar_deviations(g, weight, range(g.n_arrows)):
-            if d > worst:
-                worst, witness = d, (g.arrow_ids[a], g.arrow_ids[b])
-    return worst, witness
+    worst, key = worst_of(generators_first(
+        _haar_deviations(g, weight, g.unit_arrow + g.generators),
+        _haar_deviations(g, weight, range(g.n_arrows)),
+    ))
+    return worst, None if key is None else (g.arrow_ids[key[0]], g.arrow_ids[key[1]])
 
 
 def make_haar(g: FiniteGroupoid, weights: Sequence[Scalar]) -> HaarSystem:
@@ -209,12 +206,10 @@ def is_symmetric(m: MeasureFamily, haar: HaarSystem) -> tuple[float, Optional[st
     `passes` (exact when m and λ are)."""
     fwd = induced_measure(m, haar, "forward").weight
     inv = induced_measure(m, haar, "inverse").weight
-    devs = [adev(a, b) for a, b in zip(fwd, inv)]
-    residual = max(devs, default=0.0)
-    witness = haar.groupoid.arrow_ids[devs.index(residual)] if residual else None
+    residual, a = worst_of((d, a) for a, (f, i) in enumerate(zip(fwd, inv)) if (d := adev(f, i)))
     if not (m.exact and haar.exact):
         residual /= max(1.0, max(abs(float(w)) for w in fwd + inv))
-    return residual, witness
+    return residual, None if a is None else haar.groupoid.arrow_ids[a]
 
 
 def quotient_family(haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
@@ -281,12 +276,7 @@ def disintegration_residual(
     where ql is the quotient family along π; and the first point v
     attaining it (None if 0)."""
     proj = orbits.proj
-    worst, witness = 0.0, None
-    for v in range(len(m)):
-        d = rdev(m[v], mu[proj[v]] * ql[v])
-        if d > worst:
-            worst, witness = d, v
-    return worst, witness
+    return worst_of((d, v) for v in range(len(m)) if (d := rdev(m[v], mu[proj[v]] * ql[v])))
 
 
 def _moved_values(
@@ -311,24 +301,21 @@ def invariance_residual(action: GSpaceAction, values: Sequence[Scalar]) -> tuple
     """Worst `rdev` of a function on the points from its translate,
     values(moved point) against values(point), over the composable pairs
     of the action; and the first pair attaining it, named (arrow, point)
-    for a left action and (point, arrow) for a right one (None if 0).
+    for a left action and (point, arrow) for a right one (None if 0).  It
+    is swept `generators_first`, and the full sweep walks `action.pairs()`,
+    so a right action is swept point by point.
 
     Lemma: the arrows that keep the values exactly (deviation 0: equal and
     finite) at every point are closed under composition, by compatibility:
     values((a∘a′)·x) = values(a·(a′·x)) = values(a′·x) = values(x), and on
-    the right likewise.  So a pass over the identities and `generators`
-    that finds nothing proves the residual 0; only otherwise does the full
-    sweep run, for the worst deviation and its first witness.
+    the right likewise.
     """
     g = action.groupoid
-    if not any(_moved_values(action, values, g.unit_arrow + g.generators)):
-        return 0.0, None
     table, at = action.table, 1 if action.side == "left" else 0
-    worst, key = 0.0, None
-    for pair in action.pairs():
-        d = rdev(values[table[pair]], values[pair[at]])
-        if d > worst:
-            worst, key = d, pair
+    worst, key = worst_of(generators_first(
+        _moved_values(action, values, g.unit_arrow + g.generators),
+        ((d, pair) for pair in action.pairs() if (d := rdev(values[table[pair]], values[pair[at]]))),
+    ))
     if key is None:
         return worst, None
     arrow, point = action.groupoid.arrow_ids[key[1 - at]], action.point_ids[key[at]]
@@ -364,12 +351,3 @@ def push_measure_down(
     if not passes(worst, mu.exact and ql.exact and m.exact, tol):
         raise NotInvariant(worst, "push-down failed to disintegrate m", m.total_ids[witness])
     return mu
-
-
-def compose_with_quotient(mu: MeasureFamily, haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
-    """μ∘[λ]: the measure on the units induced by a measure on the orbits."""
-    ql = quotient_family(haar, orbits)
-    weight = tuple(
-        mu.weight[orbits.proj[v]] * ql.weight[v] for v in range(haar.groupoid.n_units)
-    )
-    return unit_measure(haar.groupoid, weight)

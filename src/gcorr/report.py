@@ -3,11 +3,12 @@ and the CLI, and the one pass rule that all of them judge by.
 
 `passes(residual, exact, tol)` is that rule: a residual passes at 0 on
 exact data and at most `tol` on float data, and a NaN residual fails.
-Every checker returns the pair (worst residual, witness) that names the
-first point attaining it whenever the residual is nonzero, and its
-caller decides the verdict here: `Report.check` for every residual line
-of `validate`, `compose` and the certificate, and `passes` itself where a
-verdict is taken outside a report line:
+Every checker returns (worst residual, witness) under the contract that
+`util.worst_of` states, and reduces through it (the basis sweeps of
+`cstar` keep their own loops, which also carry ρ).  Its caller decides
+the verdict here: `Report.check` for every residual line of `validate`,
+`compose` and the certificate, and `passes` itself where a verdict is
+taken outside a report line:
 
 * `make_haar` (left invariance of the Haar weights) and
   `invariant_probability_family` (orbit-constancy of the fibre mass),

@@ -11,22 +11,31 @@ compare float results for exact equality.
 The deviation helpers `adev` and `rdev` feed every residual sweep, so they
 keep one contract: the result is exactly 0.0 iff the arguments are equal
 (and finite), it is `math.inf` whenever either argument is a non-finite
-float (a NaN can never be dropped by a `d > worst` comparison), and
+float (a NaN could never be dropped by `worst_of`'s `>`), and
 otherwise it is the float of the exact deviation on exact inputs and the
 IEEE deviation on float ones.  An unequal exact pair never reads 0: a
 deviation below the float range reads `math.ulp(0.0)`, and one beyond it
 (or an exact argument beyond it) reads `math.inf`.
+
+Every (worst, witness) checker reduces its deviations through `worst_of`:
+the residual is the largest deviation, the witness is the first key in
+sweep order that attains it, and a sweep with no deviation reads
+(0.0, None).  A checker whose identity holds on a set of arrows closed
+under composition sweeps through `generators_first`: a probe over the
+identities and `generators` that finds no deviation proves the full
+sweep 0, so the full sweep runs only when the probe finds one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 import numpy as np
 
 Scalar = Union[int, Fraction, float]
+K = TypeVar("K")
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -104,6 +113,25 @@ def crdev(a: complex, b: complex) -> float:
     `math.inf` whenever either one is NaN or ∞, as for `rdev`."""
     d = abs(a - b) / max(1.0, abs(a), abs(b))
     return d if d == d else math.inf
+
+
+def worst_of(devs: Iterable[tuple[float, K]]) -> tuple[float, Optional[K]]:
+    """The largest d of the (d, key) pairs and the first key attaining it,
+    or (0.0, None) if no d is positive.  The deviations are `adev`/`rdev`
+    values, never NaN, so ∞ beats every finite d."""
+    worst, witness = 0.0, None
+    for d, key in devs:
+        if d > worst:
+            worst, witness = d, key
+    return worst, witness
+
+
+def generators_first(probe: Iterator, full: Iterator) -> Iterable:
+    """`full` if `probe` yields anything, and nothing otherwise; `full` is
+    not started when `probe` is empty."""
+    for _ in probe:
+        return full
+    return ()
 
 
 class IndexTable(NamedTuple):

@@ -11,7 +11,7 @@ from gcorr import catalog
 from gcorr.cohomology import ProbabilityFamily
 from gcorr.cstar import AlgebraElement
 from gcorr.groupoids import FiniteGroupoid, make_action, make_bispace
-from gcorr.measures import MeasureFamily, counting_haar
+from gcorr.measures import MeasureFamily, counting_haar, quotient_family, unit_measure
 from gcorr.randgen import random_pair
 from gcorr.report import Report
 from gcorr.util import adev, ksum
@@ -80,6 +80,13 @@ def probability_family_violation(p: ProbabilityFamily) -> float:
         for delta in g.fibre_dst[g.dst[eta]]:
             worst = max(worst, adev(p.weight[g.comp[(g.inv[eta], delta)]], p.weight[delta]))
     return worst
+
+
+def compose_with_quotient(mu: MeasureFamily, haar, orbits) -> MeasureFamily:
+    """μ∘[λ]: the measure on the units induced by a measure on the orbits,
+    the oracle that `push_measure_down` inverts."""
+    ql = quotient_family(haar, orbits)
+    return unit_measure(haar.groupoid, tuple(mu.weight[orbits.proj[v]] * ql.weight[v] for v in range(haar.groupoid.n_units)))
 
 
 def quasi_invariance_residual_dense(corr, F: dict[tuple[int, int], complex]) -> float:

@@ -588,6 +588,54 @@ class TestMalformedStructureExitsOne:
         assert "unsupported version" in self._validate_mutated(ind_x, mutate, capsys)
 
 
+class TestStrictDocuments:
+    """A key of an id-keyed table that names no id, and a document with no
+    correspondence, exit 1 with one parse error that names the path."""
+
+    TABLES = {
+        "family": ("correspondences", 0, "family"),
+        "left_momentum": ("correspondences", 0, "space", "left_momentum"),
+        "right_momentum": ("correspondences", 0, "space", "right_momentum"),
+        "haar": ("groupoids", "G0", "haar"),
+        "src": ("groupoids", "G0", "src"),
+        "dst": ("groupoids", "G0", "dst"),
+        "inv": ("groupoids", "G0", "inv"),
+        "unit_arrows": ("groupoids", "G0", "unit_arrows"),
+    }
+
+    @staticmethod
+    def _path(x, keys):
+        return str(x) + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_ghost_key_is_a_parse_error_at_its_path(self, fn_files, table, capsys):
+        x, _ = fn_files
+        doc = json.loads(x.read_text())
+        node = doc
+        for key in self.TABLES[table]:
+            node = node[key]
+        node["ghost"] = next(iter(node.values()))  # a valid value under a key that names nothing
+        x.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(x)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {self._path(x, self.TABLES[table])}.ghost: not a")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "compose", "verify"])
+    @pytest.mark.parametrize("edit", ["empty", "missing"])
+    def test_document_without_a_correspondence(self, fn_files, tmp_path, command, edit, capsys):
+        x, y = fn_files
+        doc = json.loads(x.read_text())
+        if edit == "empty":
+            doc["correspondences"] = []
+        else:
+            del doc["correspondences"]
+        x.write_text(json.dumps(doc))
+        argv = {"validate": [str(x)], "compose": [str(x), str(y), str(tmp_path / "o.json")], "verify": [str(x), str(y)]}
+        assert cli.main([command, *argv[command]]) == 1
+        assert capsys.readouterr().err == f"parse error: {x}: instance files must contain a correspondence\n"
+
+
 def _catalog_docs(root):
     docs = []
     for name in catalog.EXAMPLE_NAMES:

@@ -12,13 +12,13 @@ from gcorr.measures import (
     MeasureFamily,
     NotHaar,
     NotInvariant,
-    compose_with_quotient,
     cutoff_residual,
     default_cutoff,
     fibre_integral,
     invariance_residual,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar
+from tests.conftest import compose_with_quotient
 
 
 class TestCheckHaar:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction as F
@@ -7,7 +8,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from gcorr.util import GcorrError, adev, is_exact, parse_scalar, rdev, to_float
+import gcorr as gc
+from gcorr import cohomology, composition, correspondence, measures
+from gcorr.groupoids import fibre_product, orbit_space, unit_action
+from gcorr.util import GcorrError, adev, generators_first, is_exact, parse_scalar, rdev, to_float, worst_of
+from tests.conftest import ladder_pair
 
 
 def old_adev(a, b) -> float:
@@ -126,3 +131,188 @@ class TestToFloat:
     def test_values_without_a_positive_finite_float_are_named(self, value, named):
         with pytest.raises(GcorrError, match=f"^weight {re.escape(named)} is not a positive finite float$"):
             to_float(value)
+
+
+class TestWorstOf:
+    def test_ties_keep_the_first_key(self):
+        assert worst_of([(0.5, "a"), (1.0, "b"), (0.25, "c"), (1.0, "d")]) == (1.0, "b")
+
+    def test_infinity_beats_every_finite_deviation(self):
+        assert worst_of([(1e308, "a"), (math.inf, "b"), (math.inf, "c"), (1e300, "d")]) == (math.inf, "b")
+
+    def test_empty_and_zero_deviations_give_no_witness(self):
+        assert worst_of([]) == (0.0, None)
+        assert worst_of(iter([(0.0, "a")])) == (0.0, None)
+
+
+class TestGeneratorsFirst:
+    def test_full_is_never_started_when_probe_is_empty(self):
+        started = []
+
+        def full():
+            started.append(True)
+            yield 1.0, "x"
+
+        assert list(generators_first(iter(()), full())) == [] and not started
+
+    def test_full_is_returned_when_probe_yields(self):
+        full = iter([(1.0, "x"), (2.0, "y")])
+        assert generators_first(iter([(1.0, "p")]), full) is full
+        assert worst_of(generators_first(iter([(1.0, "p")]), iter([(1.0, "x"), (2.0, "y")]))) == (2.0, "y")
+
+
+def _haar_family(g, weight):
+    return measures.MeasureFamily(g.arrow_ids, g.unit_ids, g.dst, tuple(weight))
+
+
+def _bumped(values, at):
+    return tuple(v * 2 if k in at else v for k, v in enumerate(values))
+
+
+# Each site gives (first, second, run): run(at) is the checker's (worst,
+# witness) on data doubled at the entries in `at`, and the entries `first`
+# and `second` give equal deviations, `first` met first in sweep order.
+def _check_haar():
+    g = gc.cyclic_group(3)
+    return 1, 2, lambda at: gc.check_haar(g, _haar_family(g, _bumped((F(1),) * 3, at)))
+
+
+def _is_symmetric():
+    pg = gc.pair_groupoid("1234")
+    haar = gc.counting_haar(pg)
+    return 0, 3, lambda at: gc.is_symmetric(gc.unit_measure(pg, _bumped((F(1),) * 4, at)), haar)
+
+
+def _disintegration():
+    orbits = orbit_space(unit_action(gc.pair_groupoid("1234")))
+    return 1, 3, lambda at: measures.disintegration_residual((F(1),), (F(1),) * 4, _bumped((F(1),) * 4, at), orbits)
+
+
+def _right_invariance():
+    corr_x, _ = ladder_pair(4)  # a right action: swept point by point
+    return 1, 2, lambda at: measures.invariance_residual(corr_x.space.right, _bumped(corr_x.family.weight, at))
+
+
+def _cocycle():
+    # the identity rows come before every pair row: c = 2 at the unit arrow
+    # (2,2) reads 1/2 there, as c = 2 at (1,2) does at ((1,2), (2,1))
+    g = gc.pair_groupoid("12")
+    return 3, 1, lambda at: gc.check_cocycle(gc.Cocycle1(g, _bumped((F(1),) * 4, at)))
+
+
+def _fibre_mass():
+    pg = gc.pair_groupoid("123")
+
+    def run(at):
+        haar = measures.HaarSystem(pg, _haar_family(pg, _bumped((F(1),) * 9, at)))
+        with pytest.raises(GcorrError) as exc:
+            gc.invariant_probability_family(pg, haar)
+        return str(exc.value)
+
+    return 0, 8, run
+
+
+def _split():
+    pg = gc.pair_groupoid("1234")
+    c = gc.Cocycle1(pg, (F(1),) * 16)
+    return 0, 3, lambda at: cohomology.coboundary_residual(c, gc.Cochain0(pg, _bumped((F(1),) * 4, at)))
+
+
+def _quasi_invariance():
+    corr, _ = ladder_pair(3)
+    keys = list(corr.space.left.pairs())
+
+    def run(at):
+        tampered = {keys[k] for k in at}
+        return correspondence.quasi_invariance_residual(
+            corr.left_haar, corr.space, corr.family,
+            lambda a, p: corr.adjoining_at(a, p) * (2 if (a, p) in tampered else 1),
+        )
+
+    return 4, 7, run
+
+
+def _lambda_pi():
+    res = gc.compose(*ladder_pair(3))
+    red, lam = res.reduction, res.lambda_pi
+    r_orbits = orbit_space(red.action)
+
+    def run(at):
+        weight = _bumped(lam.weight, {red.z_of[r] for r in at})
+        return composition.lambda_pi_rep_independence(
+            red, r_orbits, measures.MeasureFamily(lam.total_ids, lam.base_ids, lam.along, weight)
+        )
+
+    return 0, 2, run
+
+
+def _delta_z_invariance():
+    corr, _ = ladder_pair(3)  # the regular bimodule: G₃ = Z/3 acts on Y
+    fp = fibre_product(corr.space.right, corr.space.left)
+
+    def run(at):
+        adj = gc.Cocycle1(corr.left_tg, _bumped(corr.adjoining.value, at))
+        return composition.delta_z_invariance_residuals(dataclasses.replace(corr, adjoining=adj), fp)
+
+    return 1, 5, run
+
+
+def _override_split():
+    corr_x, corr_y = ladder_pair(3)
+    res = gc.compose(corr_x, corr_y)
+    members = [z for z in range(len(res.fp.pairs)) if z not in res.orbits.reps]
+
+    def run(at):
+        b = gc.Cochain0(res.b.groupoid, _bumped(res.b.value, {members[k] for k in at}))
+        return composition.override_split_residual(corr_y, res.fp, res.orbits, b)
+
+    return 0, 3, run
+
+
+def _delta1_well_defined():
+    corr_x, _ = ladder_pair(3)
+    x_orbits = composition.transversal(corr_x.space.right).orbits
+    keys = [k for (a, x), k in corr_x.left_tg_index.items() if x not in x_orbits.reps]
+
+    def run(at):
+        adj = gc.Cocycle1(corr_x.left_tg, _bumped(corr_x.adjoining.value, {keys[k] for k in at}))
+        return composition.delta1_invariance_residual(dataclasses.replace(corr_x, adjoining=adj), x_orbits)
+
+    return 0, 3, run
+
+
+def _override_ratio():
+    # float override b·(1 + 1e-12) at two points of Z with the same y leg
+    # (the same b, in different orbits): equal ratios, within tol of a split
+    corr_x, corr_y = ladder_pair(3)
+    res = gc.compose(corr_x, corr_y)
+    members = [z for z, (x, y) in enumerate(res.fp.pairs) if y == 0 and z not in res.orbits.reps]
+
+    def run(at):
+        b = [float(v) for v in res.b.value]
+        for k in at:
+            b[members[k]] *= 1 + 1e-12
+        line = {c.name: c for c in gc.compose(corr_x, corr_y, b_values=b).report.checks}["override_b_ratio_orbit_constant"]
+        return line.residual, line.witness
+
+    return 0, 1, run
+
+
+@pytest.mark.parametrize("site", [
+    _check_haar, _is_symmetric, _disintegration, _right_invariance, _cocycle, _fibre_mass, _split,
+    _quasi_invariance, _lambda_pi, _delta_z_invariance, _override_split, _delta1_well_defined, _override_ratio,
+], ids=lambda site: site.__name__.strip("_"))
+def test_first_witness_in_sweep_order(site):
+    """Two tampered entries with equal deviation: every (worst, witness)
+    checker names the one its sweep meets first."""
+    first, second, run = site()
+    only_first, only_second = run({first}), run({second})
+    assert only_first != only_second
+    if isinstance(only_first, tuple):
+        assert only_first[0] == only_second[0] > 0
+    assert run({first, second}) == only_first
+
+
+def test_cocycle_identity_rows_come_before_every_pair_row():
+    _, _, run = _cocycle()
+    assert run({1, 3}) == (0.5, ("(2,2)",))
