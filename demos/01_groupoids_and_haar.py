@@ -7,7 +7,7 @@ Run:  python demos/01_groupoids_and_haar.py
 from fractions import Fraction as F
 
 import gcorr as gc
-from gcorr.groupoids import groupoid_violations, translation_action, unit_action
+from gcorr.groupoids import groupoid_violations, make_action
 from gcorr.measures import fibre_integral
 
 # -- a pair groupoid and a cyclic group -------------------------------------
@@ -33,15 +33,19 @@ try:
 except Exception as exc:
     print("tampered weights     :", exc)
 
-# -- transformation groupoids: a group acting on itself by translation is
-#    the pair groupoid in disguise
+# -- transformation groupoids: a group acting on itself by right
+#    translation, a·γ = a∘γ, is the pair groupoid in disguise
 z2 = gc.cyclic_group(2)
-tg, _ = gc.transformation_groupoid(translation_action("right", z2))
+translation = make_action("right", z2, z2.arrow_ids, z2.src, {(b, a): z2.comp[(b, a)] for b, a in z2.composable_pairs()})
+tg, _ = gc.transformation_groupoid(translation)
 one_arrow_per_pair = tg.n_arrows == tg.n_units**2 and gc.check_proper(tg).max_card == 1
 print("\nZ/2 acting on itself ~ pair groupoid:", one_arrow_per_pair)
 
-# -- orbit spaces come with deterministic representatives
-orbits = gc.orbit_space(unit_action(gc.disjoint_union(z2, z4, tags=["a", "b"])))
+# -- orbit spaces come with deterministic representatives; here the orbits
+#    of a groupoid's units under γ·src(γ) = dst(γ)
+du = gc.disjoint_union(z2, z4, tags=["a", "b"])
+on_units = make_action("left", du, du.unit_ids, tuple(range(du.n_units)), {(a, du.src[a]): du.dst[a] for a in range(du.n_arrows)})
+orbits = gc.orbit_space(on_units)
 print("orbits of a disjoint union:", orbits.orbit_ids)
 
 # -- properness evidence (finite: always proper, fibres tabulated)

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import gcorr as gc
 from gcorr.cohomology import coboundary_residual
-from gcorr.groupoids import orbit_space, unit_action
+from gcorr.groupoids import make_action, orbit_space
 from gcorr.measures import cutoff_from_profile
 
 pg = gc.pair_groupoid(["1", "2"])
@@ -41,7 +41,8 @@ residual, witness = gc.is_symmetric(m, haar)
 print("symmetry residual:", residual, "at", witness, "-> symmetric?", gc.passes(residual, m.exact and haar.exact))
 
 m_sym = gc.unit_measure(pg, (F(3), F(3)))
-orbits = orbit_space(unit_action(pg))
+# the orbits of the units under γ·src(γ) = dst(γ)
+orbits = orbit_space(make_action("left", pg, pg.unit_ids, (0, 1), {(a, pg.src[a]): pg.dst[a] for a in range(pg.n_arrows)}))
 mu = gc.push_measure_down(m_sym, haar, orbits)
 print("\npushed-down measure:", mu.weight)
 # μ∘[λ] weighs a unit v by μ at its orbit times the quotient family at v

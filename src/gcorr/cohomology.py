@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
 from .report import passes
-from .util import GcorrError, ONE, Scalar, adev, all_exact, generators_first, ksum, rdev, worst_of
+from .util import GcorrError, Scalar, adev, all_exact, generators_first, kquot, positive, rdev, worst_of
 
 
 class NotACocycle(GcorrError):
@@ -54,7 +54,7 @@ class Cocycle1:
     value: tuple[Scalar, ...]  # per arrow, positive
 
     def __post_init__(self):
-        if any(not (v > 0) for v in self.value):
+        if not all(map(positive, self.value)):
             raise NonPositive("cocycle values must be positive")
 
     @cached_property
@@ -74,7 +74,7 @@ class Cochain0:
     value: tuple[Scalar, ...]  # per unit, positive
 
     def __post_init__(self):
-        if any(not (v > 0) for v in self.value):
+        if not all(map(positive, self.value)):
             raise NonPositive("cochain values must be positive")
 
 
@@ -171,24 +171,22 @@ def invariant_probability_family(
 
     The check is exact on any data.  Left invariance maps the range fibre
     at s(γ) onto the one at r(γ) and keeps F(src)·w term by term, so the
-    fibres of one orbit carry the same multiset of terms, and `ksum` sums
-    them exactly or correctly rounded, hence to the same value.
+    fibres of one orbit carry the same multiset of terms, and `ksum`/`kdot`
+    sum them exactly or correctly rounded, hence to the same value.
     """
     if haar.groupoid is not g and haar.groupoid != g:
         raise ValueError("Haar system lives on a different groupoid")
-    if F is None:
-        F = (ONE,) * g.n_units
-    if any(not (f > 0) for f in F):
+    if F is not None and not all(map(positive, F)):
         raise NonPositive("F must be strictly positive")
-    h = fibre_integral(haar, F)
+    h = fibre_integral(haar, F)  # with F = 1, the Haar system's cached fibre masses
     # h constant along arrows => constant on orbits
     worst, a = worst_of((d, a) for a, (s, t) in enumerate(zip(g.src, g.dst)) if (d := adev(h[s], h[t])))
     if not passes(worst, exact=True):
         raise GcorrError(f"fibre mass is not orbit-constant at {g.arrow_ids[a]} (dev {worst})")
-    weight = tuple(
-        F[g.src[a]] * haar.w(a) / h[g.dst[a]] for a in range(g.n_arrows)
-    )
-    return ProbabilityFamily(g, weight)
+    w, dst = haar.family.weight, g.dst
+    if F is not None:
+        w = tuple(F[g.src[a]] * w[a] for a in range(g.n_arrows))
+    return ProbabilityFamily(g, tuple(w[a] / h[dst[a]] for a in range(g.n_arrows)))
 
 
 def _split_sweep(c: Cocycle1, b: Cochain0) -> tuple[float, Optional[str]]:
@@ -227,11 +225,8 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     `DEFAULT_TOL` on float data, not the sweep over composable pairs; it
     raises NotACocycle naming the first arrow that b does not split.
     """
-    g = delta.groupoid
-    vals = tuple(
-        ksum(p.weight[a] / delta.value[a] for a in g.fibre_dst[u])
-        for u in range(g.n_units)
-    )
+    g, pw, dv = delta.groupoid, p.weight, delta.value
+    vals = tuple(kquot([pw[a] for a in fibre], [dv[a] for a in fibre]) for fibre in g.fibre_dst)
     b = Cochain0(g, vals)
     res, witness = coboundary_residual(delta, b)
     if not passes(res, all_exact(delta.value) and all_exact(vals)):

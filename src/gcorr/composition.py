@@ -553,13 +553,13 @@ def build_mu(
     (`family_right_invariance` of X), so they agree iff B·β is symmetric
     at φ(z, γ).  An orbit-constant change of b keeps the symmetry.
     """
-    res, witness = is_symmetric(unit_measure(haar_y.groupoid, bm_y), haar_y)
-    if not passes(res, haar_y.exact and all_exact(bm_y), tol):
+    bm_y = unit_measure(haar_y.groupoid, bm_y)
+    res, witness = is_symmetric(bm_y, haar_y)
+    if not passes(res, haar_y.exact and bm_y.exact, tol):
         raise NotInvariant(res, "b·m is not symmetric", witness)
-    weight = push_down(m.weight, tuple(x * y for x, y in zip(e, b.value)), orbits)
+    weight = push_down(orbits, e, b.value, m.weight)
     mu = MeasureFamily(orbits.orbit_ids, m.base_ids, omega.right.momentum, weight)
-    bm = tuple(b.value[z] * m.weight[z] for z in range(len(m.weight)))
-    return mu, disintegration_residual(weight, lambda_pi.weight, bm, orbits)
+    return mu, disintegration_residual(weight, lambda_pi.weight, orbits, b.value, m.weight)
 
 
 def build_omega_bispace(

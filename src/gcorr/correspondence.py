@@ -31,7 +31,7 @@ from .groupoids import (
 )
 from .measures import HaarSystem, MeasureFamily, counting_haar, invariance_residual
 from .report import DEFAULT_TOL, Report
-from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, generators_first, rdev, to_float, worst_of
+from .util import GcorrError, IndexTable, ONE, Scalar, all_exact, generators_first, rdev, same_product, to_float, worst_of
 
 
 class NotWellDefined(GcorrError):
@@ -104,7 +104,7 @@ class Correspondence:
         inv = np.asarray(self.right.inv, dtype=np.intp)
         return IndexTable(z, k, image, self.space.n_points, post=w[inv[k]])
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return (
             self.left_haar.exact
@@ -163,12 +163,11 @@ def _quasi_invariance_deviations(
     """The (d, (η, z)) over `pairs` with nonzero d = `rdev` of the two
     sides of the quasi-invariance identity at the point mass (η, z), in
     order."""
-    g, table, w, lam = left_haar.groupoid, space.left.table, left_haar.w, family.weight
+    g, table, w, lam = left_haar.groupoid, space.left.table, left_haar.family.weight, family.weight
     for a, p in pairs:
-        lhs = w(g.inv[a]) * lam[p]
-        rhs = adjoining_at(a, p) * w(a) * lam[table[(a, p)]]
-        d = rdev(lhs, rhs)
-        if d:
+        lhs = (w[g.inv[a]], lam[p])
+        rhs = (adjoining_at(a, p), w[a], lam[table[(a, p)]])
+        if not same_product(lhs, rhs) and (d := rdev(lhs[0] * lhs[1], rhs[0] * rhs[1] * rhs[2])):
             yield d, (a, p)
 
 

@@ -572,20 +572,6 @@ def trivial_action(side: str, groupoid: FiniteGroupoid, point_ids: Sequence[str]
     return make_action(side, groupoid, point_ids, momentum, table)
 
 
-def translation_action(side: str, g: FiniteGroupoid) -> GSpaceAction:
-    """A group(oid) acting on its own arrow set by translation.
-
-    Left: γ·a = γ∘a with momentum dst(a); right: a·γ = a∘γ with momentum
-    src(a).  For a one-unit groupoid this is translation of the group on
-    itself.
-    """
-    if side == "left":
-        table = {(a, b): g.comp[(a, b)] for a, b in g.composable_pairs()}
-        return make_action("left", g, g.arrow_ids, g.dst, table)
-    table = {(b, a): g.comp[(b, a)] for b, a in g.composable_pairs()}
-    return make_action("right", g, g.arrow_ids, g.src, table)
-
-
 @dataclass(frozen=True, eq=False)
 class Bispace:
     """Commuting left/right actions on the same point set."""
@@ -842,12 +828,6 @@ def orbit_space(act: GSpaceAction) -> OrbitSpace:
             proj[p] = o
     orbit_ids = tuple(f"[{act.point_ids[r]}]" for r in reps)
     return OrbitSpace(orbit_ids, tuple(proj), reps)
-
-
-def unit_action(g: FiniteGroupoid) -> GSpaceAction:
-    """The canonical left action of a groupoid on its own units: γ·src(γ) = dst(γ)."""
-    table = {(a, g.src[a]): g.dst[a] for a in range(g.n_arrows)}
-    return make_action("left", g, g.unit_ids, tuple(range(g.n_units)), table)
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,15 +151,15 @@ def _parse_action(side, haar, points, space_doc, space_path) -> GSpaceAction:
     g = haar.groupoid
     momentum_doc = _need(space_doc, f"{side}_momentum", space_path, dict)
     table_doc = _need(space_doc, f"{side}_action", space_path)
-    path = f"{space_path}.{side}_action"
+    path, momentum_path = f"{space_path}.{side}_action", f"{space_path}.{side}_momentum"
     p_idx = {p: i for i, p in enumerate(points)}
     momentum = []
     for p in points:
         u = momentum_doc.get(p)
         if not isinstance(u, str) or u not in g._unit_lookup:
-            raise ParseError(f"{path}.momentum.{p}", f"unknown unit {u!r}")
+            raise ParseError(f"{momentum_path}.{p}", f"unknown unit {u!r}")
         momentum.append(g.unit_index(u))
-    known_keys(momentum_doc, p_idx, f"{space_path}.{side}_momentum", _NOT_POINT)
+    known_keys(momentum_doc, p_idx, momentum_path, _NOT_POINT)
     table = {}
     for k, entry in enumerate(_triples(table_doc, path)):
         if side == "left":

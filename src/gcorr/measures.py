@@ -15,14 +15,18 @@ verdict is `report.passes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
 from .report import DEFAULT_TOL, passes
-from .util import GcorrError, IndexTable, Scalar, adev, all_exact, generators_first, ksum, rdev, to_float, worst_of
+from .util import (
+    GcorrError, IndexTable, Scalar, adev, all_exact, generators_first, kdot, ksum, positive, rdev, same_product,
+    to_float, worst_of,
+)
 
 
 class NotHaar(GcorrError):
@@ -50,28 +54,16 @@ class MeasureFamily:
     weight: tuple[Scalar, ...]
 
     def __post_init__(self):
-        for t, w in enumerate(self.weight):
-            if not (w > 0):
-                raise ValueError(
-                    f"full support violated: weight({self.total_ids[t]}) = {w}"
-                )
-
-    @cached_property
-    def fibres(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.base_ids]
-        for t, b in enumerate(self.along):
-            out[b].append(t)
-        return tuple(tuple(f) for f in out)
+        if not all(map(positive, self.weight)):
+            t, w = next((t, w) for t, w in enumerate(self.weight) if not positive(w))
+            raise ValueError(f"full support violated: weight({self.total_ids[t]}) = {w}")
 
     @cached_property
     def float_weight(self) -> tuple[float, ...]:
         """The weights as floats, converted once for the float-side readers."""
         return tuple(to_float(w) for w in self.weight)
 
-    def mass(self, b: int) -> Scalar:
-        return ksum(self.weight[t] for t in self.fibres[b])
-
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all_exact(self.weight)
 
@@ -92,9 +84,15 @@ class HaarSystem:
     def w(self, arrow: int) -> Scalar:
         return self.family.weight[arrow]
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return self.family.exact
+
+    @cached_property
+    def fibre_masses(self) -> tuple[Scalar, ...]:
+        """u ↦ Σ_{γ∈G^u} w(γ), the mass of each range fibre, summed once."""
+        w = self.family.weight
+        return tuple(ksum([w[a] for a in fibre]) for fibre in self.groupoid.fibre_dst)
 
     @cached_property
     def convolution_table(self) -> IndexTable:
@@ -203,13 +201,21 @@ def is_symmetric(m: MeasureFamily, haar: HaarSystem) -> tuple[float, Optional[st
     attaining it (None if 0): the worst |difference|, divided on float
     data by max(1, largest weight), since it is a difference of measures
     rather than a relative deviation.  m is symmetric when the residual
-    `passes` (exact when m and λ are)."""
-    fwd = induced_measure(m, haar, "forward").weight
-    inv = induced_measure(m, haar, "inverse").weight
-    residual, a = worst_of((d, a) for a, (f, i) in enumerate(zip(fwd, inv)) if (d := adev(f, i)))
+    `passes` (exact when m and λ are).  The two weights of an arrow are
+    formed only where `same_product` does not find them equal."""
+    g = haar.groupoid
+    if len(m.total_ids) != g.n_units or len(m.base_ids) != 1:
+        raise ValueError("m must be a single measure on the unit space")
+    mw, w, src, dst, inv = m.weight, haar.family.weight, g.src, g.dst, g.inv
+    residual, a = worst_of(
+        (d, a) for a in range(g.n_arrows)
+        if not same_product((mw[dst[a]], w[a]), (mw[src[a]], w[inv[a]]))
+        and (d := adev(mw[dst[a]] * w[a], mw[src[a]] * w[inv[a]]))
+    )
     if not (m.exact and haar.exact):
-        residual /= max(1.0, max(abs(float(w)) for w in fwd + inv))
-    return residual, None if a is None else haar.groupoid.arrow_ids[a]
+        both = induced_measure(m, haar, "forward").weight + induced_measure(m, haar, "inverse").weight
+        residual /= max(1.0, max(abs(float(w)) for w in both))
+    return residual, None if a is None else g.arrow_ids[a]
 
 
 def quotient_family(haar: HaarSystem, orbits: OrbitSpace) -> MeasureFamily:
@@ -237,10 +243,10 @@ def fibre_integral(haar: HaarSystem, f: Optional[Sequence[Scalar]] = None) -> tu
     """u ↦ Σ_{γ∈G^u} f(src γ)·w(γ), the integral of f∘src over each range
     fibre; with f = 1 (the default) the fibre masses, constant along unit
     orbits."""
-    w, src = haar.family.weight, haar.groupoid.src
     if f is None:
-        return tuple(ksum(w[a] for a in fibre) for fibre in haar.groupoid.fibre_dst)
-    return tuple(ksum(f[src[a]] * w[a] for a in fibre) for fibre in haar.groupoid.fibre_dst)
+        return haar.fibre_masses
+    w, src = haar.family.weight, haar.groupoid.src
+    return tuple(kdot([f[src[a]] for a in fibre], [w[a] for a in fibre]) for fibre in haar.groupoid.fibre_dst)
 
 
 def default_cutoff(haar: HaarSystem) -> tuple[Scalar, ...]:
@@ -263,20 +269,25 @@ def cutoff_residual(haar: HaarSystem, e: Sequence[Scalar]) -> float:
     return max((adev(total, 1) for total in fibre_integral(haar, e)), default=0.0)
 
 
-def push_down(m: Sequence[Scalar], e: Sequence[Scalar], orbits: OrbitSpace) -> tuple[Scalar, ...]:
-    """μ(o) = Σ_{v∈o} e(v)·m(v), the push-down sum of the weights m with
-    the cutoff e."""
-    return tuple(ksum(e[v] * m[v] for v in members) for members in orbits.members)
+def push_down(orbits: OrbitSpace, *factors: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """μ(o) = Σ_{v∈o} Π factors(v), the push-down sum of the weights m
+    with the cutoff e, given as the factors (e, m), or (e, b, m) for b·m,
+    which is never formed."""
+    return tuple(kdot(*([f[v] for v in members] for f in factors)) for members in orbits.members)
 
 
 def disintegration_residual(
-    mu: Sequence[Scalar], ql: Sequence[Scalar], m: Sequence[Scalar], orbits: OrbitSpace
+    mu: Sequence[Scalar], ql: Sequence[Scalar], orbits: OrbitSpace, *factors: Sequence[Scalar]
 ) -> tuple[float, Optional[int]]:
     """Worst `rdev` of m(v) from μ(π v)·ql(v): how far μ∘[λ] is from m,
-    where ql is the quotient family along π; and the first point v
-    attaining it (None if 0)."""
+    where ql is the quotient family along π and m(v) = Π factors(v),
+    formed only where `same_product` does not find the two sides equal;
+    and the first point v attaining it (None if 0)."""
     proj = orbits.proj
-    return worst_of((d, v) for v in range(len(m)) if (d := rdev(m[v], mu[proj[v]] * ql[v])))
+    return worst_of(
+        (d, v) for v, fs in enumerate(zip(*factors))
+        if not same_product(fs, (mu[proj[v]], ql[v])) and (d := rdev(reduce(mul, fs), mu[proj[v]] * ql[v]))
+    )
 
 
 def _moved_values(
@@ -345,9 +356,9 @@ def push_measure_down(
         e = default_cutoff(haar)
     if not passes(cutoff_residual(haar, e), all_exact(e) and haar.exact, tol):
         raise ValueError("cutoff is not normalized on every fibre")
-    mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, push_down(m.weight, e, orbits))
+    mu = MeasureFamily(orbits.orbit_ids, ("*",), (0,) * orbits.n_orbits, push_down(orbits, e, m.weight))
     ql = quotient_family(haar, orbits)
-    worst, witness = disintegration_residual(mu.weight, ql.weight, m.weight, orbits)
+    worst, witness = disintegration_residual(mu.weight, ql.weight, orbits, m.weight)
     if not passes(worst, mu.exact and ql.exact and m.exact, tol):
         raise NotInvariant(worst, "push-down failed to disintegrate m", m.total_ids[witness])
     return mu

@@ -8,6 +8,16 @@ honest: `ksum` is exact on rationals and correctly rounded (hence
 order-independent) on floats, which is what lets several invariance sweeps
 compare float results for exact equality.
 
+The sum kernels `ksum`, `kdot` and `kquot` each decide exact or float
+inside, from the types of their inputs.  On `int`/`Fraction` inputs they
+add integer numerators over a running common denominator and return one
+`Fraction`, so a fibre is normalised once rather than once per term; on
+any other input they return the `math.fsum` of the same float terms as
+`sum`-then-`fsum` would.  `same_product` tests Π xs = Π ys on exact values
+by cross-multiplied integers, and `positive` and `equal` read a
+`Fraction`'s numerator and denominator instead of going through its
+operators; each gives the value of the plain expression it replaces.
+
 The deviation helpers `adev` and `rdev` feed every residual sweep, so they
 keep one contract: the result is exactly 0.0 iff the arguments are equal
 (and finite), it is `math.inf` whenever either argument is a non-finite
@@ -30,7 +40,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, TypeVar, Union
+from functools import reduce
+from operator import methodcaller, mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -38,21 +50,62 @@ Scalar = Union[int, Fraction, float]
 K = TypeVar("K")
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class GcorrError(Exception):
     """Base class for structured errors raised by this package."""
 
 
+def _exact_type(t: type) -> bool:
+    return t is Fraction or t is int or (issubclass(t, (int, Fraction)) and not issubclass(t, bool))
+
+
 def is_exact(x: Scalar) -> bool:
-    if type(x) in (int, Fraction):  # skips the ABC instance check
-        return True
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return _exact_type(type(x))
 
 
 def all_exact(values: Iterable[Scalar]) -> bool:
-    return all(is_exact(v) for v in values)
+    return all(map(_exact_type, set(map(type, values))))
+
+
+def positive(x: Scalar) -> bool:
+    """x > 0; a `Fraction` by the sign of its numerator."""
+    return x.numerator > 0 if type(x) is Fraction else x > 0
+
+
+def equal(a: Scalar, b: Scalar) -> bool:
+    """a == b; two `Fraction`s as (numerator, denominator) pairs."""
+    if type(a) is Fraction and type(b) is Fraction:
+        return a.as_integer_ratio() == b.as_integer_ratio()
+    return a == b
+
+
+_ratio = methodcaller("as_integer_ratio")  # (numerator, denominator > 0) of an exact value
+
+
+def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Σ n/d over integer pairs (d ≠ 0): the numerators are added over a
+    running common denominator, and only the result is normalised."""
+    num, den = 0, 1
+    for n, d in terms:
+        if d != den:
+            g = math.gcd(den, d)
+            if g != d:  # d does not divide den: extend den to their lcm
+                num *= d // g
+                den = den // g * d
+            n *= den // d
+        num += n
+    return Fraction(num, den)
+
+
+def _product_ratio(values: Iterable[Scalar]) -> tuple[int, int]:
+    """(Π numerators, Π denominators) of exact values."""
+    num = den = 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        num *= n
+        den *= d
+    return num, den
 
 
 def ksum(values: Iterable[Scalar]) -> Scalar:
@@ -62,10 +115,47 @@ def ksum(values: Iterable[Scalar]) -> Scalar:
     result is the correctly rounded true sum and therefore independent of
     summation order.
     """
-    vals = list(values)
+    vals = tuple(values)
     if all_exact(vals):
-        return sum(vals, ZERO)
-    return math.fsum(float(v) for v in vals)
+        return _exact_sum(map(_ratio, vals))
+    return math.fsum(map(float, vals))
+
+
+def kdot(*columns: Sequence[Scalar]) -> Scalar:
+    """Σ_i Π_j columns[j][i]: exact when every entry is, and otherwise the
+    `math.fsum` of the products formed left to right, as `ksum` of the
+    products would give."""
+    if all(map(all_exact, columns)):
+        return _exact_sum(map(_product_ratio, zip(*columns)))
+    return math.fsum(float(reduce(mul, t)) for t in zip(*columns))
+
+
+def kquot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """Σ_i xs[i] / ys[i], exact (int / int included) when every entry is,
+    and otherwise the `math.fsum` of the quotients, as for `kdot`."""
+    if all_exact(xs) and all_exact(ys):
+        return _exact_sum((xn * yd, xd * yn) for (xn, xd), (yn, yd) in zip(map(_ratio, xs), map(_ratio, ys)))
+    return math.fsum(float(x / y) for x, y in zip(xs, ys))
+
+
+def same_product(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> bool:
+    """True iff every value is exact and Π xs = Π ys, tested on
+    cross-multiplied integers with no `Fraction` formed.  False as soon as
+    a value is not exact: the caller then compares the products itself."""
+    num = den = 1
+    for v in xs:
+        if type(v) is not Fraction and not is_exact(v):
+            return False
+        n, d = v.as_integer_ratio()
+        num *= n
+        den *= d
+    for v in ys:
+        if type(v) is not Fraction and not is_exact(v):
+            return False
+        n, d = v.as_integer_ratio()
+        num *= d
+        den *= n
+    return num == den
 
 
 def _equal_dev(a: Scalar) -> float:
@@ -83,7 +173,7 @@ def _unequal_dev(d: Scalar) -> float:
 
 def adev(a: Scalar, b: Scalar) -> float:
     """Absolute deviation |a - b| as a float (exact zero stays exact)."""
-    if a is b or a == b:
+    if a is b or equal(a, b):
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
         return _unequal_dev(abs(a - b))
@@ -96,7 +186,7 @@ def adev(a: Scalar, b: Scalar) -> float:
 
 def rdev(a: Scalar, b: Scalar) -> float:
     """Deviation |a - b| / max(1, |a|, |b|); 0 iff equal on exact inputs."""
-    if a is b or a == b:
+    if a is b or equal(a, b):
         return _equal_dev(a)
     if is_exact(a) and is_exact(b):
         return _unequal_dev(abs(a - b) / max(1, abs(a), abs(b)))
@@ -200,6 +290,6 @@ def parse_scalar(raw) -> Scalar:
 def format_scalar(x: Scalar):
     """Serialize a weight: exact values as 'p/q' strings, floats as numbers."""
     if is_exact(x):
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+        n, d = x.as_integer_ratio()
+        return f"{n}/{d}" if d != 1 else str(n)
     return float(x)

@@ -10,7 +10,7 @@ import gcorr as gc
 from gcorr import catalog
 from gcorr.cohomology import ProbabilityFamily
 from gcorr.cstar import AlgebraElement
-from gcorr.groupoids import FiniteGroupoid, make_action, make_bispace
+from gcorr.groupoids import FiniteGroupoid, GSpaceAction, make_action, make_bispace
 from gcorr.measures import MeasureFamily, counting_haar, quotient_family, unit_measure
 from gcorr.randgen import random_pair
 from gcorr.report import Report
@@ -53,6 +53,26 @@ class CountingMapping(Mapping):
 
 # ---------------------------------------------------------------------------
 # helpers that only the tests read
+
+
+def translation_action(side: str, g: FiniteGroupoid) -> GSpaceAction:
+    """A group(oid) acting on its own arrow set by translation.
+
+    Left: γ·a = γ∘a with momentum dst(a); right: a·γ = a∘γ with momentum
+    src(a).  For a one-unit groupoid this is translation of the group on
+    itself.
+    """
+    if side == "left":
+        table = {(a, b): g.comp[(a, b)] for a, b in g.composable_pairs()}
+        return make_action("left", g, g.arrow_ids, g.dst, table)
+    table = {(b, a): g.comp[(b, a)] for b, a in g.composable_pairs()}
+    return make_action("right", g, g.arrow_ids, g.src, table)
+
+
+def unit_action(g: FiniteGroupoid) -> GSpaceAction:
+    """The canonical left action of a groupoid on its own units: γ·src(γ) = dst(γ)."""
+    table = {(a, g.src[a]): g.dst[a] for a in range(g.n_arrows)}
+    return make_action("left", g, g.unit_ids, tuple(range(g.n_units)), table)
 
 
 def is_unit_arrow(g: FiniteGroupoid, a: int) -> bool:

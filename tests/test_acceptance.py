@@ -17,10 +17,10 @@ import gcorr as gc
 from gcorr import catalog, cstar
 from gcorr.cohomology import coboundary_residual
 from gcorr.composition import compose, find_bispace_isomorphism
-from gcorr.groupoids import orbit_space, unit_action
+from gcorr.groupoids import orbit_space
 from gcorr.measures import MeasureFamily, cutoff_from_profile
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar, random_pair
-from tests.conftest import coeff_dict, compose_with_quotient, probability_family_violation
+from tests.conftest import coeff_dict, compose_with_quotient, probability_family_violation, unit_action
 
 N_GROUPOIDS = 100
 N_MEASURES = 50

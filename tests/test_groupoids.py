@@ -14,11 +14,9 @@ from gcorr.groupoids import (
     bispace_violations,
     groupoid_violations,
     make_action,
-    translation_action,
-    unit_action,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_pair
-from tests.conftest import is_unit_arrow
+from tests.conftest import is_unit_arrow, translation_action, unit_action
 
 
 def find_groupoid_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 16):

@@ -621,6 +621,23 @@ class TestStrictDocuments:
         assert err.startswith(f"parse error: {self._path(x, self.TABLES[table])}.ghost: not a")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_bad_momentum_is_a_parse_error_at_its_path(self, fn_files, side, edit, capsys):
+        x, _ = fn_files
+        doc = json.loads(x.read_text())
+        momentum = doc["correspondences"][0]["space"][f"{side}_momentum"]
+        point = next(iter(momentum))
+        if edit == "unknown":
+            momentum[point] = "nowhere"
+        else:
+            del momentum[point]
+        x.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(x)]) == 1
+        unit = "'nowhere'" if edit == "unknown" else "None"
+        path = self._path(x, ("correspondences", 0, "space", f"{side}_momentum", point))
+        assert capsys.readouterr().err == f"parse error: {path}: unknown unit {unit}\n"
+
     @pytest.mark.parametrize("command", ["validate", "compose", "verify"])
     @pytest.mark.parametrize("edit", ["empty", "missing"])
     def test_document_without_a_correspondence(self, fn_files, tmp_path, command, edit, capsys):

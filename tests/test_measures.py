@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcorr as gc
-from gcorr.groupoids import orbit_space, translation_action, unit_action
+from gcorr.groupoids import orbit_space
 from gcorr.measures import (
     MeasureFamily,
     NotHaar,
@@ -18,7 +18,7 @@ from gcorr.measures import (
     invariance_residual,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar
-from tests.conftest import compose_with_quotient
+from tests.conftest import compose_with_quotient, translation_action, unit_action
 
 
 class TestCheckHaar:

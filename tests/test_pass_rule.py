@@ -21,7 +21,7 @@ import gcorr as gc
 from gcorr.cohomology import NotACocycle, coboundary_residual
 from gcorr.composition import CompositionStageError, build_b, build_delta_z, build_mu, leg_haar
 from gcorr.cstar import verify_theorem
-from gcorr.groupoids import OrbitSpace, orbit_space, unit_action
+from gcorr.groupoids import OrbitSpace, orbit_space
 from gcorr.measures import (
     HaarSystem,
     MeasureFamily,
@@ -34,7 +34,7 @@ from gcorr.measures import (
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_haar
 from gcorr.report import DEFAULT_TOL, passes
-from tests.conftest import ladder_pair, scaled_family
+from tests.conftest import ladder_pair, scaled_family, unit_action
 
 EXACT_FACTOR = 1 + Fraction(1, 10**12)  # an exact input off by a residual far below tol
 
@@ -130,8 +130,8 @@ def push_disintegration(factor, exact, tol=DEFAULT_TOL):
     else:
         m = gc.unit_measure(g, (w[0], w[1] * factor))
         orbits = orbit_space(unit_action(g))
-    mu = push_down(m.weight, default_cutoff(haar), orbits)
-    residual, _ = disintegration_residual(mu, quotient_family(haar, orbits).weight, m.weight, orbits)
+    mu = push_down(orbits, default_cutoff(haar), m.weight)
+    residual, _ = disintegration_residual(mu, quotient_family(haar, orbits).weight, orbits, m.weight)
     try:
         gc.push_measure_down(m, haar, orbits, tol=tol)
     except NotInvariant as exc:

@@ -320,8 +320,8 @@ def test_tampered_mu_names_a_member_of_its_orbit(monkeypatch, name):
     res = compose(corr_x, corr_y)
     o = res.orbits.n_orbits // 2
 
-    def tamper(m, e, orbits):
-        weight = list(original(m, e, orbits))
+    def tamper(orbits, *factors):
+        weight = list(original(orbits, *factors))
         weight[o] *= 2
         return tuple(weight)
 
@@ -391,7 +391,7 @@ def oracle_lines(res, tol=1e-9):
     e = default_cutoff(res.chi)
     m = res.m.weight
     bm = tuple(x * y for x, y in zip(b, m))
-    mu = push_down(m, tuple(x * y for x, y in zip(e, b)), res.orbits)
+    mu = push_down(res.orbits, tuple(x * y for x, y in zip(e, b)), m)
     delta12, wd = delta12_oracle(res, b)
     cocycle = check_cocycle(res.corr_y.adjoining)[0]
     lines = {
@@ -402,7 +402,7 @@ def oracle_lines(res, tol=1e-9):
             res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)[1],
         "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res))[0],
         "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
-        "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, bm, res.orbits)[0],
+        "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, res.orbits, bm)[0],
         "delta12_well_defined": wd,
     }
     symmetric = gc.passes(is_symmetric(unit_measure(res.tg_z, bm), res.chi)[0], all_exact(bm) and res.chi.exact, tol)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
+from functools import reduce
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import given, strategies as st
 
 import gcorr as gc
 from gcorr import cohomology, composition, correspondence, measures
-from gcorr.groupoids import fibre_product, orbit_space, unit_action
-from gcorr.util import GcorrError, adev, generators_first, is_exact, parse_scalar, rdev, to_float, worst_of
-from tests.conftest import ladder_pair
+from gcorr.groupoids import fibre_product, orbit_space
+from gcorr.util import (
+    GcorrError, adev, equal, format_scalar, generators_first, is_exact, kdot, kquot, ksum, parse_scalar, positive, rdev,
+    same_product, to_float, worst_of,
+)
+from tests.conftest import ladder_pair, unit_action
 
 
 def old_adev(a, b) -> float:
@@ -77,6 +82,128 @@ def test_nonfinite_inputs_give_inf(bad, other):
         assert rdev(a, b) == math.inf
     # a NaN residual can no longer hide behind a `d > worst` sweep
     assert max(0.0, rdev(bad, other)) > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels: the same value as the expression each one replaces
+
+
+def old_ksum(values):
+    """`ksum` before the kernels: `sum` from Fraction(0), or `math.fsum`."""
+    values = list(values)
+    if all(is_exact(v) for v in values):
+        return sum(values, F(0))
+    return math.fsum(float(v) for v in values)
+
+
+def outcome(fn, *args):
+    """(type, repr) of fn(*args), or the type of what it raised: repr
+    tells -0.0 from 0.0 and reads every NaN alike."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return type(value), repr(value)
+
+
+# 100-digit numerators over the first primes, so that no two denominators
+# share a factor and the running common denominator must grow to the lcm
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+big = st.integers(min_value=-(10**100), max_value=10**100)
+coprime_fracs = st.builds(F, big, st.sampled_from(PRIMES))
+kernel_exact = st.one_of(big, coprime_fracs, fracs)
+kernel_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]),
+)
+kernel_any = st.one_of(kernel_exact, kernel_floats)
+nonzero = kernel_any.filter(lambda v: v != 0)
+
+
+@given(st.lists(kernel_exact, max_size=12))
+def test_ksum_exact_is_the_fraction_sum(xs):
+    assert ksum(xs) == sum(xs, F(0)) and type(ksum(xs)) is F
+    assert ksum(iter(xs)) == ksum(xs)
+
+
+@given(st.lists(st.tuples(kernel_exact, kernel_exact, kernel_exact), max_size=10))
+def test_kdot_and_kquot_exact_are_the_fraction_sums(rows):
+    xs, ys, zs = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    assert kdot(xs, ys) == sum((x * y for x, y in zip(xs, ys)), F(0))
+    assert kdot(xs, ys, zs) == sum((x * y * z for x, y, z in zip(xs, ys, zs)), F(0))
+    assert type(kdot(xs, ys)) is F
+    ys = [y or 1 for y in ys]
+    assert kquot(xs, ys) == sum((F(x) / y for x, y in zip(xs, ys)), F(0)) and type(kquot(xs, ys)) is F
+
+
+def test_exact_sums_over_coprime_denominators():
+    xs = [F(1, p) for p in PRIMES[:8]]
+    assert ksum(xs) == sum(xs, F(0)) == F(14117683, 9699690)
+    assert kdot(xs, xs) == sum((x * x for x in xs), F(0))
+    assert kquot(xs, [F(p) for p in PRIMES[:8]]) == sum((x / p for x, p in zip(xs, PRIMES)), F(0))
+    assert ksum([]) == kdot([], []) == kquot([], []) == 0
+
+
+@given(st.lists(kernel_any, max_size=8))
+def test_ksum_float_and_mixed_match_fsum_bit_for_bit(xs):
+    assert outcome(ksum, xs) == outcome(old_ksum, xs)
+
+
+@given(st.lists(st.tuples(kernel_any, kernel_any, nonzero), max_size=8))
+def test_kdot_and_kquot_float_and_mixed_match_fsum_bit_for_bit(rows):
+    xs, ys, zs = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    assert outcome(kdot, xs, ys) == outcome(lambda: old_ksum([x * y for x, y in zip(xs, ys)]))
+    assert outcome(kdot, xs, ys, zs) == outcome(lambda: old_ksum([x * y * z for x, y, z in zip(xs, ys, zs)]))
+    # a quotient of two exact values is exact, int / int included
+    quotients = [F(x) / z if is_exact(x) and is_exact(z) else x / z for x, z in zip(xs, zs)]
+    assert outcome(kquot, xs, zs) == outcome(lambda: old_ksum(quotients))
+
+
+SPECIAL = [0, 1, -1, F(0), F(1, 3), F(-1, 3), 0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan]
+
+
+@given(kernel_any)
+def test_positive_is_greater_than_zero(x):
+    assert positive(x) is (x > 0)
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+def test_positive_at_special_values(x):
+    assert positive(x) is (x > 0)
+
+
+@given(kernel_any, kernel_any)
+def test_equal_is_equality(a, b):
+    assert equal(a, b) is (a == b)
+    assert equal(a, a) is (a == a)  # NaN is unequal to itself
+
+
+@pytest.mark.parametrize("a", SPECIAL)
+@pytest.mark.parametrize("b", SPECIAL + [F(2, 6), 1.0])
+def test_equal_at_special_values(a, b):
+    assert equal(a, b) is (a == b)
+
+
+@given(kernel_exact, kernel_exact, kernel_exact, kernel_exact)
+def test_same_product_is_product_equality_on_exact_values(a, b, c, d):
+    assert same_product((a, b), (c, d)) is (a * b == c * d)
+    # a pair that is equal by construction: a·b = (a·b/d)·d
+    if d:
+        assert same_product((a, b), (F(a * b) / d, d))
+    assert same_product((a, b, c), (c, b, a)) and same_product((), ())
+
+
+@given(st.lists(kernel_any, min_size=1, max_size=3), st.lists(kernel_any, min_size=1, max_size=3))
+def test_same_product_agrees_on_exact_and_is_false_on_floats(xs, ys):
+    if all(map(is_exact, xs + ys)):
+        assert same_product(xs, ys) is (reduce(operator.mul, xs) == reduce(operator.mul, ys))
+    else:
+        assert same_product(xs, ys) is False
+
+
+@pytest.mark.parametrize("x, text", [(F(3, 4), "3/4"), (F(-5), "-5"), (7, "7"), (10**30, str(10**30)), (0.25, 0.25)])
+def test_format_scalar(x, text):
+    assert format_scalar(x) == text
 
 
 def test_is_exact():
@@ -185,7 +312,7 @@ def _is_symmetric():
 
 def _disintegration():
     orbits = orbit_space(unit_action(gc.pair_groupoid("1234")))
-    return 1, 3, lambda at: measures.disintegration_residual((F(1),), (F(1),) * 4, _bumped((F(1),) * 4, at), orbits)
+    return 1, 3, lambda at: measures.disintegration_residual((F(1),), (F(1),) * 4, orbits, _bumped((F(1),) * 4, at))
 
 
 def _right_invariance():
