@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import catalog, cstar, io_json
 from .composition import CompositionStageError, GroupoidMismatch, compose
@@ -58,16 +58,22 @@ def _write_text(path: str, text: str) -> bool:
     return True
 
 
-def _load(path: str) -> io_json.InstanceData:
-    """The instance in `path`, which must hold a correspondence."""
-    data = io_json.parse_instance(_read_text(path), source=path)
+def _load(path: str, seen: Optional[list] = None) -> io_json.InstanceData:
+    """The instance in `path`, which must hold a correspondence; `seen`
+    as for `io_json.parse_instance`."""
+    data = io_json.parse_instance(_read_text(path), source=path, seen=seen)
     if not data.correspondences:
         raise io_json.ParseError(path, "instance files must contain a correspondence")
     return data
 
 
 def _load_pair(path_x: str, path_y: str):
-    return _load(path_x).correspondences[0][1], _load(path_y).correspondences[0][1]
+    """The first correspondence of each file.  A groupoid of the second
+    file that is JSON-equal to one of the first is the first's Haar
+    system, so a shared G₂ is parsed and swept once; the documents kept
+    for that are dropped on return."""
+    seen: list = []
+    return _load(path_x, seen).correspondences[0][1], _load(path_y, seen).correspondences[0][1]
 
 
 def cmd_validate(args) -> int:
@@ -88,10 +94,7 @@ def cmd_validate(args) -> int:
 
 
 def _read_cochain(path: str, point_ids) -> tuple:
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise io_json.ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    doc = io_json.load_json(_read_text(path), path)
     if not isinstance(doc, dict):
         raise io_json.ParseError(path, "expected a JSON object {point-id: weight}")
     weights = io_json.positive_weights(doc, point_ids, path, "cochain file misses point {!r}")

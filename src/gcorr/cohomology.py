@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .groupoids import FiniteGroupoid
 from .measures import HaarSystem, fibre_integral
 from .report import passes
-from .util import GcorrError, Scalar, adev, all_exact, generators_first, kquot, positive, rdev, worst_of
+from .util import GcorrError, Scalar, adev, all_exact, generators_first, kquot_groups, positive, rdev, worst_of
 
 
 class NotACocycle(GcorrError):
@@ -171,8 +171,8 @@ def invariant_probability_family(
 
     The check is exact on any data.  Left invariance maps the range fibre
     at s(γ) onto the one at r(γ) and keeps F(src)·w term by term, so the
-    fibres of one orbit carry the same multiset of terms, and `ksum`/`kdot`
-    sum them exactly or correctly rounded, hence to the same value.
+    fibres of one orbit carry the same multiset of terms, and `kdot_groups`
+    sums each exactly or correctly rounded, hence to the same value.
     """
     if haar.groupoid is not g and haar.groupoid != g:
         raise ValueError("Haar system lives on a different groupoid")
@@ -225,8 +225,8 @@ def decompose_multiplicative(delta: Cocycle1, p: ProbabilityFamily) -> Cochain0:
     `DEFAULT_TOL` on float data, not the sweep over composable pairs; it
     raises NotACocycle naming the first arrow that b does not split.
     """
-    g, pw, dv = delta.groupoid, p.weight, delta.value
-    vals = tuple(kquot([pw[a] for a in fibre], [dv[a] for a in fibre]) for fibre in g.fibre_dst)
+    g = delta.groupoid
+    vals = kquot_groups(g.fibre_dst, p.weight, delta.value)
     b = Cochain0(g, vals)
     res, witness = coboundary_residual(delta, b)
     if not passes(res, all_exact(delta.value) and all_exact(vals)):

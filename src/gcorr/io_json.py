@@ -5,7 +5,8 @@ when inexact; parsing is the mirror image, so a file round-trips to
 canonical form byte-identically.  All structural problems (a missing field,
 a container of the wrong JSON type, an entry of the wrong arity) and all
 referential integrity problems, a key of an id-keyed table that names no
-id among them, raise ParseError with a path into the document.
+id among them, raise ParseError with a path into the document; so does an
+object that lists a key twice.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Optional
 
 from .correspondence import Correspondence, make_correspondence
 from .groupoids import (
@@ -23,7 +25,7 @@ from .groupoids import (
     transformation_groupoid,
 )
 from .measures import HaarSystem, MeasureFamily, make_haar
-from .util import GcorrError, format_scalar, parse_scalar
+from .util import GcorrError, format_scalar, parse_scalar, positive
 
 FORMAT = "gcorr"
 VERSION = 1
@@ -93,27 +95,40 @@ def _triples(value, path: str, n_ids: int = 3) -> list[list]:
     return value
 
 
-def positive_weights(doc: dict, ids, path: str, missing: str) -> tuple:
-    """The weights `doc[i]` for `i` in `ids`, each positive and finite.
+def _scalar(raw, scalars: dict):
+    """`parse_scalar(raw)`, with each string parsed once per `scalars`,
+    the cache of one document."""
+    if type(raw) is not str:
+        return parse_scalar(raw)
+    w = scalars.get(raw)
+    if w is None:
+        w = scalars[raw] = parse_scalar(raw)
+    return w
+
+
+def positive_weights(doc: dict, ids, path: str, missing: str, scalars: Optional[dict] = None) -> tuple:
+    """The weights `doc[i]` for `i` in `ids`, each positive and finite,
+    each distinct string parsed once per `scalars` (a fresh cache if None).
 
     An absent id is a ParseError at `path` with the message `missing`
     formatted with the id; a bad weight is one at `path.i`.
     """
+    scalars = {} if scalars is None else scalars
     weights = []
     for i in ids:
         if i not in doc:
             raise ParseError(path, missing.format(i))
         try:
-            w = parse_scalar(doc[i])
+            w = _scalar(doc[i], scalars)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{path}.{i}", str(exc)) from exc
-        if not (w > 0):
+        if not positive(w):
             raise ParseError(f"{path}.{i}", f"weight must be positive, got {w}")
         weights.append(w)
     return tuple(weights)
 
 
-def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
+def _parse_groupoid(doc, path: str, scalars: dict) -> HaarSystem:
     _expect(doc, dict, path)
     arrows = _ids(_need(doc, "arrows", path), f"{path}.arrows")
     comp = _triples(_need(doc, "comp", path), f"{path}.comp")
@@ -137,7 +152,7 @@ def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
     if unit_arrows is not None:
         known_keys(unit_arrows, g._unit_lookup, f"{path}.unit_arrows", _NOT_UNIT)
     haar_doc = _need(doc, "haar", path, dict)
-    weights = positive_weights(haar_doc, arrows, f"{path}.haar", "missing weight for arrow {!r}")
+    weights = positive_weights(haar_doc, arrows, f"{path}.haar", "missing weight for arrow {!r}", scalars)
     known_keys(haar_doc, g._arrow_lookup, f"{path}.haar", _NOT_ARROW)
     try:
         return make_haar(g, weights)
@@ -145,40 +160,50 @@ def _parse_groupoid(name: str, doc, path: str) -> HaarSystem:
         raise ParseError(f"{path}.haar", str(exc)) from exc
 
 
-def _parse_action(side, haar, points, space_doc, space_path) -> GSpaceAction:
+def _bad_entry(entries: list, path: str, n_ids: int, k: int, message: str) -> ParseError:
+    """The error of entry k, the first bad entry of a table read in one
+    loop: the `_triples` error of the first malformed entry if the table
+    has one, so that a table is judged as `_triples` then the reader would
+    judge it; otherwise `message` at entry k."""
+    _triples(entries, path, n_ids)
+    return ParseError(f"{path}[{k}]", message)
+
+
+def _parse_action(side, haar, points, p_idx, space_doc, space_path) -> GSpaceAction:
     """The `side` action of the space document at `space_path`: its
     `{side}_momentum` and `{side}_action` tables."""
     g = haar.groupoid
     momentum_doc = _need(space_doc, f"{side}_momentum", space_path, dict)
     table_doc = _need(space_doc, f"{side}_action", space_path)
     path, momentum_path = f"{space_path}.{side}_action", f"{space_path}.{side}_momentum"
-    p_idx = {p: i for i, p in enumerate(points)}
-    momentum = []
-    for p in points:
-        u = momentum_doc.get(p)
-        if not isinstance(u, str) or u not in g._unit_lookup:
-            raise ParseError(f"{momentum_path}.{p}", f"unknown unit {u!r}")
-        momentum.append(g.unit_index(u))
-    known_keys(momentum_doc, p_idx, momentum_path, _NOT_POINT)
-    table = {}
-    for k, entry in enumerate(_triples(table_doc, path)):
-        if side == "left":
-            a, p, q = entry
-            if a not in g._arrow_lookup or p not in p_idx or q not in p_idx:
-                raise ParseError(f"{path}[{k}]", f"unknown id in {entry}")
-            table[(g.arrow_index(a), p_idx[p])] = p_idx[q]
-        else:
-            p, a, q = entry
-            if a not in g._arrow_lookup or p not in p_idx or q not in p_idx:
-                raise ParseError(f"{path}[{k}]", f"unknown id in {entry}")
-            table[(p_idx[p], g.arrow_index(a))] = p_idx[q]
+    units = g._unit_lookup
     try:
-        return make_action(side, g, tuple(points), tuple(momentum), table)
+        momentum = tuple(units[momentum_doc[p]] for p in points)
+    except (KeyError, TypeError):  # a point with no unit, or an unknown or unhashable one
+        p = next(p for p in points if not isinstance(momentum_doc.get(p), str) or momentum_doc[p] not in units)
+        raise ParseError(f"{momentum_path}.{p}", f"unknown unit {momentum_doc.get(p)!r}") from None
+    known_keys(momentum_doc, p_idx, momentum_path, _NOT_POINT)
+    arrows, left, table = g._arrow_lookup, side == "left", {}
+    entries = _expect(table_doc, list, path)
+    for k, entry in enumerate(entries):
+        try:
+            if type(entry) is not list:
+                raise TypeError
+            if left:
+                a, p, q = entry
+                table[(arrows[a], p_idx[p])] = p_idx[q]
+            else:
+                p, a, q = entry
+                table[(p_idx[p], arrows[a])] = p_idx[q]
+        except (KeyError, TypeError, ValueError):  # an unknown, unhashable or missing id
+            raise _bad_entry(entries, path, 3, k, f"unknown id in {entry}") from None
+    try:
+        return make_action(side, g, tuple(points), momentum, table)
     except GroupoidAxiomError as exc:
         raise ParseError(path, str(exc)) from exc
 
 
-def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondence]:
+def _parse_correspondence(idx, doc, groupoids, path, scalars: dict) -> tuple[str, Correspondence]:
     _expect(doc, dict, path)
     name = _expect(doc.get("name", f"corr{idx}"), str, f"{path}.name")
     left_name = _need(doc, "left", path, str)
@@ -190,19 +215,19 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
     right_haar = groupoids[right_name]
     space_doc = _need(doc, "space", path, dict)
     points = _ids(_need(space_doc, "points", f"{path}.space"), f"{path}.space.points")
-    point_set = set(points)
-    if len(point_set) != len(points):
+    p_idx = {p: i for i, p in enumerate(points)}
+    if len(p_idx) != len(points):
         raise ParseError(f"{path}.space.points", "duplicate point ids")
-    left = _parse_action("left", left_haar, points, space_doc, f"{path}.space")
-    right = _parse_action("right", right_haar, points, space_doc, f"{path}.space")
+    left = _parse_action("left", left_haar, points, p_idx, space_doc, f"{path}.space")
+    right = _parse_action("right", right_haar, points, p_idx, space_doc, f"{path}.space")
     try:
         space = make_bispace(left, right)
     except GroupoidAxiomError as exc:
         raise ParseError(f"{path}.space", str(exc)) from exc
 
     fam_doc = _need(doc, "family", path, dict)
-    weights = positive_weights(fam_doc, points, f"{path}.family", "missing weight for point {!r}")
-    known_keys(fam_doc, point_set, f"{path}.family", _NOT_POINT)
+    weights = positive_weights(fam_doc, points, f"{path}.family", "missing weight for point {!r}", scalars)
+    known_keys(fam_doc, p_idx, f"{path}.family", _NOT_POINT)
     try:
         family = MeasureFamily(tuple(points), right_haar.groupoid.unit_ids, right.momentum, weights)
     except ValueError as exc:
@@ -213,19 +238,22 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
         left_tg = transformation_groupoid(space.left)
         tg_idx = left_tg[1]
         values = [None] * len(tg_idx)
-        p_idx = {p: i for i, p in enumerate(points)}
-        g = left_haar.groupoid
-        for k, entry in enumerate(_triples(doc["adjoining"], f"{path}.adjoining", n_ids=2)):
-            a, p, raw = entry
-            if a not in g._arrow_lookup or p not in p_idx:
-                raise ParseError(f"{path}.adjoining[{k}]", f"unknown id in {entry}")
-            key = (g.arrow_index(a), p_idx[p])
-            if key not in tg_idx:
-                raise ParseError(f"{path}.adjoining[{k}]", "pair is not composable")
+        arrows, adj_path = left_haar.groupoid._arrow_lookup, f"{path}.adjoining"
+        entries = _expect(doc["adjoining"], list, adj_path)
+        for k, entry in enumerate(entries):
             try:
-                values[tg_idx[key]] = parse_scalar(raw)
+                if type(entry) is not list:
+                    raise TypeError
+                a, p, raw = entry
+                t = tg_idx.get((arrows[a], p_idx[p]))
+            except (KeyError, TypeError, ValueError):  # an unknown, unhashable or missing id
+                raise _bad_entry(entries, adj_path, 2, k, f"unknown id in {entry}") from None
+            if t is None:
+                raise _bad_entry(entries, adj_path, 2, k, "pair is not composable")
+            try:
+                values[t] = _scalar(raw, scalars)
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"{path}.adjoining[{k}]", str(exc)) from exc
+                raise _bad_entry(entries, adj_path, 2, k, str(exc)) from exc
         if any(v is None for v in values):
             raise ParseError(f"{path}.adjoining", "cocycle values missing for some pairs")
         adjoining = tuple(values)
@@ -237,23 +265,92 @@ def _parse_correspondence(idx, doc, groupoids, path) -> tuple[str, Correspondenc
     return name, corr
 
 
-def parse_instance(text: str, source: str = "<instance>") -> InstanceData:
+class _Repeats(dict):
+    """A JSON object that lists `key` more than once."""
+
+    key: str
+
+
+def _repeated_key(doc, source: str) -> Optional[str]:
+    """The path of the first repeated key in `doc`, in document order."""
+    todo = [(source, doc)]
+    while todo:
+        path, value = todo.pop()
+        if type(value) is _Repeats:
+            return f"{path}.{value.key}"
+        if isinstance(value, dict):
+            todo += reversed([(f"{path}.{key}", item) for key, item in value.items()])
+        elif isinstance(value, list):
+            todo += reversed([(f"{path}[{k}]", item) for k, item in enumerate(value)])
+    return None
+
+
+def load_json(text: str, source: str):
+    """The JSON value of `text`.  A syntax error is a ParseError at
+    `source:line:column`, a value nested past the interpreter's recursion
+    limit one at `source`, and an object that lists a key twice one at the
+    path of that key, so a document means one thing or nothing."""
+    repeats = []
+
+    def pairs_hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            obj = _Repeats(obj)
+            obj.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            repeats.append(obj)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except RecursionError:
+        raise ParseError(source, "nested too deeply") from None
+    if repeats:
+        raise ParseError(_repeated_key(doc, source), "repeated key")
+    return doc
+
+
+def _same_groupoid(doc, parsed_doc: dict) -> bool:
+    """Whether `doc` is JSON-equal to `parsed_doc`, a groupoid document
+    that parsed.  Python's `==` equates 1, 1.0 and true, which parse
+    differently, but every leaf of a parsed document is a string except
+    its Haar weights, so only their types are compared beyond `==`."""
+    if doc != parsed_doc:
+        return False
+    haar = parsed_doc["haar"]
+    return all(type(w) is type(haar[a]) for a, w in doc["haar"].items())
+
+
+def parse_instance(text: str, source: str = "<instance>", seen: Optional[list] = None) -> InstanceData:
+    """The groupoids and correspondences of an instance file.
+
+    `seen` holds (document, Haar system) pairs of the groupoids parsed so
+    far in one call, this file's and an earlier file's; a groupoid whose
+    document is JSON-equal to one of them, whatever its name, is that Haar
+    system, neither parsed nor swept again.  Each groupoid parsed here is
+    added to it.  Each distinct weight string of the file is parsed once.
+    """
+    doc = load_json(text, source)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(source, f"not a {FORMAT} instance file")
     if doc.get("version") != VERSION or isinstance(doc.get("version"), bool):
         raise ParseError(source, f"unsupported version {doc.get('version')!r}")
+    seen = [] if seen is None else seen
+    scalars: dict = {}
     groupoids = {}
     for name, gdoc in sorted(_need(doc, "groupoids", source, dict).items()):
-        groupoids[name] = _parse_groupoid(name, gdoc, f"{source}.groupoids.{name}")
+        haar = next((h for parsed_doc, h in seen if _same_groupoid(gdoc, parsed_doc)), None)
+        if haar is None:
+            haar = _parse_groupoid(gdoc, f"{source}.groupoids.{name}", scalars)
+            seen.append((gdoc, haar))
+        groupoids[name] = haar
     data = InstanceData(groupoids)
     corr_docs = _expect(doc.get("correspondences", []), list, f"{source}.correspondences")
     for i, cdoc in enumerate(corr_docs):
         data.correspondences.append(
-            _parse_correspondence(i, cdoc, groupoids, f"{source}.correspondences[{i}]")
+            _parse_correspondence(i, cdoc, groupoids, f"{source}.correspondences[{i}]", scalars)
         )
     return data
 

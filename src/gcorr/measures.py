@@ -24,7 +24,7 @@ import numpy as np
 from .groupoids import FiniteGroupoid, GSpaceAction, OrbitSpace
 from .report import DEFAULT_TOL, passes
 from .util import (
-    GcorrError, IndexTable, Scalar, adev, all_exact, generators_first, kdot, ksum, positive, rdev, same_product,
+    GcorrError, IndexTable, Scalar, adev, all_exact, generators_first, kdot_groups, positive, rdev, same_product,
     to_float, worst_of,
 )
 
@@ -91,8 +91,7 @@ class HaarSystem:
     @cached_property
     def fibre_masses(self) -> tuple[Scalar, ...]:
         """u ↦ Σ_{γ∈G^u} w(γ), the mass of each range fibre, summed once."""
-        w = self.family.weight
-        return tuple(ksum([w[a] for a in fibre]) for fibre in self.groupoid.fibre_dst)
+        return kdot_groups(self.groupoid.fibre_dst, self.family.weight)
 
     @cached_property
     def convolution_table(self) -> IndexTable:
@@ -245,8 +244,8 @@ def fibre_integral(haar: HaarSystem, f: Optional[Sequence[Scalar]] = None) -> tu
     orbits."""
     if f is None:
         return haar.fibre_masses
-    w, src = haar.family.weight, haar.groupoid.src
-    return tuple(kdot([f[src[a]] for a in fibre], [w[a] for a in fibre]) for fibre in haar.groupoid.fibre_dst)
+    g = haar.groupoid
+    return kdot_groups(g.fibre_dst, [f[s] for s in g.src], haar.family.weight)
 
 
 def default_cutoff(haar: HaarSystem) -> tuple[Scalar, ...]:
@@ -273,7 +272,7 @@ def push_down(orbits: OrbitSpace, *factors: Sequence[Scalar]) -> tuple[Scalar, .
     """μ(o) = Σ_{v∈o} Π factors(v), the push-down sum of the weights m
     with the cutoff e, given as the factors (e, m), or (e, b, m) for b·m,
     which is never formed."""
-    return tuple(kdot(*([f[v] for v in members] for f in factors)) for members in orbits.members)
+    return kdot_groups(orbits.members, *factors)
 
 
 def disintegration_residual(

@@ -8,12 +8,15 @@ honest: `ksum` is exact on rationals and correctly rounded (hence
 order-independent) on floats, which is what lets several invariance sweeps
 compare float results for exact equality.
 
-The sum kernels `ksum`, `kdot` and `kquot` each decide exact or float
-inside, from the types of their inputs.  On `int`/`Fraction` inputs they
-add integer numerators over a running common denominator and return one
-`Fraction`, so a fibre is normalised once rather than once per term; on
-any other input they return the `math.fsum` of the same float terms as
-`sum`-then-`fsum` would.  `same_product` tests Π xs = Π ys on exact values
+The sum kernels `kdot_groups` and `kquot_groups` take whole columns and
+the groups of row indices to sum over (the orbits' members, the range
+fibres), and return one sum per group; `ksum`, `kdot` and `kquot` are
+their one-group case.  Each group is decided exact or float on its own
+entries.  On `int`/`Fraction` entries a group adds integer numerators over
+a running common denominator and returns one `Fraction`, so a fibre is
+normalised once rather than once per term; on any other entries it
+returns the `math.fsum` of the same float terms as `sum`-then-`fsum`
+would.  `same_product` tests Π xs = Π ys on exact values
 by cross-multiplied integers, and `positive` and `equal` read a
 `Fraction`'s numerator and denominator instead of going through its
 operators; each gives the value of the plain expression it replaces.
@@ -98,14 +101,61 @@ def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     return Fraction(num, den)
 
 
-def _product_ratio(values: Iterable[Scalar]) -> tuple[int, int]:
-    """(Π numerators, Π denominators) of exact values."""
-    num = den = 1
-    for v in values:
-        n, d = v.as_integer_ratio()
-        num *= n
-        den *= d
-    return num, den
+def _products(first: list, *rest: list) -> list[tuple[int, int]]:
+    """Row by row, (Π numerators, Π denominators) of the (n, d) columns."""
+    for column in rest:
+        first = [(n * m, d * e) for (n, d), (m, e) in zip(first, column)]
+    return first
+
+
+def _quotients(xs: list, ys: list) -> list[tuple[int, int]]:
+    """Row by row, (numerator, denominator) of x / y from the (n, d)
+    columns of x and y (y ≠ 0)."""
+    return [(n * e, d * m) for (n, d), (m, e) in zip(xs, ys)]
+
+
+def _float_product(row: Sequence[Scalar]) -> float:
+    return float(reduce(mul, row))
+
+
+def _float_quotient(row: tuple[Scalar, Scalar]) -> float:
+    return float(row[0] / row[1])
+
+
+def _grouped(groups, columns, combine, term) -> tuple[Scalar, ...]:
+    """The body of every sum kernel: for each group of row indices of the
+    equal-length `columns`, the sum over its rows of one term per row.
+
+    A group whose entries are all exact is the `_exact_sum` of the integer
+    pairs that `combine` makes of its rows' (numerator, denominator)
+    columns, one `Fraction`; any other group is the `math.fsum` of the
+    float `term` of each row.  Each group is decided on its own entries,
+    so a mixed column gives exact values at its exact groups."""
+    if all(map(all_exact, columns)):
+        ratios = combine(*(list(map(_ratio, column)) for column in columns))
+        return tuple(_exact_sum(map(ratios.__getitem__, group)) for group in groups)
+    rows = list(zip(*columns))
+    exact_row = list(map(all_exact, rows))
+    return tuple(
+        _exact_sum(combine(*([_ratio(v)] for v in rows[i]))[0] for i in group)
+        if all(map(exact_row.__getitem__, group))
+        else math.fsum(term(rows[i]) for i in group)
+        for group in groups
+    )
+
+
+def kdot_groups(groups: Iterable[Sequence[int]], *columns: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Σ_{i∈group} Π_j columns[j][i] for each group of row indices: exact
+    when every entry the group reads is, and otherwise the `math.fsum` of
+    the products formed left to right."""
+    return _grouped(groups, columns, _products, _float_product)
+
+
+def kquot_groups(groups: Iterable[Sequence[int]], xs: Sequence[Scalar], ys: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Σ_{i∈group} xs[i] / ys[i] for each group of row indices, exact
+    (int / int included) when every entry the group reads is, and
+    otherwise the `math.fsum` of the quotients, as for `kdot_groups`."""
+    return _grouped(groups, (xs, ys), _quotients, _float_quotient)
 
 
 def ksum(values: Iterable[Scalar]) -> Scalar:
@@ -116,26 +166,17 @@ def ksum(values: Iterable[Scalar]) -> Scalar:
     summation order.
     """
     vals = tuple(values)
-    if all_exact(vals):
-        return _exact_sum(map(_ratio, vals))
-    return math.fsum(map(float, vals))
+    return kdot_groups((range(len(vals)),), vals)[0]
 
 
 def kdot(*columns: Sequence[Scalar]) -> Scalar:
-    """Σ_i Π_j columns[j][i]: exact when every entry is, and otherwise the
-    `math.fsum` of the products formed left to right, as `ksum` of the
-    products would give."""
-    if all(map(all_exact, columns)):
-        return _exact_sum(map(_product_ratio, zip(*columns)))
-    return math.fsum(float(reduce(mul, t)) for t in zip(*columns))
+    """Σ_i Π_j columns[j][i]: `kdot_groups` with one group of every row."""
+    return kdot_groups((range(len(columns[0])),), *columns)[0]
 
 
 def kquot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    """Σ_i xs[i] / ys[i], exact (int / int included) when every entry is,
-    and otherwise the `math.fsum` of the quotients, as for `kdot`."""
-    if all_exact(xs) and all_exact(ys):
-        return _exact_sum((xn * yd, xd * yn) for (xn, xd), (yn, yd) in zip(map(_ratio, xs), map(_ratio, ys)))
-    return math.fsum(float(x / y) for x, y in zip(xs, ys))
+    """Σ_i xs[i] / ys[i]: `kquot_groups` with one group of every row."""
+    return kquot_groups((range(len(xs)),), xs, ys)[0]
 
 
 def same_product(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> bool:

@@ -8,14 +8,14 @@ from functools import reduce
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gcorr as gc
 from gcorr import cohomology, composition, correspondence, measures
 from gcorr.groupoids import fibre_product, orbit_space
 from gcorr.util import (
-    GcorrError, adev, equal, format_scalar, generators_first, is_exact, kdot, kquot, ksum, parse_scalar, positive, rdev,
-    same_product, to_float, worst_of,
+    GcorrError, adev, equal, format_scalar, generators_first, is_exact, kdot, kdot_groups, kquot, kquot_groups, ksum,
+    parse_scalar, positive, rdev, same_product, to_float, worst_of,
 )
 from tests.conftest import ladder_pair, unit_action
 
@@ -157,6 +157,76 @@ def test_kdot_and_kquot_float_and_mixed_match_fsum_bit_for_bit(rows):
     # a quotient of two exact values is exact, int / int included
     quotients = [F(x) / z if is_exact(x) and is_exact(z) else x / z for x, z in zip(xs, zs)]
     assert outcome(kquot, xs, zs) == outcome(lambda: old_ksum(quotients))
+
+
+def group_by_group(kernel, groups, columns):
+    """`outcome` of `kernel` applied to each group's rows in turn: the
+    outcome of each group, or the error of the first group that raises."""
+    values = []
+    for group in groups:
+        result = outcome(kernel, *([column[i] for i in group] for column in columns))
+        if not isinstance(result, tuple):
+            return result
+        values.append(result)
+    return values
+
+
+def grouped(kernel, groups, columns):
+    """`outcome` of a grouped kernel, one (type, repr) per group."""
+    try:
+        return [(type(v), repr(v)) for v in kernel(groups, *columns)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def grouped_columns(draw, values, n_columns, last=None):
+    """(groups, columns): `n_columns` columns of `values` of one length n
+    (the last one of `last` when given), and groups of row indices, empty
+    and repeated ones included."""
+    n = draw(st.integers(0, 8))
+    columns = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n_columns - 1)]
+    columns.append(draw(st.lists(values if last is None else last, min_size=n, max_size=n)))
+    group = st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([])
+    return draw(st.lists(group, max_size=5)), columns
+
+
+COLUMN_VALUES = {"exact": kernel_exact, "float": kernel_floats, "mixed": kernel_any}
+
+
+@pytest.mark.parametrize("kind", list(COLUMN_VALUES))
+@pytest.mark.parametrize("n_columns", [1, 2, 3])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_kdot_groups_is_kdot_group_by_group(kind, n_columns, data):
+    groups, columns = data.draw(grouped_columns(COLUMN_VALUES[kind], n_columns))
+    got = grouped(kdot_groups, groups, columns)
+    assert got == group_by_group(kdot, groups, columns)
+    # and each group is the sum it replaces, formed without the kernels
+    assert got == group_by_group(lambda *cols: old_ksum([reduce(operator.mul, row) for row in zip(*cols)]), groups, columns)
+
+
+@pytest.mark.parametrize("kind", list(COLUMN_VALUES))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_kquot_groups_is_kquot_group_by_group(kind, data):
+    groups, (xs, ys) = data.draw(grouped_columns(COLUMN_VALUES[kind], 2, last=COLUMN_VALUES[kind].filter(lambda v: v != 0)))
+    got = grouped(kquot_groups, groups, (xs, ys))
+    assert got == group_by_group(kquot, groups, (xs, ys))
+    # a quotient of two exact values is exact, int / int included
+    quotients = lambda xs, ys: old_ksum([F(x) / y if is_exact(x) and is_exact(y) else x / y for x, y in zip(xs, ys)])
+    assert got == group_by_group(quotients, groups, (xs, ys))
+
+
+def test_a_float_entry_makes_only_its_own_group_float():
+    # one float in the weights, as in a family with one weight written as a JSON float
+    groups = ((0, 1), (2,), (3, 4))
+    weights = [F(1, 2), F(1, 3), 0.25, F(2), F(3, 7)]
+    cutoff = [F(1, 2)] * 5
+    assert kdot_groups(groups, cutoff, weights) == (F(5, 12), 0.125, F(17, 14))
+    assert [type(v) for v in kdot_groups(groups, cutoff, weights)] == [F, float, F]
+    assert [type(v) for v in kquot_groups(groups, weights, cutoff)] == [F, float, F]
+    assert [type(v) for v in kdot_groups(groups, weights)] == [F, float, F]
 
 
 SPECIAL = [0, 1, -1, F(0), F(1, 3), F(-1, 3), 0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan]
