@@ -35,14 +35,16 @@ to δ_Z.  Hence:
     Δ₂(γ, y) on the y legs of Z (`delta_z_invariance_residuals`).
 
 The integer skeleton is built by lemma, with no sweep, and only as far
-as `compose` reads it: Z's G₃ table from the X and Y tables
-(`build_z_bispace`), the reduction to R with χ = α₂ arrow by arrow
-(`build_middle_groupoid`), and Ω's outer actions from the legs
-(`build_omega_bispace`): Θ(n²) work on the ladder, where Z⋊G₂ has n³
-arrows.  Their axioms follow from those of the inputs, certified at
-parse; the tests hold the sweeps that would re-check them as oracles.
-`fp.diagonal`, `tg_z` with `tg_z_index` and `chi`, `delta_z` and Z's
-outer G₁ table `z_bispace.left` are built only when read.
+as `compose` reads it: Z's right G₃ action from the Y table
+(`build_z_bispace`), the orbits of X with their transversal and
+stabilisers from one walk per orbit (`orbit_space`), the reduction to R
+with χ = α₂ arrow by arrow (`build_middle_groupoid`), and Ω's outer
+actions from the legs (`build_omega_bispace`): Θ(n²) work on the ladder,
+where Z⋊G₂ has n³ arrows.  Their axioms follow from those of the inputs,
+certified at parse; the tests hold the sweeps that would re-check them as
+oracles.  `fp.diagonal`, `tg_z` with `tg_z_index` and `chi`, and `delta_z`
+are built only when read; Z's outer G₁ action is not built at all, since
+every line that needs it reads a·(x, y) = (a·x, y) off the X leg.
 Every residual line and stage guard is judged by `report.passes`: 0 on
 exact data, `tol` on float data; `lambda_pi_rep_independence` is exact
 on any data.
@@ -73,6 +75,7 @@ from .cohomology import (
 )
 from .correspondence import Correspondence, make_correspondence, validate
 from .groupoids import (
+    ActionOrbits,
     Bispace,
     FibreProduct,
     FiniteGroupoid,
@@ -118,7 +121,7 @@ class CompositionResult:
     corr_x: Correspondence
     corr_y: Correspondence
     fp: FibreProduct  # Z; its diagonal middle action is built when read
-    z_bispace: ZBispace  # outer G₁-G₃ structure on Z
+    z_right: GSpaceAction  # Z's outer right action (x, y)·c = (x, y·c) of G₃
     orbits: OrbitSpace  # π: Z -> Ω
     reduction: MiddleReduction  # Z⋊G₂ reduced to R = {(x₀, y)}; `z_of` lists R
     omega: Bispace
@@ -213,52 +216,17 @@ def induced_haar(
     return HaarSystem(tg, MeasureFamily(tg.arrow_ids, tg.unit_ids, tg.dst, tuple(weights)))
 
 
-@dataclass(frozen=True, eq=False)
-class ZBispace:
-    """Z's outer actions a·(x, y)·c = (a·x, y·c).  The G₁ table, which
-    `compose` reads off the legs instead, is built when `left` is first
-    read; the point ids and momenta read the fibre product."""
+def build_z_bispace(corr_y: Correspondence, fp: FibreProduct) -> GSpaceAction:
+    """Z's outer right action (x, y)·c = (x, y·c): G₃ moves the Y leg.
 
-    x_left: GSpaceAction  # G₁ on X
-    fp: FibreProduct
-    right: GSpaceAction  # G₃ on Z
-
-    @property
-    def point_ids(self) -> tuple[str, ...]:
-        return self.fp.point_ids
-
-    @property
-    def n_points(self) -> int:
-        return len(self.fp.pairs)
-
-    def r_momentum(self, p: int) -> int:
-        return self.x_left.momentum[self.fp.pairs[p][0]]
-
-    def s_momentum(self, p: int) -> int:
-        return self.right.momentum[p]
-
-    @cached_property
-    def left(self) -> GSpaceAction:
-        x_left, fp = self.x_left, self.fp
-        r_mom = tuple(x_left.momentum[x] for x, _ in fp.pairs)
-        table = {
-            (a, z): fp.index[(x_left.table[(a, x)], y)]
-            for z, (x, y) in enumerate(fp.pairs)
-            for a in x_left.groupoid.fibre_src[r_mom[z]]
-        }
-        return GSpaceAction("left", x_left.groupoid, fp.point_ids, r_mom, table)
-
-
-def build_z_bispace(corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct) -> ZBispace:
-    """The outer actions on Z: G₁ moves the X leg, G₃ the Y leg.
-
-    The tables are built directly, with no axiom sweep.  Lemma: on Z the
+    The table is built directly, with no axiom sweep.  Lemma: on Z the
     product a·(x, y)·c = (a·x, y·c) is a G₁-G₃ bispace whenever X and Y
     are bispaces, because the two groupoids act on different legs and
     a·x keeps the right momentum of x (so (a·x, y) stays in Z).  Those
     axioms were checked when X and Y were built.  Each image is looked up
     in the fibre product's index, so a broken lemma raises KeyError
-    rather than storing a point outside Z.
+    rather than storing a point outside Z.  `compose` reads G₁ on Z off
+    the X leg, so its table is not built.
     """
     y_right = corr_y.space.right
     g3 = y_right.groupoid
@@ -268,54 +236,19 @@ def build_z_bispace(corr_x: Correspondence, corr_y: Correspondence, fp: FibrePro
         for z, (x, y) in enumerate(fp.pairs)
         for c in g3.fibre_dst[s_mom[z]]
     }
-    return ZBispace(corr_x.space.left, fp, GSpaceAction("right", g3, fp.point_ids, s_mom, right_table))
+    return GSpaceAction("right", g3, fp.point_ids, s_mom, right_table)
 
 
 def build_m(
-    corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_bispace: ZBispace
+    corr_x: Correspondence, corr_y: Correspondence, fp: FibreProduct, z_right: GSpaceAction
 ) -> tuple[MeasureFamily, tuple[float, Optional[str]]]:
     """The product family on Z along s_Z, with its G₃ invariance residual
     and witness."""
     weight = tuple(
         corr_x.family.weight[x] * corr_y.family.weight[y] for x, y in fp.pairs
     )
-    m = MeasureFamily(fp.point_ids, corr_y.right.unit_ids, z_bispace.right.momentum, weight)
-    return m, invariance_residual(z_bispace.right, weight)
-
-
-@dataclass(frozen=True)
-class Transversal:
-    """The orbits of a right action, each based at its representative x₀,
-    with t[x] such that x₀·t[x] = x (the identity at x₀) and the
-    stabilisers Stab(x₀) = {σ : x₀·σ = x₀}."""
-
-    orbits: OrbitSpace
-    base: tuple[int, ...]  # point -> the base x₀ of its orbit
-    t: tuple[int, ...]
-    stab: tuple[tuple[int, ...], ...]  # orbit -> Stab(x₀)
-
-
-def transversal(act: GSpaceAction) -> Transversal:
-    """`orbit_space` of a right action with its `Transversal`, in
-    O(arrows): the orbit of x₀ is {x₀·γ : γ ∈ G^{m(x₀)}}, so one pass over
-    that fibre finds every t and Stab(x₀)."""
-    orbits = orbit_space(act)
-    g, table = act.groupoid, act.table
-    t: list[Optional[int]] = [None] * act.n_points
-    stab = []
-    for x0 in orbits.reps:
-        u = act.momentum[x0]
-        t[x0] = g.unit_arrow[u]
-        fixed = []
-        for a in g.fibre_dst[u]:
-            x = table[(x0, a)]
-            if t[x] is None:
-                t[x] = a
-            if x == x0:
-                fixed.append(a)
-        stab.append(tuple(fixed))
-    base = tuple(orbits.reps[o] for o in orbits.proj)
-    return Transversal(orbits, base, tuple(t), tuple(stab))  # type: ignore[arg-type]
+    m = MeasureFamily(fp.point_ids, corr_y.right.unit_ids, z_right.momentum, weight)
+    return m, invariance_residual(z_right, weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +263,7 @@ class MiddleReduction:
     r_of: tuple[int, ...]  # (x, y) in Z -> (x₀, t_x·y) in R
 
 
-def build_middle_groupoid(fp: FibreProduct, xt: Transversal, chi2: HaarSystem) -> MiddleReduction:
+def build_middle_groupoid(fp: FibreProduct, x_orbits: ActionOrbits, chi2: HaarSystem) -> MiddleReduction:
     """Z⋊G₂ reduced to R with χ restricted, built with no sweep in
     O(|Z| + Σ_{[x₀]} |Stab(x₀)|·(|Stab(x₀)| + |Y_{s(x₀)}|)).
 
@@ -343,8 +276,8 @@ def build_middle_groupoid(fp: FibreProduct, xt: Transversal, chi2: HaarSystem) -
     groupoid of H = ⊔_{[x₀]} Stab(x₀), one unit per orbit of X, on R.
     """
     g2, y_left = chi2.groupoid, fp.y_left
-    x_ids, bases, orbit_of = fp.x_right.point_ids, xt.orbits.reps, xt.orbits.proj
-    h_arrows = [(o, s) for o, stab in enumerate(xt.stab) for s in stab]
+    x_ids, bases, orbit_of, t = fp.x_right.point_ids, x_orbits.reps, x_orbits.proj, x_orbits.t
+    h_arrows = [(o, s) for o, stab in enumerate(x_orbits.stab) for s in stab]
     h_index = {key: k for k, key in enumerate(h_arrows)}
     h = FiniteGroupoid(
         tuple(x_ids[x0] for x0 in bases),
@@ -353,13 +286,12 @@ def build_middle_groupoid(fp: FibreProduct, xt: Transversal, chi2: HaarSystem) -
         tuple(o for o, _ in h_arrows),
         {
             (h_index[(o, s)], h_index[(o, s2)]): h_index[(o, g2.comp[(s, s2)])]
-            for o, stab in enumerate(xt.stab) for s in stab for s2 in stab
+            for o, stab in enumerate(x_orbits.stab) for s in stab for s2 in stab
         },
         tuple(h_index[(o, g2.inv[s])] for o, s in h_arrows),
-        tuple(h_index[(o, xt.t[x0])] for o, x0 in enumerate(bases)),
+        tuple(h_index[(o, t[x0])] for o, x0 in enumerate(bases)),
     )
-    base, t = xt.base, xt.t
-    z_of = tuple(z for z, (x, _) in enumerate(fp.pairs) if base[x] == x)
+    z_of = tuple(z for z, (x, _) in enumerate(fp.pairs) if bases[orbit_of[x]] == x)
     r_pairs = [fp.pairs[z] for z in z_of]
     r_index = {pair: r for r, pair in enumerate(r_pairs)}
     table = {
@@ -367,7 +299,7 @@ def build_middle_groupoid(fp: FibreProduct, xt: Transversal, chi2: HaarSystem) -
         for r, (x0, y) in enumerate(r_pairs)
         for k in h.fibre_dst[orbit_of[x0]]
     }
-    r_of = tuple(r_index[(base[x], y_left.table[(t[x], y)])] for x, y in fp.pairs)
+    r_of = tuple(r_index[(bases[orbit_of[x]], y_left.table[(t[x], y)])] for x, y in fp.pairs)
     act = GSpaceAction(
         "right", h, tuple(fp.point_ids[z] for z in z_of), tuple(orbit_of[x0] for x0, _ in r_pairs), table
     )
@@ -477,7 +409,7 @@ def delta_z_invariance_residuals(corr_y: Correspondence, fp: FibreProduct) -> tu
     return worst, None if key is None else f"({y_right.point_ids[key[0]]}, {y_right.groupoid.arrow_ids[key[1]]})"
 
 
-def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: ZBispace) -> tuple[float, Optional[str]]:
+def _z_invariance_residuals(values: Sequence[Scalar], z_right: GSpaceAction) -> tuple[float, Optional[str]]:
     """(worst, witness) of the invariance of a function on Z under the
     outer G₃ action.
 
@@ -487,7 +419,7 @@ def _z_invariance_residuals(values: Sequence[Scalar], z_bispace: ZBispace) -> tu
     invariant, and Δ₁₂ = b(z)·Δ₁(a, x)/b(a·z) carries ρ∘src/ρ∘dst for it
     (`build_delta12`), so there the line failed a valid cochain.
     """
-    return invariance_residual(z_bispace.right, values)
+    return invariance_residual(z_right, values)
 
 
 def build_b(delta: Cocycle1, tg: FiniteGroupoid, haar: HaarSystem) -> Cochain0:
@@ -669,14 +601,14 @@ def compose(
 
     fp = stage("fibre_product", fibre_product, corr_x.space.right, corr_y.space.left)
     report.notes["z_points"] = len(fp.pairs)
-    z_bispace = stage("z_bispace", build_z_bispace, corr_x, corr_y, fp)
+    z_right = stage("z_bispace", build_z_bispace, corr_y, fp)
     y_of = tuple(y for _, y in fp.pairs)
 
-    m, (m_res, m_wit) = stage("build_m", build_m, corr_x, corr_y, fp, z_bispace)
+    m, (m_res, m_wit) = stage("build_m", build_m, corr_x, corr_y, fp, z_right)
     report.check("m_right_invariance", m_res, m.exact, tol, m_wit)
 
     # Ω from the orbits of X and their stabilisers (`build_middle_groupoid`)
-    x_orbits = stage("x_orbits", transversal, corr_x.space.right)
+    x_orbits = stage("x_orbits", orbit_space, corr_x.space.right)
     red = stage("middle_groupoid", build_middle_groupoid, fp, x_orbits, chi2)
     r_orbits = stage("orbit_space", orbit_space, red.action)
     orbits = stage("middle_orbits", middle_orbits, fp, red, r_orbits)
@@ -716,7 +648,7 @@ def compose(
         b = override
     exact_b = all_exact(b.value)
     report.check("b_ratio_relation", split_res, exact_b, tol, split_wit)
-    bg3, bg3_wit = _z_invariance_residuals(b.value, z_bispace)
+    bg3, bg3_wit = _z_invariance_residuals(b.value, z_right)
     report.check("b_right_invariance", bg3, exact_b, tol, bg3_wit)
 
     # the cutoff 1/h is normalized because `invariant_probability_family`
@@ -734,7 +666,7 @@ def compose(
         "build_delta12", build_delta12, corr_x, fp, orbits, omega, b
     )
     exact12 = all_exact(values12)
-    wd_res, wd_wit = delta1_invariance_residual(corr_x, x_orbits.orbits)
+    wd_res, wd_wit = delta1_invariance_residual(corr_x, x_orbits)
     report.check("delta12_well_defined", wd_res, exact12, tol, wd_wit)
     # Δ₁₂ is the composite's adjoining cocycle itself: the final `validate`
     # certifies its cocycle identity and the invariance of μ
@@ -749,7 +681,7 @@ def compose(
     report.notes["scalar_mode"] = "exact" if exact_mu and exact12 else "float"
 
     result = CompositionResult(
-        corr_x, corr_y, fp, z_bispace, orbits, red, omega, m, lam_pi, b, e, mu, delta12,
+        corr_x, corr_y, fp, z_right, orbits, red, omega, m, lam_pi, b, e, mu, delta12,
         composite, report,
     )
     if not report.passed:

@@ -790,44 +790,50 @@ class OrbitSpace:
         return tuple(tuple(m) for m in out)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+@dataclass(frozen=True)
+class ActionOrbits(OrbitSpace):
+    """The orbits of an action, each walked from its representative x₀:
+    t[x] is the first arrow of the fibre at m(x₀) that carries x₀ to x
+    (the identity at x₀), and stab[o] = Stab(x₀) in fibre order."""
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        x, y = self.find(x), self.find(y)
-        if x != y:
-            self.parent[y] = x
+    t: tuple[int, ...]
+    stab: tuple[tuple[int, ...], ...]
 
 
-def orbit_space(act: GSpaceAction) -> OrbitSpace:
-    """Orbits of the action, with deterministic representatives.
+def orbit_space(act: GSpaceAction) -> ActionOrbits:
+    """Orbits of the action, with deterministic representatives, in one
+    walk per orbit: O(points·log points + arrows acting on the walked
+    representatives).
 
-    Each orbit's representative is its lexicographically smallest point id,
-    and orbits are ordered by representative id, so downstream golden files
-    are stable.
+    The points are visited in id order, and the first one not yet placed
+    opens a new orbit as its representative x₀.  So each orbit is
+    represented by its lexicographically smallest point id, and orbits are
+    ordered by representative id, which keeps downstream golden files
+    stable.  Lemma: the orbit of x₀ is its image under the arrows that act
+    on it, {x₀·γ : γ ∈ G^{m(x₀)}} for a right action and {γ·x₀ : γ ∈
+    G_{m(x₀)}} for a left one, because (x₀·γ)·η = x₀·(γ∘η) and
+    η·(γ·x₀) = (η∘γ)·x₀.  One pass over that fibre therefore finds every
+    member x, the t[x] with x₀·t[x] = x (t[x]·x₀ = x on the left) and
+    Stab(x₀).
     """
-    uf = _UnionFind(act.n_points)
-    for key in act.pairs():
-        p = key[1] if act.side == "left" else key[0]
-        uf.union(p, act.table[key])
-    groups: dict[int, list[int]] = {}
-    for p in range(act.n_points):
-        groups.setdefault(uf.find(p), []).append(p)
-    orbits = sorted(groups.values(), key=lambda ps: min(act.point_ids[p] for p in ps))
-    reps = tuple(min(ps, key=lambda p: act.point_ids[p]) for ps in orbits)
-    proj = [0] * act.n_points
-    for o, ps in enumerate(orbits):
-        for p in ps:
-            proj[p] = o
-    orbit_ids = tuple(f"[{act.point_ids[r]}]" for r in reps)
-    return OrbitSpace(orbit_ids, tuple(proj), reps)
+    g, table, right = act.groupoid, act.table, act.side == "right"
+    proj, t = [-1] * act.n_points, [-1] * act.n_points
+    reps, stab = [], []
+    for x0 in sorted(range(act.n_points), key=act.point_ids.__getitem__):
+        if proj[x0] < 0:
+            u, fixed = act.momentum[x0], []
+            proj[x0], t[x0] = len(reps), g.unit_arrow[u]
+            for a in (g.fibre_dst if right else g.fibre_src)[u]:
+                x = table[(x0, a) if right else (a, x0)]
+                if x == x0:
+                    fixed.append(a)
+                elif proj[x] < 0:
+                    proj[x], t[x] = len(reps), a
+            reps.append(x0)
+            stab.append(tuple(fixed))
+    return ActionOrbits(
+        tuple(f"[{act.point_ids[r]}]" for r in reps), tuple(proj), tuple(reps), tuple(t), tuple(stab)
+    )
 
 
 @dataclass(frozen=True, eq=False)

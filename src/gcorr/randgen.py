@@ -72,9 +72,6 @@ class SplitMix64:
     def cnum(self) -> complex:
         return complex(2 * self.random() - 1, 2 * self.random() - 1)
 
-    # below this many draws the numpy call overhead outweighs the loop
-    BLOCK_MIN = 8
-
     def cnum_array(self, n: int) -> np.ndarray:
         """`[self.cnum() for _ in range(n)]` as a complex array, drawn as one
         uint64 block.
@@ -84,8 +81,6 @@ class SplitMix64:
         `next_u64`.  Real and imaginary parts are stored separately, since
         `re + 1j*im` could turn a signed zero around.
         """
-        if n < max(self.BLOCK_MIN, 1):
-            return np.array([self.cnum() for _ in range(n)], dtype=np.complex128)
         k = np.arange(1, 2 * n + 1, dtype=np.uint64)
         z = np.uint64(self.state) + k * np.uint64(_GAMMA)
         self.state = (self.state + 2 * n * _GAMMA) & _MASK
@@ -97,10 +92,6 @@ class SplitMix64:
         out.real = u[0::2]
         out.imag = u[1::2]
         return out
-
-    def cnums(self, n: int) -> list[complex]:
-        """`[self.cnum() for _ in range(n)]`, through `cnum_array`."""
-        return self.cnum_array(n).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ compare float results for exact equality.
 
 The sum kernels `kdot_groups` and `kquot_groups` take whole columns and
 the groups of row indices to sum over (the orbits' members, the range
-fibres), and return one sum per group; `ksum`, `kdot` and `kquot` are
-their one-group case.  Each group is decided exact or float on its own
-entries.  On `int`/`Fraction` entries a group adds integer numerators over
-a running common denominator and returns one `Fraction`, so a fibre is
-normalised once rather than once per term; on any other entries it
-returns the `math.fsum` of the same float terms as `sum`-then-`fsum`
-would.  `same_product` tests Π xs = Π ys on exact values
-by cross-multiplied integers, and `positive` and `equal` read a
-`Fraction`'s numerator and denominator instead of going through its
-operators; each gives the value of the plain expression it replaces.
+fibres), and return one sum per group; `ksum` is their one-group case.
+Each group is decided exact or float on its own entries.  On
+`int`/`Fraction` entries a group adds integer numerators over a running
+common denominator and returns one `Fraction`, so a fibre is normalised
+once rather than once per term; on any other entries it returns the
+`math.fsum` of the same float terms as `sum`-then-`fsum` would.
+`same_product` tests Π xs = Π ys on exact values by cross-multiplied
+integers, and `positive` and `equal` read a `Fraction`'s numerator and
+denominator instead of going through its operators; each gives the value
+of the plain expression it replaces.
 
 The deviation helpers `adev` and `rdev` feed every residual sweep, so they
 keep one contract: the result is exactly 0.0 iff the arguments are equal
@@ -167,16 +167,6 @@ def ksum(values: Iterable[Scalar]) -> Scalar:
     """
     vals = tuple(values)
     return kdot_groups((range(len(vals)),), vals)[0]
-
-
-def kdot(*columns: Sequence[Scalar]) -> Scalar:
-    """Σ_i Π_j columns[j][i]: `kdot_groups` with one group of every row."""
-    return kdot_groups((range(len(columns[0])),), *columns)[0]
-
-
-def kquot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    """Σ_i xs[i] / ys[i]: `kquot_groups` with one group of every row."""
-    return kquot_groups((range(len(xs)),), xs, ys)[0]
 
 
 def same_product(xs: Iterable[Scalar], ys: Iterable[Scalar]) -> bool:

@@ -10,7 +10,7 @@ import gcorr as gc
 from gcorr import catalog
 from gcorr.cohomology import ProbabilityFamily
 from gcorr.cstar import AlgebraElement
-from gcorr.groupoids import FiniteGroupoid, GSpaceAction, make_action, make_bispace
+from gcorr.groupoids import Bispace, FiniteGroupoid, GSpaceAction, OrbitSpace, make_action, make_bispace
 from gcorr.measures import MeasureFamily, counting_haar, quotient_family, unit_measure
 from gcorr.randgen import random_pair
 from gcorr.report import Report
@@ -77,6 +77,56 @@ def unit_action(g: FiniteGroupoid) -> GSpaceAction:
 
 def is_unit_arrow(g: FiniteGroupoid, a: int) -> bool:
     return g.unit_arrow[g.src[a]] == a
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        x, y = self.find(x), self.find(y)
+        if x != y:
+            self.parent[y] = x
+
+
+def union_find_orbits(act: GSpaceAction) -> OrbitSpace:
+    """The orbit oracle: a union-find over every composable pair of the
+    action, each orbit represented by its smallest point id, in order of
+    that id (the former `orbit_space`)."""
+    uf = _UnionFind(act.n_points)
+    for key in act.pairs():
+        p = key[1] if act.side == "left" else key[0]
+        uf.union(p, act.table[key])
+    groups: dict[int, list[int]] = {}
+    for p in range(act.n_points):
+        groups.setdefault(uf.find(p), []).append(p)
+    orbits = sorted(groups.values(), key=lambda ps: min(act.point_ids[p] for p in ps))
+    reps = tuple(min(ps, key=lambda p: act.point_ids[p]) for ps in orbits)
+    proj = [0] * act.n_points
+    for o, ps in enumerate(orbits):
+        for p in ps:
+            proj[p] = o
+    return OrbitSpace(tuple(f"[{act.point_ids[r]}]" for r in reps), tuple(proj), reps)
+
+
+def z_bispace(res) -> Bispace:
+    """Z's outer G₁-G₃ bispace a·(x, y)·c = (a·x, y·c) of a
+    `CompositionResult`, G₁ table included: `compose` keeps only the G₃
+    action (`z_right`) and reads G₁ off the X leg."""
+    x_left, fp = res.corr_x.space.left, res.fp
+    r_mom = tuple(x_left.momentum[x] for x, _ in fp.pairs)
+    table = {
+        (a, z): fp.index[(x_left.table[(a, x)], y)]
+        for z, (x, y) in enumerate(fp.pairs)
+        for a in x_left.groupoid.fibre_src[r_mom[z]]
+    }
+    return Bispace(GSpaceAction("left", x_left.groupoid, fp.point_ids, r_mom, table), res.z_right)
 
 
 def max_residual(report: Report) -> float:

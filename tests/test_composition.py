@@ -475,7 +475,7 @@ class TestExactPassRule:
 
 
 @pytest.mark.parametrize("builder, stage", [
-    ("transversal", "x_orbits"),
+    ("orbit_space", "x_orbits"),
     ("build_middle_groupoid", "middle_groupoid"),
     ("middle_orbits", "middle_orbits"),
 ])

@@ -10,13 +10,22 @@ import gcorr as gc
 from gcorr.groupoids import (
     FiniteGroupoid,
     GroupoidAxiomError,
+    GSpaceAction,
     action_violations,
     bispace_violations,
     groupoid_violations,
     make_action,
 )
 from gcorr.randgen import SplitMix64, random_groupoid, random_pair
-from tests.conftest import is_unit_arrow, translation_action, unit_action
+from tests.conftest import (
+    MIX_CAPS,
+    coset_ladder_pair,
+    is_unit_arrow,
+    ladder_pair,
+    translation_action,
+    union_find_orbits,
+    unit_action,
+)
 
 
 def find_groupoid_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 16):
@@ -277,6 +286,72 @@ class TestOrbitSpace:
         for o in range(orb.n_orbits):
             ids = [act.point_ids[p] for p in orb.members[o]]
             assert act.point_ids[orb.reps[o]] == min(ids)
+
+
+def _walk_pair(name):
+    if name.startswith("coset-"):
+        return coset_ladder_pair(*map(int, name[6:].split("-")))
+    if name.startswith("ladder-"):
+        return ladder_pair(int(name[7:]))
+    return random_pair(int(name[4:]), **MIX_CAPS)
+
+
+def _shuffled(act: GSpaceAction, seed: int) -> GSpaceAction:
+    """`act` with its points listed in a seeded order in which the
+    smallest id is not first (when there are two points or more)."""
+    rng, n = SplitMix64(seed), act.n_points
+    new_of = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(0, i)
+        new_of[i], new_of[j] = new_of[j], new_of[i]
+    smallest = min(range(n), key=act.point_ids.__getitem__, default=None)
+    if n > 1 and new_of[smallest] == 0:
+        other = new_of.index(1)
+        new_of[smallest], new_of[other] = 1, 0
+    ids, momentum = [""] * n, [0] * n
+    for p in range(n):
+        ids[new_of[p]], momentum[new_of[p]] = act.point_ids[p], act.momentum[p]
+    if act.side == "right":
+        table = {(new_of[p], a): new_of[q] for (p, a), q in act.table.items()}
+    else:
+        table = {(a, new_of[p]): new_of[q] for (a, p), q in act.table.items()}
+    return GSpaceAction(act.side, act.groupoid, tuple(ids), tuple(momentum), table)
+
+
+WALK_NAMES = [f"mix-{i}" for i in range(40)] + ["coset-24-4", "coset-12-3", "ladder-6"]
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("name", WALK_NAMES)
+def test_orbit_walk_matches_the_union_find_and_carries_its_transversal(name, shuffle):
+    """On both actions of X and of Y and on the diagonal action of Z, the
+    walk has the orbit ids, projection and representatives of the
+    union-find over every composable pair, also with the points listed
+    out of id order; x₀·t[x] = x with t[x] the first such arrow of the
+    fibre at m(x₀), t[x₀] is the identity there, and Stab(x₀) is every
+    arrow of that fibre that fixes x₀, in fibre order."""
+    corr_x, corr_y = _walk_pair(name)
+    diagonal = gc.fibre_product(corr_x.space.right, corr_y.space.left).diagonal
+    acts = [corr_x.space.left, corr_x.space.right, corr_y.space.left, corr_y.space.right, diagonal]
+    for k, act in enumerate(acts):
+        if shuffle:
+            act = _shuffled(act, k)
+            assert act.n_points < 2 or min(range(act.n_points), key=act.point_ids.__getitem__) != 0
+        orb, oracle = gc.orbit_space(act), union_find_orbits(act)
+        assert (orb.orbit_ids, orb.proj, orb.reps) == (oracle.orbit_ids, oracle.proj, oracle.reps)
+        g, right = act.groupoid, act.side == "right"
+        fibres = g.fibre_dst if right else g.fibre_src
+        move = (lambda p, a: act.table[(p, a)]) if right else (lambda p, a: act.table[(a, p)])
+        for o, x0 in enumerate(orb.reps):
+            fibre = fibres[act.momentum[x0]]
+            assert orb.t[x0] == g.unit_arrow[act.momentum[x0]]
+            assert orb.stab[o] == tuple(a for a in fibre if move(x0, a) == x0)
+            for x in orb.members[o]:
+                if x != x0:
+                    assert orb.t[x] == next(a for a in fibre if move(x0, a) == x)
+                assert move(x0, orb.t[x]) == x
+    if name.startswith("coset-"):  # premise: Stab(x₀) ≠ 1 on X
+        assert all(len(s) > 1 for s in gc.orbit_space(corr_x.space.right).stab)
 
 
 class TestBispace:

@@ -32,7 +32,7 @@ from gcorr.cohomology import (
     decompose_multiplicative,
     invariant_probability_family,
 )
-from gcorr.composition import CompositionStageError, compose, transversal
+from gcorr.composition import CompositionStageError, compose
 from gcorr.groupoids import (
     ActionComposition,
     GSpaceAction,
@@ -52,7 +52,16 @@ from gcorr.measures import (
 )
 from gcorr.randgen import random_pair
 from gcorr.util import adev, all_exact, rdev
-from tests.conftest import MIX_CAPS, CountingMapping, coset_ladder_pair, is_unit_arrow, ladder_pair, scaled_family
+from tests.conftest import (
+    MIX_CAPS,
+    CountingMapping,
+    coset_ladder_pair,
+    is_unit_arrow,
+    ladder_pair,
+    scaled_family,
+    union_find_orbits,
+    z_bispace,
+)
 from tests.test_composition import weighted_middle_pair
 
 LADDERS = (2, 5, 8, 16)
@@ -73,17 +82,18 @@ def _pair(name: str):
     return corr_x, corr_y
 
 
-def z_invariance_oracle(values, fp, z_bispace, tg_z_index):
+def z_invariance_oracle(values, fp, zb, tg_z_index):
     """The former sweep of the G₁ and G₃ invariance of a function on the
-    arrows of Z⋊G₂: every outer pair times the whole middle fibre."""
+    arrows of Z⋊G₂: every outer pair of the bispace `zb` times the whole
+    middle fibre."""
     fibre = fp.diagonal.groupoid.fibre_dst
     g1_worst = g3_worst = 0.0
-    for a1, z in z_bispace.left.pairs():
-        z1 = z_bispace.left.table[(a1, z)]
+    for a1, z in zb.left.pairs():
+        z1 = zb.left.table[(a1, z)]
         for a2 in fibre[fp.diagonal.momentum[z]]:
             g1_worst = max(g1_worst, rdev(values[tg_z_index[(z1, a2)]], values[tg_z_index[(z, a2)]]))
-    for z, a3 in z_bispace.right.pairs():
-        z3 = z_bispace.right.table[(z, a3)]
+    for z, a3 in zb.right.pairs():
+        z3 = zb.right.table[(z, a3)]
         for a2 in fibre[fp.diagonal.momentum[z]]:
             g3_worst = max(g3_worst, rdev(values[tg_z_index[(z3, a2)]], values[tg_z_index[(z, a2)]]))
     return g1_worst, g3_worst
@@ -99,7 +109,7 @@ def assert_z_is_the_leg_product(res):
     and a·(x, y) = (a·x, y), (x, y)·c = (x, y·c) on exactly the composable
     pairs of Z's outer actions."""
     x_left, y_right = res.corr_x.space.left, res.corr_y.space.right
-    left, right, pairs = res.z_bispace.left, res.z_bispace.right, res.fp.pairs
+    left, right, pairs = z_bispace(res).left, res.z_right, res.fp.pairs
     assert left.momentum == tuple(x_left.momentum[x] for x, _ in pairs)
     assert right.momentum == tuple(y_right.momentum[y] for _, y in pairs)
     assert left.table.keys() == set(left.pairs())
@@ -119,7 +129,7 @@ def _assert_oracles_pass(res, tol=1e-9):
     # Z's and Ω's tables are built by lemma, not by `make_action`, so both
     # action sweeps run here as well as the bispace sweep that assumes them
     assert_z_is_the_leg_product(res)
-    for space in (res.z_bispace, res.omega):
+    for space in (z_bispace(res), res.omega):
         assert action_violations(space.left) == []
         assert action_violations(space.right) == []
         assert bispace_violations(space) == []
@@ -131,7 +141,7 @@ def _assert_oracles_pass(res, tol=1e-9):
     sweep, _ = check_cocycle(res.delta_z)
     assert gc.passes(sweep, exact, tol)
     assert sweep <= _line(res.report, "delta_z_cocycle").residual
-    g1, g3 = z_invariance_oracle(res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)
+    g1, g3 = z_invariance_oracle(res.delta_z.value, res.fp, z_bispace(res), res.tg_z_index)
     assert g1 == 0.0
     assert g3 == _line(res.report, "delta_z_right_invariance").residual
 
@@ -259,7 +269,7 @@ def test_orbit_varying_override_composes_and_passes_every_line():
     corr_x, corr_y = _pair("ladder-5")
     res = compose(corr_x, corr_y)
     b = [(res.orbits.proj[z] + 1) * v for z, v in enumerate(res.b.value)]
-    assert invariance_residual(res.z_bispace.left, b)[0] > 0  # premise: b′ moves under G₁
+    assert invariance_residual(z_bispace(res).left, b)[0] > 0  # premise: b′ moves under G₁
     over = compose(corr_x, corr_y, b_values=b)
     assert all(c.passed for c in over.report.checks)
     assert "override_b_ratio_orbit_constant" in [c.name for c in over.report.checks]
@@ -371,7 +381,7 @@ def lambda_pi_oracle(res):
 def delta12_oracle(res, b):
     """The former member loop of `build_delta12`: Δ₁₂ at each orbit
     representative, and the worst disagreement of the other members."""
-    left, orbits, x_of = res.z_bispace.left, res.orbits, [x for x, _ in res.fp.pairs]
+    left, orbits, x_of = z_bispace(res).left, res.orbits, [x for x, _ in res.fp.pairs]
 
     def candidate(a, z):
         return b[z] * res.corr_x.adjoining_at(a, x_of[z]) / b[left.table[(a, z)]]
@@ -395,13 +405,13 @@ def oracle_lines(res, tol=1e-9):
     delta12, wd = delta12_oracle(res, b)
     cocycle = check_cocycle(res.corr_y.adjoining)[0]
     lines = {
-        "m_right_invariance": invariance_residual(res.z_bispace.right, m)[0],
+        "m_right_invariance": invariance_residual(res.z_right, m)[0],
         "lambda_pi_rep_independence": lambda_pi_oracle(res),
         "delta_z_cocycle": max(cocycle, delta_z_pullback_residual(res)),
         "delta_z_right_invariance": z_invariance_oracle(
-            res.delta_z.value, res.fp, res.z_bispace, res.tg_z_index)[1],
+            res.delta_z.value, res.fp, z_bispace(res), res.tg_z_index)[1],
         "b_ratio_relation": coboundary_residual(res.delta_z, b_oracle(res))[0],
-        "b_right_invariance": invariance_residual(res.z_bispace.right, b)[0],
+        "b_right_invariance": invariance_residual(res.z_right, b)[0],
         "mu_disintegration": disintegration_residual(mu, res.lambda_pi.weight, res.orbits, bm)[0],
         "delta12_well_defined": wd,
     }
@@ -456,7 +466,7 @@ def test_leg_values_and_lines_equal_the_middle_oracles(name):
 
 
 def omega_oracle(res):
-    """The former Ω: `orbit_space` of the diagonal action
+    """The former Ω: the orbits of the diagonal action
     (x, y)·γ = (x·γ, γ⁻¹·y), a union-find over every arrow of Z⋊G₂.
 
     Lemma (balanced product by stabilisers): with x = x₀·t_x for the base
@@ -465,7 +475,7 @@ def omega_oracle(res):
     Stab(x₀)-orbit of R, Ω ≅ ⊔_{[x₀]} Stab(x₀)\\Y_{s(x₀)}, and choosing
     the smallest id of each class orders the orbits as this sweep does.
     """
-    return orbit_space(res.fp.diagonal)
+    return union_find_orbits(res.fp.diagonal)
 
 
 def lambda_pi_family_oracle(res):
@@ -509,11 +519,11 @@ def test_middle_reduction_has_one_arrow_per_point_on_the_ladder():
     coset ladder (24, 4) it has |Stab| = 4 arrows at each of its 6 points."""
     corr_x, corr_y = ladder_pair(12)
     fp = gc.fibre_product(corr_x.space.right, corr_y.space.left)
-    red = composition.build_middle_groupoid(fp, transversal(corr_x.space.right), corr_x.right_haar)
+    red = composition.build_middle_groupoid(fp, orbit_space(corr_x.space.right), corr_x.right_haar)
     assert red.groupoid.n_units == red.groupoid.n_arrows == 12
     corr_x, corr_y = coset_ladder_pair(24, 4)
     fp = gc.fibre_product(corr_x.space.right, corr_y.space.left)
-    red = composition.build_middle_groupoid(fp, transversal(corr_x.space.right), corr_x.right_haar)
+    red = composition.build_middle_groupoid(fp, orbit_space(corr_x.space.right), corr_x.right_haar)
     assert (red.groupoid.n_units, red.groupoid.n_arrows) == (6, 24)
 
 
@@ -532,17 +542,16 @@ def test_compose_leaves_delta_z_unbuilt():
 
 def test_compose_leaves_the_middle_structures_unbuilt():
     """None of the n³ structures is built by `compose`: the diagonal table,
-    Z⋊G₂ with its index and χ, δ_Z, and Z's outer G₁ table.  Each is
-    built when a caller reads it."""
+    Z⋊G₂ with its index and χ, and δ_Z are built when a caller reads them,
+    and Z's outer G₁ table is not held at all."""
     res = compose(*ladder_pair(16))
     assert "diagonal" not in vars(res.fp)
     assert {"_middle", "chi", "delta_z"}.isdisjoint(vars(res))
-    zb = res.z_bispace
-    ids, n, r_mom = zb.point_ids, zb.n_points, [zb.r_momentum(z) for z in range(zb.n_points)]
-    assert "left" not in vars(zb)  # the bispace's own readers leave the table unbuilt
+    z_actions = [v for v in vars(res).values() if isinstance(v, GSpaceAction) and v.point_ids == res.fp.point_ids]
+    assert [act.side for act in z_actions] == ["right"] and z_actions[0] is res.z_right
+    assert res.z_right.groupoid is res.corr_y.right
     assert res.tg_z_index and res.chi.groupoid is res.tg_z and "_middle" in vars(res)
-    assert len(zb.left.table) == 16**3 and "left" in vars(zb)
-    assert (ids, n, r_mom) == (zb.left.point_ids, zb.left.n_points, list(zb.left.momentum))
+    assert len(z_bispace(res).left.table) == 16**3
     assert "diagonal" in vars(res.fp)
 
 

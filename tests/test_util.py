@@ -14,10 +14,20 @@ import gcorr as gc
 from gcorr import cohomology, composition, correspondence, measures
 from gcorr.groupoids import fibre_product, orbit_space
 from gcorr.util import (
-    GcorrError, adev, equal, format_scalar, generators_first, is_exact, kdot, kdot_groups, kquot, kquot_groups, ksum,
+    GcorrError, adev, equal, format_scalar, generators_first, is_exact, kdot_groups, kquot_groups, ksum,
     parse_scalar, positive, rdev, same_product, to_float, worst_of,
 )
 from tests.conftest import ladder_pair, unit_action
+
+
+def kdot(*columns):
+    """Σ_i Π_j columns[j][i]: `kdot_groups` with one group of every row."""
+    return kdot_groups((range(len(columns[0])),), *columns)[0]
+
+
+def kquot(xs, ys):
+    """Σ_i xs[i] / ys[i]: `kquot_groups` with one group of every row."""
+    return kquot_groups((range(len(xs)),), xs, ys)[0]
 
 
 def old_adev(a, b) -> float:
@@ -468,7 +478,7 @@ def _override_split():
 
 def _delta1_well_defined():
     corr_x, _ = ladder_pair(3)
-    x_orbits = composition.transversal(corr_x.space.right).orbits
+    x_orbits = orbit_space(corr_x.space.right)
     keys = [k for (a, x), k in corr_x.left_tg_index.items() if x not in x_orbits.reps]
 
     def run(at):
