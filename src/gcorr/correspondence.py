@@ -248,8 +248,7 @@ def validate(corr: Correspondence, tol: float = DEFAULT_TOL) -> Report:
     invariant and Δ is a cocycle implementing its quasi-invariance.  The
     checked constructors that built the structure certified it."""
     rep = Report("correspondence")
-    tg_right, _ = transformation_groupoid(corr.space.right)
-    rep.notes["properness_max_fibre"] = check_proper(tg_right).max_card
+    rep.notes["properness_max_fibre"] = check_proper(corr.space.right).max_card
 
     res, wit = invariance_residual(corr.space.right, corr.family.weight)
     rep.check("family_right_invariance", res, corr.family.exact, tol, wit)

@@ -47,7 +47,7 @@ class GroupoidAxiomError(GcorrError):
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     unit_ids: tuple[str, ...]
-    arrow_ids: tuple[str, ...]
+    arrow_ids: Sequence[str]  # a tuple, or an action groupoid's `ActionArrowIds`
     src: tuple[int, ...]
     dst: tuple[int, ...]
     comp: Mapping[tuple[int, int], int]  # (a, b) -> a∘b, iff src[a] == dst[b]
@@ -725,31 +725,57 @@ class ActionComposition(Mapping):
         return sum(len(g.fibre_src[g.dst[a]]) for a, _ in self._keys)
 
 
+class ActionArrowIds(Sequence):
+    """The arrow ids of an action groupoid, "(x;γ)" on the right and
+    "(γ;x)" on the left, each formatted only when read: by a witness,
+    `arrow_index` or `==`.  Equal to the tuple of the same ids."""
+
+    def __init__(self, act: GSpaceAction, keys: Sequence[tuple[int, int]]):
+        self._act, self._keys = act, keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, k: int) -> str:
+        i, j = self._keys[k]
+        act = self._act
+        if act.side == "right":
+            return f"({act.point_ids[i]};{act.groupoid.arrow_ids[j]})"
+        return f"({act.groupoid.arrow_ids[i]};{act.point_ids[j]})"
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.__getitem__, range(len(self._keys)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, ActionArrowIds)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 def transformation_groupoid(act: GSpaceAction) -> tuple[FiniteGroupoid, dict[tuple[int, int], int]]:
     """The action groupoid; units are the points.
 
     Right actions: arrow (z, γ) runs z·γ -> z and (z,γ)∘(zγ,η) = (z, γ∘η).
     Left actions: arrow (γ, x) runs x -> γ·x and (γ, ηx)∘(η, x) = (γ∘η, x).
     Also returns the lookup from table keys to arrow indices.  Every table
-    is O(arrows): the composition is an `ActionComposition`.
+    is O(arrows): the composition is an `ActionComposition`, and the arrow
+    ids are `ActionArrowIds`, formatted only where read.
     """
     g = act.groupoid
     keys = list(act.pairs())
     idx = {k: i for i, k in enumerate(keys)}
     if act.side == "right":
-        arrow_ids = tuple(f"({act.point_ids[p]};{g.arrow_ids[a]})" for p, a in keys)
         src = tuple(act.table[k] for k in keys)  # z·γ
         dst = tuple(k[0] for k in keys)  # z
         inv = tuple(idx[(act.table[k], g.inv[k[1]])] for k in keys)
         unit_arrow = tuple(idx[(p, g.unit_arrow[act.momentum[p]])] for p in range(act.n_points))
     else:
-        arrow_ids = tuple(f"({g.arrow_ids[a]};{act.point_ids[p]})" for a, p in keys)
         src = tuple(k[1] for k in keys)  # x
         dst = tuple(act.table[k] for k in keys)  # γ·x
         inv = tuple(idx[(g.inv[k[0]], act.table[k])] for k in keys)
         unit_arrow = tuple(idx[(g.unit_arrow[act.momentum[p]], p)] for p in range(act.n_points))
     comp = ActionComposition(act, keys, idx, src, dst)
-    tg = FiniteGroupoid(act.point_ids, arrow_ids, src, dst, comp, inv, unit_arrow)
+    tg = FiniteGroupoid(act.point_ids, ActionArrowIds(act, keys), src, dst, comp, inv, unit_arrow)
     return tg, idx
 
 
@@ -765,10 +791,16 @@ class ProperEvidence:
         return max(self.fibre_card.values(), default=0)
 
 
-def check_proper(g: FiniteGroupoid) -> ProperEvidence:
-    """The two-sided fibre sizes (only the nonempty fibres are stored)."""
-    ids = g.unit_ids
-    card = Counter((ids[g.dst[a]], ids[g.src[a]]) for a in range(g.n_arrows))
+def check_proper(x: FiniteGroupoid | GSpaceAction) -> ProperEvidence:
+    """The two-sided fibre sizes of an action groupoid, counted off the
+    action table with no groupoid built: (γ, x) of G⋉X runs x -> γ·x and
+    (x, γ) of X⋊G runs x·γ -> x.  A groupoid G is counted as its action
+    on its units, γ·s(γ) = r(γ), whose action groupoid has G's fibres.
+    Only the nonempty fibres are stored."""
+    if isinstance(x, FiniteGroupoid):
+        x = GSpaceAction("left", x, x.unit_ids, tuple(range(x.n_units)), {(a, u): x.dst[a] for a, u in enumerate(x.src)})
+    ids, right = x.point_ids, x.side == "right"
+    card = Counter((ids[key[0]], ids[q]) if right else (ids[q], ids[key[1]]) for key, q in x.table.items())
     return ProperEvidence(card)
 
 

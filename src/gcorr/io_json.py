@@ -7,14 +7,20 @@ a container of the wrong JSON type, an entry of the wrong arity) and all
 referential integrity problems, a key of an id-keyed table that names no
 id among them, raise ParseError with a path into the document; so does an
 object that lists a key twice.
+
+An instance file is written by `serialize_instance` straight from the
+integer tables, with the bytes of `json.dumps(indent=2, sort_keys=True)`
+and no document built in between; `canonical_json` writes the `--json`
+reports.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .correspondence import Correspondence, make_correspondence
 from .groupoids import (
@@ -359,44 +365,97 @@ def parse_instance(text: str, source: str = "<instance>", seen: Optional[list] =
 # serialization
 
 
-def _groupoid_doc(haar: HaarSystem) -> dict:
+def _container(open_: str, items: list[str], close: str, depth: int) -> str:
+    """A JSON container of the rendered `items`, each on its own line at
+    `depth` spaces, as `json.dumps(indent=2)` lays it out."""
+    if not items:
+        return open_ + close
+    inner = "\n" + " " * depth
+    return open_ + inner + ("," + inner).join(items) + "\n" + " " * (depth - 2) + close
+
+
+class _Ids(NamedTuple):
+    """The ids of one table, each JSON-encoded once (`text`); their
+    indices in `sort_keys` order (`order`); each index's place there."""
+
+    text: list[str]
+    order: list[int]
+    rank: list[int]
+
+
+def _ids_of(ids: Sequence[str]) -> _Ids:
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = [0] * len(ids)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return _Ids([_encode_str(i) for i in ids], order, rank)
+
+
+def _keyed(keys: _Ids, values: Sequence[str], depth: int) -> str:
+    """The object {id i of `keys`: values[i]}."""
+    return _container("{", [keys.text[i] + ": " + values[i] for i in keys.order], "}", depth)
+
+
+def _rows(table: Mapping, first: _Ids, second: _Ids, third: Sequence[str], depth: int) -> str:
+    """The entries (i, j) -> k of `table` as rows [first id i, second id
+    j, third[k]], in the order `sorted` gives the rows of raw ids: (i, j)
+    is unique, so its two ranks decide."""
+    r1, r2, n2 = first.rank, second.rank, len(second.rank)
+    keyed = sorted([(r1[i] * n2 + r2[j], i, j, k) for (i, j), k in table.items()])
+    t1, t2, item = first.text, second.text, "\n" + " " * (depth + 2)
+    template = f"[{item}%s,{item}%s,{item}%s\n{' ' * depth}]"
+    return _container("[", [template % (t1[i], t2[j], third[k]) for _, i, j, k in keyed], "]", depth)
+
+
+def _groupoid_text(haar: HaarSystem, u: _Ids, a: _Ids, weights: Callable) -> str:
+    """The groupoid of `haar` with its weights, given the `_Ids` of its
+    units `u` and of its arrows `a`."""
     g = haar.groupoid
-    return {
-        "units": list(g.unit_ids),
-        "arrows": list(g.arrow_ids),
-        "src": {g.arrow_ids[a]: g.unit_ids[g.src[a]] for a in range(g.n_arrows)},
-        "dst": {g.arrow_ids[a]: g.unit_ids[g.dst[a]] for a in range(g.n_arrows)},
-        "comp": sorted(
-            [g.arrow_ids[a], g.arrow_ids[b], g.arrow_ids[c]]
-            for (a, b), c in g.comp.items()
-        ),
-        "inv": {g.arrow_ids[a]: g.arrow_ids[g.inv[a]] for a in range(g.n_arrows)},
-        "unit_arrows": {g.unit_ids[u]: g.arrow_ids[g.unit_arrow[u]] for u in range(g.n_units)},
-        "haar": {g.arrow_ids[a]: format_scalar(haar.w(a)) for a in range(g.n_arrows)},
-    }
+    return _container("{", [
+        '"arrows": ' + _container("[", a.text, "]", 8),
+        '"comp": ' + _rows(g.comp, a, a, a.text, 8),
+        '"dst": ' + _keyed(a, [u.text[v] for v in g.dst], 8),
+        '"haar": ' + _keyed(a, weights(haar.family.weight), 8),
+        '"inv": ' + _keyed(a, [a.text[b] for b in g.inv], 8),
+        '"src": ' + _keyed(a, [u.text[v] for v in g.src], 8),
+        '"unit_arrows": ' + _keyed(u, [a.text[b] for b in g.unit_arrow], 8),
+        '"units": ' + _container("[", u.text, "]", 8),
+    ], "}", 6)
 
 
-def _action_doc(act: GSpaceAction) -> tuple[dict, list]:
-    g = act.groupoid
-    momentum = {act.point_ids[p]: g.unit_ids[act.momentum[p]] for p in range(act.n_points)}
-    if act.side == "left":
-        table = sorted(
-            [g.arrow_ids[a], act.point_ids[p], act.point_ids[q]]
-            for (a, p), q in act.table.items()
-        )
-    else:
-        table = sorted(
-            [act.point_ids[p], g.arrow_ids[a], act.point_ids[q]]
-            for (p, a), q in act.table.items()
-        )
-    return momentum, table
+def _correspondence_text(corr: Correspondence, names: tuple[str, str, str], units: dict, arrows: dict,
+                         weights: Callable) -> str:
+    """The correspondence `corr`, named and with its groupoids named by
+    `names`, given the `_Ids` of the groupoids by name."""
+    name, left, right = names
+    space = corr.space
+    points = _ids_of(space.point_ids)
+    space_text = _container("{", [
+        '"left_action": ' + _rows(space.left.table, arrows[left], points, points.text, 10),
+        '"left_momentum": ' + _keyed(points, [units[left].text[u] for u in space.left.momentum], 10),
+        '"points": ' + _container("[", points.text, "]", 10),
+        '"right_action": ' + _rows(space.right.table, points, arrows[right], points.text, 10),
+        '"right_momentum": ' + _keyed(points, [units[right].text[u] for u in space.right.momentum], 10),
+    ], "}", 8)
+    return _container("{", [
+        '"adjoining": ' + _rows(corr.left_tg_index, arrows[left], points, weights(corr.adjoining.value), 8),
+        '"family": ' + _keyed(points, weights(corr.family.weight), 8),
+        '"left": ' + _encode_str(left),
+        '"name": ' + _encode_str(name),
+        '"right": ' + _encode_str(right),
+        '"space": ' + space_text,
+    ], "}", 6)
 
 
 def serialize_instance(correspondences: list[tuple[str, Correspondence]]) -> str:
     """Canonical JSON text for a list of named correspondences.
 
     Shared groupoids are registered once (matched structurally), so a
-    chainable pair shows its middle groupoid a single time.
+    chainable pair shows its middle groupoid a single time.  The text is
+    rendered straight from the integer tables, with one template per row,
+    each id encoded once and each distinct weight formatted once; it is
+    byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` of
+    the nested document of those tables (`tests/conftest.instance_doc`).
     """
     registry: list[tuple[str, HaarSystem]] = []
 
@@ -408,48 +467,42 @@ def serialize_instance(correspondences: list[tuple[str, Correspondence]]) -> str
         registry.append((name, haar))
         return name
 
-    corr_docs = []
-    for name, corr in correspondences:
-        left_name = register(corr.left_haar)
-        right_name = register(corr.right_haar)
-        lmom, ltab = _action_doc(corr.space.left)
-        rmom, rtab = _action_doc(corr.space.right)
-        g = corr.left
-        adjoining = sorted(
-            [g.arrow_ids[a], corr.space.point_ids[p], format_scalar(corr.adjoining.value[k])]
-            for (a, p), k in corr.left_tg_index.items()
-        )
-        corr_docs.append(
-            {
-                "name": name,
-                "left": left_name,
-                "right": right_name,
-                "space": {
-                    "points": list(corr.space.point_ids),
-                    "left_momentum": lmom,
-                    "right_momentum": rmom,
-                    "left_action": ltab,
-                    "right_action": rtab,
-                },
-                "family": {
-                    corr.space.point_ids[p]: format_scalar(corr.family.weight[p])
-                    for p in range(corr.space.n_points)
-                },
-                "adjoining": adjoining,
-            }
-        )
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
-        "groupoids": {name: _groupoid_doc(h) for name, h in registry},
-        "correspondences": corr_docs,
-    }
-    return canonical_json(doc) + "\n"
+    formatted: dict = {}
+
+    def weights(values: Sequence) -> list[str]:
+        # 1, 1.0 and Fraction(1) hash alike but 1.0 is written 1.0, so the
+        # key holds the type; a Fraction is keyed by its integer ratio,
+        # which hashes faster than the Fraction itself
+        out = []
+        for w in values:
+            key = (type(w), w.as_integer_ratio() if type(w) is Fraction else w)
+            text = formatted.get(key)
+            if text is None:
+                text = formatted[key] = _canonical(format_scalar(w), 0)
+            out.append(text)
+        return out
+
+    names = [(name, register(corr.left_haar), register(corr.right_haar)) for name, corr in correspondences]
+    units = {name: _ids_of(h.groupoid.unit_ids) for name, h in registry}
+    arrows = {name: _ids_of(h.groupoid.arrow_ids) for name, h in registry}
+    corr_texts = [
+        _correspondence_text(corr, named, units, arrows, weights) for named, (_, corr) in zip(names, correspondences)
+    ]
+    groupoid_texts = [
+        _encode_str(name) + ": " + _groupoid_text(haar, units[name], arrows[name], weights)
+        for name, haar in sorted(registry, key=lambda entry: entry[0])
+    ]
+    return _container("{", [
+        '"correspondences": ' + _container("[", corr_texts, "]", 4),
+        '"format": ' + _encode_str(FORMAT),
+        '"groupoids": ' + _container("{", groupoid_texts, "}", 4),
+        '"version": ' + json.dumps(VERSION),
+    ], "}", 2) + "\n"
 
 
 def canonical_json(obj) -> str:
     """What `json.dumps` writes for `obj` with a 2-space indent and sorted
-    keys, byte for byte.
+    keys, byte for byte: the writer of the `--json` reports.
 
     With an indent, `json` leaves its C encoder for a pure-Python generator
     that yields one token at a time; this writer escapes strings with the C
@@ -457,17 +510,16 @@ def canonical_json(obj) -> str:
     string instead.  Lists and tuples are written alike, dict keys must be
     strings, and every other leaf goes to `json.dumps` itself.
     """
-    return _canonical(obj, "\n")
+    return _canonical(obj, 2)
 
 
-def _canonical(value, newline: str) -> str:
+def _canonical(value, depth: int) -> str:
+    """`value` as a member at `depth - 2` spaces, its own members at `depth`."""
     if type(value) is str:
         return _encode_str(value)
-    inner = newline + "  "
     if isinstance(value, dict):
-        items = [_encode_str(key) + ": " + _canonical(item, inner) for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+        items = [_encode_str(key) + ": " + _canonical(item, depth + 2) for key, item in sorted(value.items())]
+        return _container("{", items, "}", depth)
     if isinstance(value, (list, tuple)):
-        items = [_canonical(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+        return _container("[", [_canonical(item, depth + 2) for item in value], "]", depth)
     return json.dumps(value)

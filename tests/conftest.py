@@ -14,7 +14,7 @@ from gcorr.groupoids import Bispace, FiniteGroupoid, GSpaceAction, OrbitSpace, m
 from gcorr.measures import MeasureFamily, counting_haar, quotient_family, unit_measure
 from gcorr.randgen import random_pair
 from gcorr.report import Report
-from gcorr.util import adev, ksum
+from gcorr.util import adev, format_scalar, ksum
 
 
 @pytest.fixture
@@ -127,6 +127,91 @@ def z_bispace(res) -> Bispace:
         for a in x_left.groupoid.fibre_src[r_mom[z]]
     }
     return Bispace(GSpaceAction("left", x_left.groupoid, fp.point_ids, r_mom, table), res.z_right)
+
+
+def _groupoid_doc(haar) -> dict:
+    g = haar.groupoid
+    return {
+        "units": list(g.unit_ids),
+        "arrows": list(g.arrow_ids),
+        "src": {g.arrow_ids[a]: g.unit_ids[g.src[a]] for a in range(g.n_arrows)},
+        "dst": {g.arrow_ids[a]: g.unit_ids[g.dst[a]] for a in range(g.n_arrows)},
+        "comp": sorted(
+            [g.arrow_ids[a], g.arrow_ids[b], g.arrow_ids[c]]
+            for (a, b), c in g.comp.items()
+        ),
+        "inv": {g.arrow_ids[a]: g.arrow_ids[g.inv[a]] for a in range(g.n_arrows)},
+        "unit_arrows": {g.unit_ids[u]: g.arrow_ids[g.unit_arrow[u]] for u in range(g.n_units)},
+        "haar": {g.arrow_ids[a]: format_scalar(haar.w(a)) for a in range(g.n_arrows)},
+    }
+
+
+def _action_doc(act: GSpaceAction) -> tuple[dict, list]:
+    g = act.groupoid
+    momentum = {act.point_ids[p]: g.unit_ids[act.momentum[p]] for p in range(act.n_points)}
+    if act.side == "left":
+        table = sorted(
+            [g.arrow_ids[a], act.point_ids[p], act.point_ids[q]]
+            for (a, p), q in act.table.items()
+        )
+    else:
+        table = sorted(
+            [act.point_ids[p], g.arrow_ids[a], act.point_ids[q]]
+            for (p, a), q in act.table.items()
+        )
+    return momentum, table
+
+
+def instance_doc(correspondences) -> dict:
+    """The nested document of named correspondences that
+    `io_json.serialize_instance` renders: its oracle is
+    `json.dumps(instance_doc(...), indent=2, sort_keys=True) + "\\n"`."""
+    registry = []
+
+    def register(haar) -> str:
+        for name, known in registry:
+            if known == haar:
+                return name
+        name = f"G{len(registry)}"
+        registry.append((name, haar))
+        return name
+
+    corr_docs = []
+    for name, corr in correspondences:
+        left_name = register(corr.left_haar)
+        right_name = register(corr.right_haar)
+        lmom, ltab = _action_doc(corr.space.left)
+        rmom, rtab = _action_doc(corr.space.right)
+        g = corr.left
+        adjoining = sorted(
+            [g.arrow_ids[a], corr.space.point_ids[p], format_scalar(corr.adjoining.value[k])]
+            for (a, p), k in corr.left_tg_index.items()
+        )
+        corr_docs.append(
+            {
+                "name": name,
+                "left": left_name,
+                "right": right_name,
+                "space": {
+                    "points": list(corr.space.point_ids),
+                    "left_momentum": lmom,
+                    "right_momentum": rmom,
+                    "left_action": ltab,
+                    "right_action": rtab,
+                },
+                "family": {
+                    corr.space.point_ids[p]: format_scalar(corr.family.weight[p])
+                    for p in range(corr.space.n_points)
+                },
+                "adjoining": adjoining,
+            }
+        )
+    return {
+        "format": "gcorr",
+        "version": 1,
+        "groupoids": {name: _groupoid_doc(h) for name, h in registry},
+        "correspondences": corr_docs,
+    }
 
 
 def max_residual(report: Report) -> float:

@@ -129,6 +129,19 @@ class TestValidate:
         assert [c.name for c in failures] == ["adjoining_cocycle"]
         assert failures[0].residual == pytest.approx(1e-12)
 
+    @pytest.mark.parametrize("name", ["ladder-5", "induction-finite", "mix-3"])
+    def test_builds_no_transformation_groupoid(self, name, monkeypatch):
+        """The properness note is counted off the right action table."""
+        from gcorr import correspondence, groupoids
+
+        corr_x, corr_y = ladder_pair(5) if name == "ladder-5" else pair_45(name)
+        built = []
+        for module in (groupoids, correspondence):
+            monkeypatch.setattr(module, "transformation_groupoid", lambda act: built.append(act))
+        for corr in (corr_x, corr_y):
+            assert gc.validate(corr).passed
+        assert built == []
+
     def test_dense_identity_oracle(self):
         corr = translation_correspondence(lam=(1, 3))
         rng = SplitMix64(3)

@@ -943,6 +943,24 @@ class TestRandomTrials:
         assert gram.isometry_witness.startswith("random tensor pair (trial ")
         assert verify_theorem(corr_x, corr_y, res, trials=0, seed=0).isometry_ok
 
+    @pytest.mark.parametrize("trials", [200, 0])
+    def test_sqrt_adjoining_tamper_off_the_lifts_needs_the_trials(self, trials, monkeypatch):
+        """The smallest tamper of the 45 pairs that only the trials catch:
+        on exact `subgroup`, X's √Δ doubled at its last key off the
+        identities.  That arrow of G₁ is no generator, so the intertwining
+        checks on S₁ × Z never read it; the left action of a trial does."""
+        corr_x, corr_y, _ = catalog.example_pair("subgroup")
+        res = compose(corr_x, corr_y)
+        g1, sqrt_adj = corr_x.left, dict(corr_x.sqrt_adjoining)
+        key = [(a, x) for a, x in sqrt_adj if g1.unit_arrow[g1.src[a]] != a][-1]
+        assert key[0] not in g1.generators
+        sqrt_adj[key] *= 2
+        monkeypatch.setitem(vars(corr_x), "sqrt_adjoining", sqrt_adj)
+        gram = verify_theorem(corr_x, corr_y, res, trials=trials, seed=0)
+        assert gram.isometry_ok and gram.intertwining_ok == (trials == 0)
+        if trials:
+            assert gram.intertwining_witness.startswith("random algebra element (trial ")
+
 
 # ---------------------------------------------------------------------------
 # scale-relative, NaN-safe deviations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,15 @@ from gcorr.groupoids import (
     groupoid_violations,
     make_action,
 )
+from gcorr.composition import compose
 from gcorr.randgen import SplitMix64, random_groupoid, random_pair
 from tests.conftest import (
     MIX_CAPS,
+    PAIRS_45,
     coset_ladder_pair,
     is_unit_arrow,
     ladder_pair,
+    pair_45,
     translation_action,
     union_find_orbits,
     unit_action,
@@ -189,6 +193,26 @@ class TestTransformationGroupoid:
             assert key not in tg.comp and tg.comp.get(key) is None
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_arrow_ids_read_like_the_tuple_of_formatted_ids(self, z3, side):
+        act = translation_action(side, z3)
+        tg, idx = gc.transformation_groupoid(act)
+        pids, aids = act.point_ids, z3.arrow_ids
+        if side == "right":
+            ids = tuple(f"({pids[p]};{aids[a]})" for p, a in idx)
+        else:
+            ids = tuple(f"({aids[a]};{pids[p]})" for a, p in idx)
+        assert len(tg.arrow_ids) == tg.n_arrows == len(ids) == 9
+        assert tg.arrow_ids == ids and ids == tg.arrow_ids and not tg.arrow_ids != ids
+        assert tg.arrow_ids != ids[:-1] and tg.arrow_ids != list(ids)
+        assert tuple(tg.arrow_ids) == ids and [tg.arrow_ids[k] for k in (0, 4, -1)] == [ids[0], ids[4], ids[-1]]
+        assert all(tg.arrow_index(i) == k for k, i in enumerate(ids))
+        assert ids[5] in tg.arrow_ids and "(g9;g9)" not in tg.arrow_ids
+        assert gc.transformation_groupoid(act)[0].arrow_ids == tg.arrow_ids
+        with pytest.raises(IndexError):
+            tg.arrow_ids[9]
+
+
 class TestCheckProper:
     def test_pair_groupoid_fibres(self, pair2):
         ev = gc.check_proper(pair2)
@@ -210,6 +234,22 @@ class TestCheckProper:
                 1 for a in range(g.n_arrows) if g.dst[a] == u and g.src[a] == v
             )
             assert ev.fibre_card[(g.unit_ids[u], g.unit_ids[v])] == count
+
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_action_counted_off_its_table_equals_its_action_groupoid(self, name):
+        """`check_proper` of an action equals, fibre for fibre, that of its
+        action groupoid, recounted arrow by arrow, and `validate` notes the
+        right action's largest fibre, on both actions of X, Y and the
+        composite."""
+        corr_x, corr_y = pair_45(name)
+        for corr in (corr_x, corr_y, compose(corr_x, corr_y).composite):
+            for act in (corr.space.left, corr.space.right):
+                tg, _ = gc.transformation_groupoid(act)
+                ids = tg.unit_ids
+                oracle = Counter((ids[tg.dst[a]], ids[tg.src[a]]) for a in range(tg.n_arrows))
+                assert gc.check_proper(act).fibre_card == oracle == gc.check_proper(tg).fibre_card
+            max_card = gc.check_proper(gc.transformation_groupoid(corr.space.right)[0]).max_card
+            assert gc.validate(corr).notes["properness_max_fibre"] == max_card
 
 
 class TestFibreProduct:

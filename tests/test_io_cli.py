@@ -3,22 +3,27 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcorr as gc
 from gcorr import catalog, cli, groupoids, measures
+from gcorr.composition import compose
 from gcorr.io_json import ParseError, canonical_json, parse_instance, serialize_instance
+from gcorr.measures import MeasureFamily
 from gcorr.randgen import random_pair
 from gcorr.util import format_scalar, parse_scalar
-from tests.conftest import PAIRS_45, ladder_pair, pair_45
+from tests.conftest import PAIRS_45, instance_doc, ladder_pair, pair_45, scaled_family
 
 
 @pytest.fixture
@@ -104,6 +109,87 @@ class TestRoundTrip:
             parse_instance('{"format": "gcorr", "version": 99, "groupoids": {}}')
         with pytest.raises(ParseError, match=":1:"):
             parse_instance("{oops")
+
+
+def _oracle_text(correspondences) -> str:
+    return json.dumps(instance_doc(correspondences), indent=2, sort_keys=True) + "\n"
+
+
+class TestWriterOracle:
+    """`serialize_instance` writes the bytes of `json.dumps(indent=2,
+    sort_keys=True)` for the nested document of the tables
+    (`tests.conftest.instance_doc`), which it never builds."""
+
+    @pytest.mark.parametrize("name", PAIRS_45)
+    def test_pairs_and_composites_exact_and_float(self, name):
+        corr_x, corr_y = pair_45(name)
+        for scale, exact in ((1, True), (1, False), (F(10**9), False), (F(1, 10**9), False)):
+            x, y = (corr_x, corr_y) if exact else (scaled_family(c, scale, exact=False) for c in (corr_x, corr_y))
+            composite = compose(x, y).composite
+            for corrs in ([("composite", composite)], [("x", x)], [("y", y)], [("x", x), ("y", y)]):
+                assert serialize_instance(corrs) == _oracle_text(corrs)
+
+    def test_a_float_weight_in_an_exact_document(self):
+        corr_x, _, _ = catalog.example_pair("quiver")
+        doc = json.loads(serialize_instance([("x", corr_x)]))
+        doc["correspondences"][0]["family"]["q1"] = 0.5
+        corrs = parse_instance(json.dumps(doc)).correspondences
+        text = serialize_instance(corrs)
+        assert text == _oracle_text(corrs)
+        assert '"q1": 0.5,' in text and '"q2": "3",' in text
+
+    def test_one_exact_and_one_float_one_in_a_family(self):
+        """1.0 and Fraction(1) hash alike; each is written as itself."""
+        _, corr_y = ladder_pair(2)
+        fam = corr_y.family
+        family = MeasureFamily(fam.total_ids, fam.base_ids, fam.along, (F(1), 1.0))
+        corr = gc.make_correspondence(corr_y.left_haar, corr_y.right_haar, corr_y.space, family)
+        assert {type(v) for v in corr.adjoining.value} == {F, float}
+        text = serialize_instance([("y", corr)])
+        assert text == _oracle_text([("y", corr)])
+        assert '"y0": "1",' in text and '"y1": 1.0\n' in text
+
+    def test_groupoid_names_in_sort_keys_order(self):
+        corrs = [(f"x{n}", ladder_pair(n)[0]) for n in range(1, 12)]
+        text = serialize_instance(corrs)
+        assert text == _oracle_text(corrs)
+        assert len(json.loads(text)["groupoids"]) == 11
+        assert text.index('"G10": {') < text.index('"G2": {')
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _bench_spans_files(directory, monkeypatch):
+    """The benchmark's spans pair at its self-test size."""
+    spec = importlib.util.spec_from_file_location("gcorr_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    (case,) = module.spans_files(directory, seed=0, **module.TINY["spans-wide"])
+    return case.x, case.y
+
+
+class TestArrowIdsOnDemand:
+    """Commands whose every line passes on exact data format no arrow id
+    of an action groupoid: only a witness, `arrow_index` or `==` reads
+    one."""
+
+    @pytest.mark.parametrize("pair", ["ladder-6", "spans"])
+    def test_passing_compose_and_verify_format_none(self, pair, tmp_path, monkeypatch):
+        if pair == "spans":
+            x, y = _bench_spans_files(tmp_path, monkeypatch)
+        else:
+            x, y = tmp_path / "x.json", tmp_path / "y.json"
+            for path, leg, corr in zip((x, y), "xy", ladder_pair(6)):
+                path.write_text(serialize_instance([(leg, corr)]))
+        read = []
+        original = groupoids.ActionArrowIds.__getitem__
+        monkeypatch.setattr(groupoids.ActionArrowIds, "__getitem__", lambda ids, k: read.append(k) or original(ids, k))
+        for argv in (["compose", str(x), str(y), str(tmp_path / "out.json")],
+                     ["verify", str(x), str(y), "--trials", "20"]):
+            assert _run(argv)[0] == 0
+        assert read == []
 
 
 class TestCliValidate:
@@ -884,7 +970,10 @@ class TestMutatedPairsNeverRaise:
     """A seeded fuzz: structural mutations and repeated keys in either
     document of each of the 45 pairs.  Every command exits with one of its
     codes and prints no traceback; a repeated key is a parse error at its
-    path."""
+    path; and a structural mutant that `validate` passes is its original
+    up to the defaults of an instance file: it re-serializes to the
+    original's bytes, with a dropped `name` given back.  A re-weighted
+    document is a different instance, so it may pass as itself."""
 
     MUTANTS = 8
     KINDS = ("drop", "rename", "retype", "arity", "nonfinite", "repeat", "reweight")
@@ -922,6 +1011,16 @@ class TestMutatedPairsNeverRaise:
                 if kind == "repeat":
                     repeated = _doc_path(files[leg], keys + (next(iter(_at(doc, keys))),))
                     assert (code, err) == (1, f"parse error: {repeated}: repeated key\n")
+                if argv[0] == "validate" and code == 0 and kind != "reweight":
+                    assert _reserialized(text, leg) == originals[leg], kind
+
+
+def _reserialized(text, original_name):
+    """The instance file `text` re-serialized; a correspondence parsed
+    under its default name is written under `original_name`."""
+    docs = json.loads(text)["correspondences"]
+    corrs = parse_instance(text).correspondences
+    return serialize_instance([(name if "name" in doc else original_name, corr) for doc, (name, corr) in zip(docs, corrs)])
 
 
 def _is_scalar(text):
