@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ EXIT_THEOREM = 3
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(io_json.canonical_json(report.to_json()))
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.render())
 

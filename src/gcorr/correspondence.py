@@ -277,18 +277,13 @@ def from_span(
     left_momentum: dict[str, str],
     right_momentum: dict[str, str],
     weights: Optional[dict[str, Scalar]] = None,
-    left_haar: Optional[HaarSystem] = None,
-    right_haar: Optional[HaarSystem] = None,
 ) -> Correspondence:
     """A correspondence between two spaces viewed as units-only groupoids.
 
     The data is just a span of finite sets  left <- space -> right  with a
     positive weight family along the right leg (point masses by default).
     """
-    gl = left_haar.groupoid if left_haar else units_only_groupoid(left_units)
-    gr = right_haar.groupoid if right_haar else units_only_groupoid(right_units)
-    left_haar = left_haar or counting_haar(gl)
-    right_haar = right_haar or counting_haar(gr)
+    gl, gr = units_only_groupoid(left_units), units_only_groupoid(right_units)
     lm = tuple(gl.unit_index(left_momentum[p]) for p in space_ids)
     rm = tuple(gr.unit_index(right_momentum[p]) for p in space_ids)
     space = make_bispace(
@@ -297,7 +292,7 @@ def from_span(
     )
     w = tuple(ONE if weights is None else weights[p] for p in space_ids)
     fam = MeasureFamily(tuple(space_ids), gr.unit_ids, rm, w)
-    return make_correspondence(left_haar, right_haar, space, fam)
+    return make_correspondence(counting_haar(gl), counting_haar(gr), space, fam)
 
 
 def from_map(x_ids: Sequence[str], y_ids: Sequence[str], f: dict[str, str]) -> Correspondence:
@@ -334,34 +329,34 @@ def check_group_hom(h: FiniteGroupoid, g: FiniteGroupoid, phi: dict[str, str]) -
     return idx
 
 
-def from_group_hom(
-    h: FiniteGroupoid,
-    g: FiniteGroupoid,
-    phi: dict[str, str],
-    h_haar: Optional[HaarSystem] = None,
-    g_haar: Optional[HaarSystem] = None,
+def _bimodule(
+    g: FiniteGroupoid, h: FiniteGroupoid, phi: Sequence[int], k: FiniteGroupoid, psi: Sequence[int]
 ) -> Correspondence:
-    """The correspondence of a group homomorphism φ: H -> G.
-
-    H translates on the group G through φ from the left, G from the right;
-    the family is counting (finite groups are unimodular, so the inverted
-    Haar measure is counting again and the adjoining cocycle derives to 1).
-    """
-    idx = check_group_hom(h, g, phi)
-    h_haar = h_haar or counting_haar(h)
-    g_haar = g_haar or counting_haar(g)
+    """The group G as an H-K bimodule through the arrow-index maps φ: H -> G
+    and ψ: K -> G, h·x·k = φ(h)∘x∘ψ(k), with counting weights and Haar
+    systems; the adjoining cocycle derives to 1."""
     pts = g.arrow_ids
+    n = len(pts)
     left = make_action(
-        "left", h, pts, (0,) * len(pts),
-        {(a, p): g.comp[(idx[a], p)] for a in range(h.n_arrows) for p in range(len(pts))},
+        "left", h, pts, (0,) * n,
+        {(a, p): g.comp[(phi[a], p)] for a in range(h.n_arrows) for p in range(n)},
     )
     right = make_action(
-        "right", g, pts, (0,) * len(pts),
-        {(p, b): g.comp[(p, b)] for p in range(len(pts)) for b in range(g.n_arrows)},
+        "right", k, pts, (0,) * n,
+        {(p, b): g.comp[(p, psi[b])] for p in range(n) for b in range(k.n_arrows)},
     )
-    space = make_bispace(left, right)
-    fam = MeasureFamily(pts, g.unit_ids, (0,) * len(pts), (ONE,) * len(pts))
-    return make_correspondence(h_haar, g_haar, space, fam)
+    fam = MeasureFamily(pts, k.unit_ids, (0,) * n, (ONE,) * n)
+    return make_correspondence(counting_haar(h), counting_haar(k), make_bispace(left, right), fam)
+
+
+def from_group_hom(h: FiniteGroupoid, g: FiniteGroupoid, phi: dict[str, str]) -> Correspondence:
+    """The correspondence of a group homomorphism φ: H -> G.
+
+    G as an H-G bimodule: H translates on it through φ from the left, G
+    from the right; counting family and Haar systems (finite groups are
+    unimodular, so the adjoining cocycle derives to 1).
+    """
+    return _bimodule(g, h, check_group_hom(h, g, phi), g, range(g.n_arrows))
 
 
 def subgroup_groupoid(g: FiniteGroupoid, elements: Sequence[str]) -> tuple[FiniteGroupoid, dict[str, str]]:
@@ -391,30 +386,15 @@ def subgroup_groupoid(g: FiniteGroupoid, elements: Sequence[str]) -> tuple[Finit
     return group_groupoid(names, mult, ident), {a: a for a in names}
 
 
+def _inclusion(g: FiniteGroupoid, elements: Sequence[str]) -> tuple[FiniteGroupoid, list[int]]:
+    """The subgroup on `elements` with its inclusion as an arrow-index map."""
+    sub, _ = subgroup_groupoid(g, elements)
+    return sub, [g.arrow_index(a) for a in sub.arrow_ids]
+
+
 def regular_bimodule(g: FiniteGroupoid, left_sub: Sequence[str], right_sub: Sequence[str]) -> Correspondence:
     """G as a bimodule over two subgroups: left_sub·x·right_sub, counting weights."""
-    hg, _ = subgroup_groupoid(g, left_sub)
-    kg, _ = subgroup_groupoid(g, right_sub)
-    pts = g.arrow_ids
-    left = make_action(
-        "left", hg, pts, (0,) * len(pts),
-        {
-            (a, p): g.comp[(g.arrow_index(hg.arrow_ids[a]), p)]
-            for a in range(hg.n_arrows)
-            for p in range(len(pts))
-        },
-    )
-    right = make_action(
-        "right", kg, pts, (0,) * len(pts),
-        {
-            (p, b): g.comp[(p, g.arrow_index(kg.arrow_ids[b]))]
-            for p in range(len(pts))
-            for b in range(kg.n_arrows)
-        },
-    )
-    space = make_bispace(left, right)
-    fam = MeasureFamily(pts, kg.unit_ids, (0,) * len(pts), (ONE,) * len(pts))
-    return make_correspondence(counting_haar(hg), counting_haar(kg), space, fam)
+    return _bimodule(g, *_inclusion(g, left_sub), *_inclusion(g, right_sub))
 
 
 def induction_instance(
@@ -422,23 +402,4 @@ def induction_instance(
 ) -> tuple[Correspondence, Correspondence]:
     """The two subgroup correspondences (H -> G on G, then G -> K on G)."""
     hg, incl_h = subgroup_groupoid(g, h_elements)
-    kg, _ = subgroup_groupoid(g, k_elements)
-    first = from_group_hom(hg, g, incl_h)
-
-    pts = g.arrow_ids
-    left = make_action(
-        "left", g, pts, (0,) * len(pts),
-        {(a, p): g.comp[(a, p)] for a in range(g.n_arrows) for p in range(len(pts))},
-    )
-    right = make_action(
-        "right", kg, pts, (0,) * len(pts),
-        {
-            (p, b): g.comp[(p, g.arrow_index(kg.arrow_ids[b]))]
-            for p in range(len(pts))
-            for b in range(kg.n_arrows)
-        },
-    )
-    space = make_bispace(left, right)
-    fam = MeasureFamily(pts, kg.unit_ids, (0,) * len(pts), (ONE,) * len(pts))
-    second = make_correspondence(counting_haar(g), counting_haar(kg), space, fam)
-    return first, second
+    return from_group_hom(hg, g, incl_h), _bimodule(g, g, range(g.n_arrows), *_inclusion(g, k_elements))

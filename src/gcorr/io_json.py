@@ -10,8 +10,10 @@ object that lists a key twice.
 
 An instance file is written by `serialize_instance` straight from the
 integer tables, with the bytes of `json.dumps(indent=2, sort_keys=True)`
-and no document built in between; `canonical_json` writes the `--json`
-reports.
+and no document built in between.  A table row whose key, (a, b) in
+`comp`, (a, p) in `left_action` and `adjoining` or (p, a) in
+`right_action`, repeats an earlier row's key is a ParseError at its
+entry, naming the earlier one, as a repeated object key is.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ def _parse_groupoid(doc, path: str, scalars: dict) -> HaarSystem:
     _expect(doc, dict, path)
     arrows = _ids(_need(doc, "arrows", path), f"{path}.arrows")
     comp = _triples(_need(doc, "comp", path), f"{path}.comp")
+    if len({(entry[0], entry[1]) for entry in comp}) < len(comp):
+        raise _repeated_row(comp, f"{path}.comp", 3)
     unit_arrows = doc.get("unit_arrows")
     try:
         from .groupoids import build_groupoid
@@ -175,6 +179,17 @@ def _bad_entry(entries: list, path: str, n_ids: int, k: int, message: str) -> Pa
     return ParseError(f"{path}[{k}]", message)
 
 
+def _repeated_row(entries: list, path: str, n_ids: int) -> ParseError:
+    """The error of the first entry whose key, its first two ids, repeats
+    an earlier entry's, naming that earlier entry, as `_bad_entry` reports
+    it.  Every entry before it is a well-formed row."""
+    first: dict = {}
+    for k, entry in enumerate(entries):
+        j = first.setdefault((entry[0], entry[1]), k)
+        if j != k:
+            return _bad_entry(entries, path, n_ids, k, f"repeats the key of entry {j}")
+
+
 def _parse_action(side, haar, points, p_idx, space_doc, space_path) -> GSpaceAction:
     """The `side` action of the space document at `space_path`: its
     `{side}_momentum` and `{side}_action` tables."""
@@ -203,6 +218,8 @@ def _parse_action(side, haar, points, p_idx, space_doc, space_path) -> GSpaceAct
                 table[(p_idx[p], arrows[a])] = p_idx[q]
         except (KeyError, TypeError, ValueError):  # an unknown, unhashable or missing id
             raise _bad_entry(entries, path, 3, k, f"unknown id in {entry}") from None
+    if len(table) < len(entries):
+        raise _repeated_row(entries, path, 3)
     try:
         return make_action(side, g, tuple(points), momentum, table)
     except GroupoidAxiomError as exc:
@@ -256,6 +273,8 @@ def _parse_correspondence(idx, doc, groupoids, path, scalars: dict) -> tuple[str
                 raise _bad_entry(entries, adj_path, 2, k, f"unknown id in {entry}") from None
             if t is None:
                 raise _bad_entry(entries, adj_path, 2, k, "pair is not composable")
+            if values[t] is not None:
+                raise _repeated_row(entries, adj_path, 2)
             try:
                 values[t] = _scalar(raw, scalars)
             except (ValueError, ZeroDivisionError) as exc:
@@ -478,7 +497,7 @@ def serialize_instance(correspondences: list[tuple[str, Correspondence]]) -> str
             key = (type(w), w.as_integer_ratio() if type(w) is Fraction else w)
             text = formatted.get(key)
             if text is None:
-                text = formatted[key] = _canonical(format_scalar(w), 0)
+                text = formatted[key] = json.dumps(format_scalar(w))
             out.append(text)
         return out
 
@@ -498,28 +517,3 @@ def serialize_instance(correspondences: list[tuple[str, Correspondence]]) -> str
         '"groupoids": ' + _container("{", groupoid_texts, "}", 4),
         '"version": ' + json.dumps(VERSION),
     ], "}", 2) + "\n"
-
-
-def canonical_json(obj) -> str:
-    """What `json.dumps` writes for `obj` with a 2-space indent and sorted
-    keys, byte for byte: the writer of the `--json` reports.
-
-    With an indent, `json` leaves its C encoder for a pure-Python generator
-    that yields one token at a time; this writer escapes strings with the C
-    `encode_basestring_ascii` and joins each container's items into one
-    string instead.  Lists and tuples are written alike, dict keys must be
-    strings, and every other leaf goes to `json.dumps` itself.
-    """
-    return _canonical(obj, 2)
-
-
-def _canonical(value, depth: int) -> str:
-    """`value` as a member at `depth - 2` spaces, its own members at `depth`."""
-    if type(value) is str:
-        return _encode_str(value)
-    if isinstance(value, dict):
-        items = [_encode_str(key) + ": " + _canonical(item, depth + 2) for key, item in sorted(value.items())]
-        return _container("{", items, "}", depth)
-    if isinstance(value, (list, tuple)):
-        return _container("[", [_canonical(item, depth + 2) for item in value], "]", depth)
-    return json.dumps(value)

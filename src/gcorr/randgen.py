@@ -14,6 +14,9 @@ a + next() mod (b - a + 1).
 Random groupoids are disjoint unions of transformation groupoids of finite
 group actions on coset spaces; Haar systems carry random positive rational
 weights; measure families are made right-invariant by orbit averaging.
+Both legs of a random pair come from one bispace builder,
+`random_bispace`, anchored on the left at any unit of G₁ for X and at the
+units of s_X's image for Y.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .util import ksum
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+MAX_Z = 400  # the most fibre-product points a random pair may have
 
 
 class SplitMix64:
@@ -127,24 +132,26 @@ def random_subgroup(rng: SplitMix64, g: FiniteGroupoid) -> list[int]:
     return _closure(g, seeds)
 
 
+def _classes(fibre, combine, sub):
+    """The classes {combine(a, k) : k in sub} of the arrows a of `fibre`:
+    their smallest members in order, and each arrow's smallest class-mate."""
+    reps: dict[int, int] = {}
+    for a in fibre:
+        if a not in reps:
+            members = sorted(combine(a, k) for k in sub)
+            for m in members:
+                reps[m] = members[0]
+    return sorted(set(reps.values())), reps
+
+
 def coset_action(g: FiniteGroupoid, subgroup: Sequence[int], tag: str) -> GSpaceAction:
-    """Right translation of a one-unit groupoid on the cosets K\\g."""
-    cosets: list[tuple[int, ...]] = []
-    seen: dict[int, int] = {}
-    for a in range(g.n_arrows):
-        if a in seen:
-            continue
-        members = tuple(sorted(g.comp[(k, a)] for k in subgroup))
-        for mbr in members:
-            seen[mbr] = len(cosets)
-        cosets.append(members)
-    ids = tuple(f"{tag}c{i}" for i in range(len(cosets)))
-    table = {
-        (p, a): seen[g.comp[(cosets[p][0], a)]]
-        for p in range(len(cosets))
-        for a in range(g.n_arrows)
-    }
-    return make_action("right", g, ids, (0,) * len(cosets), table)
+    """Right translation of a one-unit groupoid on the cosets K\\g, in the
+    order of their smallest arrows."""
+    reps, rep = _classes(range(g.n_arrows), lambda a, k: g.comp[(k, a)], subgroup)
+    coset = {r: i for i, r in enumerate(reps)}
+    ids = tuple(f"{tag}c{i}" for i in range(len(reps)))
+    table = {(p, a): coset[rep[g.comp[(r, a)]]] for p, r in enumerate(reps) for a in range(g.n_arrows)}
+    return make_action("right", g, ids, (0,) * len(reps), table)
 
 
 def random_groupoid(rng: SplitMix64, max_arrows: int = 24, max_order: int = 6) -> FiniteGroupoid:
@@ -206,16 +213,6 @@ class _Piece:
     rrep: dict[int, int]  # arrow into v -> its class representative
 
 
-def _classes(fibre, combine, sub):
-    reps: dict[int, int] = {}
-    for a in fibre:
-        if a not in reps:
-            members = sorted(combine(a, k) for k in sub)
-            for m in members:
-                reps[m] = members[0]
-    return sorted(set(reps.values())), reps
-
-
 def _fibre_piece(
     g_left: FiniteGroupoid,
     g_right: FiniteGroupoid,
@@ -245,39 +242,23 @@ def _fibre_piece(
 def _assemble_bispace(
     g_left: FiniteGroupoid, g_right: FiniteGroupoid, pieces: list[_Piece]
 ) -> Bispace:
-    ids: list[str] = []
-    pts: list[tuple[int, int]] = []
-    piece_of: list[int] = []
-    lmoms: list[int] = []
-    rmoms: list[int] = []
-    for pc, piece in enumerate(pieces):
-        ids += list(piece.ids)
-        pts += piece.pts
-        piece_of += [pc] * len(piece.pts)
-        lmoms += list(piece.lmom)
-        rmoms += list(piece.rmom)
-    index = {(piece_of[k], pts[k][0], pts[k][1]): k for k in range(len(pts))}
+    rows = [(pc, a, b) for pc, piece in enumerate(pieces) for a, b in piece.pts]
+    index = {row: k for k, row in enumerate(rows)}
+    ids = tuple(i for piece in pieces for i in piece.ids)
+    lmoms = tuple(u for piece in pieces for u in piece.lmom)
+    rmoms = tuple(v for piece in pieces for v in piece.rmom)
     left_table = {}
     right_table = {}
-    for k, (a, b) in enumerate(pts):
-        piece = pieces[piece_of[k]]
+    for k, (pc, a, b) in enumerate(rows):
+        piece = pieces[pc]
         for c in g_left.fibre_src[lmoms[k]]:
-            left_table[(c, k)] = index[(piece_of[k], piece.lrep[g_left.comp[(c, a)]], b)]
+            left_table[(c, k)] = index[(pc, piece.lrep[g_left.comp[(c, a)]], b)]
         for c in g_right.fibre_dst[rmoms[k]]:
-            right_table[(k, c)] = index[(piece_of[k], a, piece.rrep[g_right.comp[(b, c)]])]
+            right_table[(k, c)] = index[(pc, a, piece.rrep[g_right.comp[(b, c)]])]
     return make_bispace(
-        make_action("left", g_left, tuple(ids), tuple(lmoms), left_table),
-        make_action("right", g_right, tuple(ids), tuple(rmoms), right_table),
+        make_action("left", g_left, ids, lmoms, left_table),
+        make_action("right", g_right, ids, rmoms, right_table),
     )
-
-
-def _random_piece(
-    rng: SplitMix64, g_left: FiniteGroupoid, g_right: FiniteGroupoid, u: int, v: int, tag: str
-) -> _Piece:
-    # half of the pieces quotient a leg by a random isotropy subgroup
-    lsub = _isotropy_subgroup(rng, g_left, u) if rng.randint(0, 1) else None
-    rsub = _isotropy_subgroup(rng, g_right, v) if rng.randint(0, 1) else None
-    return _fibre_piece(g_left, g_right, u, v, tag, lsub, rsub)
 
 
 def random_bispace(
@@ -285,30 +266,28 @@ def random_bispace(
     g_left: FiniteGroupoid,
     g_right: FiniteGroupoid,
     max_points: int,
-    right_anchor_units: Optional[Sequence[int]] = None,
-) -> tuple[Bispace, list[int]]:
-    """A union of two-sided coset pieces; returns the bispace and the right
-    anchor units used (so a partner space can be made to meet it)."""
+    left_units: Sequence[int],
+) -> Bispace:
+    """A union of 1-3 two-sided coset pieces, each anchored on the left at a
+    unit drawn from `left_units` and on the right at any unit.  The piece
+    out of u has left momenta covering the orbit of u, so anchoring on units
+    that a partner meets guarantees a nonempty fibre product."""
     pieces: list[_Piece] = []
-    anchors: list[int] = []
     total = 0
     for i in range(rng.randint(1, 3)):
-        u = rng.randint(0, g_left.n_units - 1)
-        if right_anchor_units:
-            v = rng.choice(list(right_anchor_units))
-        else:
-            v = rng.randint(0, g_right.n_units - 1)
-        piece = _random_piece(rng, g_left, g_right, u, v, f"{i}.")
+        u = rng.choice(left_units)
+        v = rng.randint(0, g_right.n_units - 1)
+        # half of the pieces quotient a leg by a random isotropy subgroup
+        lsub = _isotropy_subgroup(rng, g_left, u) if rng.randint(0, 1) else None
+        rsub = _isotropy_subgroup(rng, g_right, v) if rng.randint(0, 1) else None
+        piece = _fibre_piece(g_left, g_right, u, v, f"{i}.", lsub, rsub)
         if not piece.pts or total + len(piece.pts) > max_points:
             continue
-        anchors.append(v)
         pieces.append(piece)
         total += len(piece.pts)
     if not pieces:  # guarantee at least one piece
-        v = right_anchor_units[0] if right_anchor_units else 0
-        pieces = [_fibre_piece(g_left, g_right, 0, v, "0.")]
-        anchors = [v]
-    return _assemble_bispace(g_left, g_right, pieces), anchors
+        pieces = [_fibre_piece(g_left, g_right, left_units[0], 0, "0.")]
+    return _assemble_bispace(g_left, g_right, pieces)
 
 
 def orbit_averaged_family(
@@ -327,31 +306,17 @@ def orbit_averaged_family(
     return MeasureFamily(space.point_ids, base.unit_ids, space.right.momentum, tuple(weight))
 
 
-def random_correspondence(
-    rng: SplitMix64,
-    left_haar: HaarSystem,
-    right_haar: HaarSystem,
-    max_points: int,
-    right_anchor_units: Optional[Sequence[int]] = None,
-    check: bool = True,
-) -> tuple[Correspondence, list[int]]:
-    space, anchors = random_bispace(
-        rng, left_haar.groupoid, right_haar.groupoid, max_points, right_anchor_units
-    )
-    fam = orbit_averaged_family(rng, space, right_haar.groupoid)
-    return make_correspondence(left_haar, right_haar, space, fam, check=check), anchors
-
-
 def random_pair(
     seed: int,
     max_x: int = 16,
     max_y: int = 16,
     max_mid: int = 8,
     max_outer: int = 8,
-    max_z: int = 400,
     check: bool = True,
 ) -> tuple[Correspondence, Correspondence]:
-    """A seeded chainable pair of correspondences with nonempty composite."""
+    """A seeded chainable pair of correspondences with nonempty composite
+    of at most `MAX_Z` points.  X's pieces are anchored on any unit of G₁,
+    Y's on the units of s_X's image."""
     for attempt in range(64):
         rng = SplitMix64((seed << 8) + attempt)
         g2 = random_groupoid(rng, max_mid)
@@ -360,44 +325,16 @@ def random_pair(
         chi1 = random_haar(rng, g1)
         g3 = random_groupoid(rng, max_outer)
         chi3 = random_haar(rng, g3)
-        corr_x, anchors = random_correspondence(rng, chi1, chi2, max_x, check=check)
-        # anchor Y's left side on units whose orbits meet the image of s_X
-        seeds = sorted({corr_x.space.right.momentum[p] for p in range(corr_x.space.n_points)})
-        y_space = _anchored_left_bispace(rng, g2, g3, max_y, seeds)
-        fam_y = orbit_averaged_family(rng, y_space, g3)
-        corr_y = make_correspondence(chi2, chi3, y_space, fam_y, check=check)
+        x_space = random_bispace(rng, g1, g2, max_x, range(g1.n_units))
+        corr_x = make_correspondence(chi1, chi2, x_space, orbit_averaged_family(rng, x_space, g2), check=check)
+        y_space = random_bispace(rng, g2, g3, max_y, sorted(set(x_space.right.momentum)))
+        corr_y = make_correspondence(chi2, chi3, y_space, orbit_averaged_family(rng, y_space, g3), check=check)
         n_z = sum(
             1
-            for x in range(corr_x.space.n_points)
-            for y in range(corr_y.space.n_points)
-            if corr_x.space.right.momentum[x] == corr_y.space.left.momentum[y]
+            for x in range(x_space.n_points)
+            for y in range(y_space.n_points)
+            if x_space.right.momentum[x] == y_space.left.momentum[y]
         )
-        if 0 < n_z <= max_z:
+        if 0 < n_z <= MAX_Z:
             return corr_x, corr_y
     raise RuntimeError(f"could not build a pair for seed {seed}")
-
-
-def _anchored_left_bispace(
-    rng: SplitMix64,
-    g_left: FiniteGroupoid,
-    g_right: FiniteGroupoid,
-    max_points: int,
-    anchor_units: Sequence[int],
-) -> Bispace:
-    """Like random_bispace but anchoring the *left* pieces on given units:
-    the piece out of u has left momenta covering the whole orbit of u, so
-    anchoring on a unit met by the partner guarantees a nonempty fibre
-    product."""
-    pieces: list[_Piece] = []
-    total = 0
-    for i in range(rng.randint(1, 3)):
-        u = rng.choice(list(anchor_units))
-        v = rng.randint(0, g_right.n_units - 1)
-        piece = _random_piece(rng, g_left, g_right, u, v, f"{i}.")
-        if not piece.pts or total + len(piece.pts) > max_points:
-            continue
-        pieces.append(piece)
-        total += len(piece.pts)
-    if not pieces:
-        pieces = [_fibre_piece(g_left, g_right, anchor_units[0], 0, "0.")]
-    return _assemble_bispace(g_left, g_right, pieces)

@@ -39,6 +39,12 @@ solver is kept below as `legacy_b`: every pre-change composite digest is
 still asserted through the public `b_values` override, and the new
 composites of the changed pairs are checked to be the old ones up to the
 orbit-constant density ρ = b_new / b_legacy.
+
+`INPUT_DIGESTS` pins the builders themselves: the instance files of the
+catalog pairs and their targets and of `random_pair(0..39)` at the
+default caps, at `MIX_CAPS` and at 8, 8, 8.  They were recorded before
+the catalog bimodules came to share one constructor and the two random
+legs one bispace builder.
 """
 
 from __future__ import annotations
@@ -245,6 +251,41 @@ LEGACY_COMPOSITE_DIGESTS.update({
     'random-8': 'a924f4cf537fc942c043d24ea60165f9965465d42657b60e0469809bc59bece9',
     'random-9': 'b4004d075383bfd82105771022aba5c56b4e1aaaf76f6640dddbf3475b3be81e',
 })
+
+
+# family -> sha256 of its instance files, one after another
+INPUT_DIGESTS = {
+    "catalog": "7861f178c1bfd572fcd6d2169d219397c0d32eb8772d4b2a11e4de551e112b01",
+    "random": "65f1fa8c17d6dc02500e7c0cc5eccf912204fae0da66c7bc24a81e55e9c27a42",
+    "mix": "a7ba7d88518122004c0b71ba3374d512d2cfea1d7affa8d1f8fb1dcb66a96f12",
+    "small": "8bd1a8614ff22bda1d618764ab13976e199f2867f5744538b51a17c0288c9946",
+}
+# `small` caps both legs at 8 points, so that a leg falls back to its one
+# guaranteed piece, anchored at the first of more than one candidate unit
+CAPS = {"random": {}, "mix": MIX_CAPS, "small": {"max_x": 8, "max_y": 8, "max_mid": 8}}
+
+
+def _instance_files(family: str):
+    """`serialize_instance` of each pair of `family` as [x, y], and of each
+    catalog target as [target]."""
+    if family == "catalog":
+        for name in catalog.EXAMPLE_NAMES:
+            corr_x, corr_y, meta = catalog.example_pair(name)
+            yield serialize_instance([("x", corr_x), ("y", corr_y)])
+            if "target" in meta:
+                yield serialize_instance([("target", meta["target"]())])
+        return
+    for seed in range(40):
+        corr_x, corr_y = random_pair(seed, **CAPS[family])
+        yield serialize_instance([("x", corr_x), ("y", corr_y)])
+
+
+@pytest.mark.parametrize("family", sorted(INPUT_DIGESTS))
+def test_instance_file_digests(family):
+    digest = hashlib.sha256()
+    for text in _instance_files(family):
+        digest.update(text.encode())
+    assert digest.hexdigest() == INPUT_DIGESTS[family]
 
 
 def _pair(name: str):

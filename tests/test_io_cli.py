@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import gcorr as gc
 from gcorr import catalog, cli, groupoids, measures
 from gcorr.composition import compose
-from gcorr.io_json import ParseError, canonical_json, parse_instance, serialize_instance
+from gcorr.io_json import ParseError, parse_instance, serialize_instance
 from gcorr.measures import MeasureFamily
 from gcorr.randgen import random_pair
 from gcorr.util import format_scalar, parse_scalar
@@ -888,6 +888,60 @@ class TestRepeatedKeys:
         assert cli.main(argv) == 0
 
 
+    ROWS = {
+        "comp": ("groupoids", "G0", "comp"),
+        "left_action": ("correspondences", 0, "space", "left_action"),
+        "right_action": ("correspondences", 0, "space", "right_action"),
+        "adjoining": ("correspondences", 0, "adjoining"),
+    }
+
+    @staticmethod
+    def _repeat_first_row(x, keys, conflicting):
+        """The group-hom X file with the first row of the table at `keys`
+        listed again in front of it, with another value if `conflicting`;
+        returns the table."""
+        doc = json.loads(x.read_text())
+        rows = doc
+        for key in keys:
+            rows = rows[key]
+        row = list(rows[0])
+        if conflicting:
+            row[2] = "5" if keys[-1] == "adjoining" else next(r[2] for r in rows if r[2] != row[2])
+        rows.insert(0, row)
+        x.write_text(json.dumps(doc))
+        return rows
+
+    @pytest.fixture
+    def gh_x(self, tmp_path):
+        assert cli.main(["example", "group-hom", str(tmp_path / "gh")]) == 0
+        return tmp_path / "gh.x.json"
+
+    @pytest.mark.parametrize("conflicting", [True, False], ids=["conflicting", "exact"])
+    @pytest.mark.parametrize("table", list(ROWS))
+    def test_repeated_table_row(self, gh_x, table, conflicting, capsys):
+        """A row whose key repeats an earlier row's is a parse error at
+        its entry, naming the earlier one, whatever its value."""
+        self._repeat_first_row(gh_x, self.ROWS[table], conflicting)
+        capsys.readouterr()
+        assert cli.main(["validate", str(gh_x)]) == 1
+        path = _doc_path(gh_x, self.ROWS[table] + (1,))
+        assert capsys.readouterr().err == f"parse error: {path}: repeats the key of entry 0\n"
+
+    @pytest.mark.parametrize("table", list(ROWS))
+    def test_a_malformed_entry_is_named_before_a_repeated_row(self, gh_x, table, capsys):
+        rows = self._repeat_first_row(gh_x, self.ROWS[table], True)
+        doc = json.loads(gh_x.read_text())
+        node = doc
+        for key in self.ROWS[table]:
+            node = node[key]
+        node[-1] = node[-1][:2]
+        gh_x.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["validate", str(gh_x)]) == 1
+        path = _doc_path(gh_x, self.ROWS[table] + (len(rows) - 1,))
+        assert capsys.readouterr().err == f"parse error: {path}: expected a triple\n"
+
+
 class TestSharedGroupoidsParsedOnce:
     """A groupoid of the second file that is JSON-equal to one of the first
     is the first's Haar system; any other is parsed, and fails, on its own."""
@@ -1212,38 +1266,11 @@ def _indented(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-_json_strings = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€ 😀 ab') | st.characters(), max_size=8)
-_json_leaves = (
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True) | _json_strings
-)
-_json_values = st.recursive(
-    _json_leaves,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_json_strings, inner, max_size=4),
-    max_leaves=24,
-)
-
-
 class TestCanonicalJson:
-    """`canonical_json` writes what `json.dumps(indent=2, sort_keys=True)` does."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(_json_values)
-    def test_byte_identical_to_indented_dumps(self, value):
-        assert canonical_json(value) == _indented(value)
-
-    @pytest.mark.parametrize("value", [[], (), {}, [[]], {"a": {}}, ((),), "", [None, True, False]])
-    def test_empty_containers_and_scalars(self, value):
-        assert canonical_json(value) == _indented(value)
+    """Instance files and `--json` reports are `json.dumps(indent=2, sort_keys=True)`."""
 
     @pytest.mark.parametrize("name", PAIRS_45)
-    def test_real_documents(self, name):
-        from gcorr import cstar
-        from gcorr.composition import compose
-        from gcorr.correspondence import validate
-
+    def test_real_documents(self, name, tmp_path, capsys):
         corr_x, corr_y = pair_45(name)
         result = compose(corr_x, corr_y)
         files = [
@@ -1259,14 +1286,22 @@ class TestCanonicalJson:
         unit_arrows = set(doc["groupoids"][corr["left"]]["unit_arrows"].values())
         entry = next(e for e in corr["adjoining"] if e[0] in unit_arrows)
         entry[2] = "2"
-        tampered = parse_instance(json.dumps(doc)).correspondences[0][1]
-        reports = [
-            validate(corr_x), validate(corr_y), validate(tampered), result.report,
-            cstar.verify_theorem(corr_x, corr_y, result, trials=2).report(),
+        x, y, tampered = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "tampered.json"
+        x.write_text(files[0])
+        y.write_text(files[1])
+        tampered.write_text(json.dumps(doc))
+        runs = [
+            (["validate", str(x)], 0), (["validate", str(y)], 0), (["validate", str(tampered)], 1),
+            (["compose", str(x), str(y), str(tmp_path / "out.json")], 0),
+            (["verify", str(x), str(y), "--trials", "2"], 0),
         ]
-        assert not reports[2].passed
-        for rep in reports:
-            assert canonical_json(rep.to_json()) == _indented(rep.to_json())
+        outs = []
+        for argv, code in runs:
+            assert cli.main([*argv, "--json"]) == code
+            outs.append(capsys.readouterr().out)
+            assert outs[-1] == _indented(json.loads(outs[-1])) + "\n"
+            assert json.loads(outs[-1])["passed"] is (code == 0)
+        assert outs[3] == _indented(result.report.to_json()) + "\n"
 
 
 def _catalog_doc(name, side):
