@@ -34,6 +34,17 @@ finite values that differs from CPython's (a + bi)·(r + 0j) only in the
 sign of a zero term, and the scatter adds every term into +0, so each
 output is the same value.
 
+The kernels keep their working set in cache.  `_apply` takes that formula
+in place on the arrays its gathers return, overwriting each factor once
+it is read, so a call allocates its four gathers and one product array
+rather than a new array per arithmetic step.  A stack of more rows ×
+table entries than `WORKING_SET_ENTRIES` (2¹⁴ float64 entries, 128 KiB
+an array) runs in row slices through one set of working arrays, one
+`np.bincount` a slice: every row is still one sum in table order, so the
+slicing moves no value.  The random trials draw in blocks of the same
+size, and positivity stacks the representation matrices of one size into
+a single `eigvalsh`, in which LAPACK still factors each matrix alone.
+
 The certificate's deviations are relative, |a − b| / max(1, |a|, |b|) per
 entry, with NaN or ∞ counted as an infinite deviation; inner products scale
 like the families, so an absolute bound would fail valid data that is
@@ -77,15 +88,28 @@ from .util import GcorrError, IndexTable, crdev
 
 POSITIVITY_TOL = 1e-10  # lower bound −tol on `relative_min_eig`
 
-# Array entries drawn per block of random trials: the rows of a block are
-# the trials whose draws fit, so that memory does not grow with `trials`.
-TRIAL_BLOCK_ENTRIES = 2**13
+# Entries per float64 working array of the certificate's kernels: 2¹⁴, or
+# 128 KiB, so that `_apply`'s few arrays stay in cache.  A block of random
+# trials draws complex entries that fill at most one such array (and at
+# least one trial), so that memory does not grow with `trials`.
+WORKING_SET_ENTRIES = 2**14
 
 
-def relative_min_eig(m: np.ndarray) -> float:
-    """λ_min / max(1, ‖M‖₂) of the Hermitian part of M."""
-    ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return float(ev[0]) / max(1.0, float(np.abs(ev).max()))
+def relative_min_eig(m: np.ndarray) -> np.ndarray:
+    """λ_min / max(1, ‖M‖₂) of the Hermitian part of each stacked matrix
+    M, or NaN where that part has a non-finite entry: LAPACK reads a NaN
+    matrix as having eigenvalues 0 and −0, so only the entries show it.
+
+    One `eigvalsh` runs over the stack.  LAPACK still factors each matrix
+    on its own, so every ratio is the one a call on that matrix alone
+    gives.  A single matrix gives a scalar."""
+    h = (m + m.conj().swapaxes(-1, -2)) / 2
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if not finite.all():
+        h = np.where(finite[..., None, None], h, 0.0)
+    ev = np.linalg.eigvalsh(h)
+    ratio = ev[..., 0] / np.maximum(1.0, np.abs(ev).max(axis=-1))
+    return np.where(finite, ratio, math.nan)[()]
 
 
 class Mismatch(GcorrError):
@@ -121,24 +145,72 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _products(table: IndexTable, ur, ui, vr, vi, conj: bool, ti=None):
+    """((u·pre)·v)·post on the gathered split parts, CPython's product
+    formula with each factor overwritten once read: returns the real part
+    in ur and the imaginary part in ti (a new array unless given)."""
+    if conj:
+        np.negative(ui, out=ui)
+    if table.pre is not None:
+        ur *= table.pre
+        ui *= table.pre
+    ti = np.multiply(ur, vi, out=ti)
+    ur *= vr
+    vr *= ui
+    ui *= vi
+    ur -= ui  # ur·vr − ui·vi
+    ti += vr  # ur·vi + ui·vr
+    if table.post is not None:
+        ur *= table.post
+        ti *= table.post
+    return ur, ti
+
+
 def _apply(table: IndexTable, u: np.ndarray, v: np.ndarray, conj: bool = False) -> np.ndarray:
     """Σ over the table of ((u[left]·pre)·v[right])·post into out, per
-    stacked row, each sum in table order; `conj` conjugates u first."""
-    ur, ui = u.real[..., table.left], u.imag[..., table.left]
-    if conj:
-        ui = -ui
-    if table.pre is not None:
-        ur, ui = ur * table.pre, ui * table.pre
-    tr, ti = _cmul(ur, ui, v.real[..., table.right], v.imag[..., table.right])
-    if table.post is not None:
-        tr, ti = tr * table.post, ti * table.post
-    lead, n = tr.shape[:-1], table.n_out
-    rows = math.prod(lead)
-    idx = (np.arange(rows)[:, None] * n + table.out).ravel() if lead else table.out
-    out = np.empty(lead + (n,), dtype=np.complex128)
-    out.real = np.bincount(idx, tr.ravel(), rows * n).reshape(out.shape)
-    out.imag = np.bincount(idx, ti.ravel(), rows * n).reshape(out.shape)
-    return out
+    stacked row, each sum in table order; `conj` conjugates u first.
+
+    The working set is bounded.  A stack of more than
+    `WORKING_SET_ENTRIES` gathered entries per part runs in slices of the
+    rows that fit (one row when a row alone does not), all through the
+    same five working arrays, and each slice is summed by one
+    `np.bincount`.  Within the budget the stack is one slice, gathered
+    into new arrays."""
+    lead = u.shape[:-1]
+    if v.shape[:-1] != lead:
+        lead = np.broadcast_shapes(lead, v.shape[:-1])
+        u, v = np.broadcast_to(u, lead + u.shape[-1:]), np.broadcast_to(v, lead + v.shape[-1:])
+    rows, m, n = math.prod(lead), len(table.out), table.n_out
+    left, right = table.left, table.right
+    step = WORKING_SET_ENTRIES // m if m else rows
+    if rows <= step:
+        tr, ti = _products(
+            table, u.real[..., left], u.imag[..., left], v.real[..., right], v.imag[..., right], conj
+        )
+        idx = (np.arange(rows)[:, None] * n + table.out).ravel() if lead else table.out
+        out = np.empty(lead + (n,), dtype=np.complex128)
+        out.real = np.bincount(idx, tr.ravel(), rows * n).reshape(out.shape)
+        out.imag = np.bincount(idx, ti.ravel(), rows * n).reshape(out.shape)
+        return out
+    step = max(1, step)
+    u, v = u.reshape(rows, u.shape[-1]), v.reshape(rows, v.shape[-1])
+    work = np.empty((5, step, m))
+    idx = (np.arange(step)[:, None] * n + table.out).ravel()
+    out = np.empty((rows, n), dtype=np.complex128)
+    for r0 in range(0, rows, step):
+        k = min(step, rows - r0)
+        ur, ui, vr, vi, ti = work[:, :k]
+        us, vs = u[r0 : r0 + k], v[r0 : r0 + k]
+        # the tables' indices are in range, so "clip" never clips: it only
+        # lets `take` write into its `out` unbuffered
+        np.take(us.real, left, axis=1, out=ur, mode="clip")
+        np.take(us.imag, left, axis=1, out=ui, mode="clip")
+        np.take(vs.real, right, axis=1, out=vr, mode="clip")
+        np.take(vs.imag, right, axis=1, out=vi, mode="clip")
+        tr, ti = _products(table, ur, ui, vr, vi, conj, ti)
+        out.real[r0 : r0 + k] = np.bincount(idx[: k * m], tr.ravel(), k * n).reshape(k, n)
+        out.imag[r0 : r0 + k] = np.bincount(idx[: k * m], ti.ravel(), k * n).reshape(k, n)
+    return out.reshape(lead + (n,))
 
 
 def _delta(n: int, k: int) -> np.ndarray:
@@ -528,6 +600,10 @@ def _conclusive(rho: float, length: int, fibre: int, tol: float) -> bool:
     return length * (rho + eps) + eps <= tol
 
 
+# Every non-finite value of the certificate already reads as a failing
+# deviation (a NaN ratio fails positivity), so numpy's overflow and
+# invalid-value warnings would only repeat the report.
+@np.errstate(over="ignore", invalid="ignore")
 def verify_theorem(
     corr_x: Correspondence,
     corr_y: Correspondence,
@@ -637,7 +713,7 @@ def verify_theorem(
     n_x, n_y = corr_x.space.n_points, corr_y.space.n_points
     cuts = [n_x, 2 * n_x, 2 * n_x + n_y, 2 * n_x + 2 * n_y]
     width = cuts[-1] + g1.n_arrows  # entries one trial draws
-    per_block = max(1, TRIAL_BLOCK_ENTRIES // max(1, width))
+    per_block = max(1, WORKING_SET_ENTRIES // (2 * max(1, width)))
     for t0 in range(0, trials, per_block):
         rows = min(per_block, trials - t0)
         draw = rng.cnum_array(rows * width).reshape(rows, width)
@@ -663,19 +739,25 @@ def verify_theorem(
     # -- (c) surjectivity: the image matrix has full rank -------------------
     rank = image_rank(result)
 
-    # -- positivity spot-checks ---------------------------------------------
-    min_eig = math.inf
-    reps = [representation_matrices(g3, corr_y.right_haar, u) for u in range(g3.n_units)]
+    # -- positivity spot-checks: one eigvalsh per matrix size ----------------
     n_o = composite.space.n_points
     draws = max(1, min(8, trials)) if n_o else 0
     fo = ModuleElement(composite, rng.cnum_array(draws * n_o).reshape(draws, n_o))
     gram = inner_product(fo, fo, composite)
-    for basis, apply in reps:
+    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for u in range(g3.n_units):
+        basis, apply = representation_matrices(g3, corr_y.right_haar, u)
         if basis:
-            for m in apply(gram):
-                min_eig = min(min_eig, relative_min_eig(m))
-    if min_eig is math.inf:
-        min_eig = 0.0
+            by_size.setdefault(len(basis), []).append((u, apply(gram)))
+    ratios: list[list[float]] = [[] for _ in range(g3.n_units)]
+    for group in by_size.values():
+        units, stacks = zip(*group)
+        for u, row in zip(units, relative_min_eig(np.stack(stacks))):
+            ratios[u] = row.tolist()
+    # the first smallest ratio in (unit, draw) order, as a running min takes
+    # it; a NaN ratio makes the minimum NaN, which fails the line
+    flat = [r for row in ratios for r in row]
+    min_eig = math.nan if any(r != r for r in flat) else min(flat, default=0.0)
 
     return GramReport(
         tol=tol,

@@ -677,6 +677,105 @@ class TestRealFactors:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), op.__name__
 
 
+class TestBoundedWorkingSet:
+    """`_apply` runs a stack of more rows × table entries than
+    `WORKING_SET_ENTRIES` in row slices.  Every row equals the per-element
+    oracles of `TestFloatViewsBitForBit` bit for bit, on either side of
+    the budget, and the certificate does not depend on it."""
+
+    @pytest.fixture(scope="class")
+    def corrs(self):
+        out = []
+        for corr_x, corr_y in [catalog.example_pair("induction-finite")[:2], random_pair(9, **MIX_CAPS)]:
+            out += [corr_x, corr_y, compose(corr_x, corr_y).composite]
+        return out
+
+    # (stack rows, rows the budget holds): one row below the budget, at it,
+    # one row above it, and a single row larger than the budget (0)
+    @pytest.mark.parametrize("rows, fit", [(3, 4), (4, 4), (5, 4), (3, 0)], ids=["below", "at", "above", "row-above"])
+    def test_stacked_rows_equal_the_oracles(self, corrs, rows, fit, monkeypatch):
+        import gcorr.cstar as cstar
+
+        rng = SplitMix64(21)
+
+        def stack(n):
+            """Random rows, the last one a point mass."""
+            out = rng.cnum_array(rows * n).reshape(rows, n)
+            out[-1] = 0
+            out[-1, -1] = 1
+            return out
+
+        for corr in corrs:
+            n_pts, n_left, n_right = corr.space.n_points, corr.left.n_arrows, corr.right.n_arrows
+            checks = (
+                (corr.left_action_table, stack(n_left), stack(n_pts),
+                 lambda u, v: left_action(AlgebraElement(corr.left, u), ModuleElement(corr, v), corr).coeff,
+                 lambda u, v: oracle_left_action(AlgebraElement(corr.left, u), ModuleElement(corr, v), corr)),
+                (corr.inner_product_table, stack(n_pts), stack(n_pts),
+                 lambda u, v: inner_product(ModuleElement(corr, u), ModuleElement(corr, v), corr).coeff,
+                 lambda u, v: oracle_inner_product(ModuleElement(corr, u), ModuleElement(corr, v), corr)),
+            )
+            for table, u, v, op, oracle in checks:
+                m = len(table.out)
+                budget = fit * m if fit else m - 1
+                monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", budget)
+                assert (rows * m > budget) == (rows > fit)
+                got = op(u, v)
+                assert got.shape[0] == rows
+                for r in range(rows):
+                    assert _bits(coeff_dict(got[r])) == _bits(coeff_dict(oracle(u[r], v[r])))
+
+    @pytest.mark.parametrize("budget", [1, 2**24], ids=["sliced", "whole"])
+    def test_one_element_against_a_stack_broadcasts(self, corrs, budget, monkeypatch):
+        """One algebra element acts on a stack of module elements row by
+        row, as on each row alone."""
+        import gcorr.cstar as cstar
+
+        monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", budget)
+        rng = SplitMix64(5)
+        for corr in corrs:
+            phi = AlgebraElement(corr.left, rng.cnum_array(corr.left.n_arrows))
+            f = rng.cnum_array(3 * corr.space.n_points).reshape(3, -1)
+            got = left_action(phi, ModuleElement(corr, f), corr).coeff
+            for r in range(3):
+                want = left_action(phi, ModuleElement(corr, f[r]), corr).coeff
+                assert np.array_equal(got[r].view(np.uint64), want.view(np.uint64))
+
+    def test_certificate_does_not_depend_on_the_budget(self, monkeypatch):
+        """A budget of 1 runs every trial in its own block and every stack
+        one row at a time; 2²⁴ runs every stack whole."""
+        import gcorr.cstar as cstar
+
+        pairs = [catalog.example_pair(name)[:2] for name in catalog.EXAMPLE_NAMES]
+        mix = [random_pair(i, **MIX_CAPS) for i in range(10)]
+        pairs += mix + [tuple(scaled_family(c, 1, exact=False) for c in p) for p in mix]
+        pairs.append(ladder_pair(6))
+        for corr_x, corr_y in pairs:
+            res = compose(corr_x, corr_y)
+            want = repr(verify_theorem(corr_x, corr_y, res, trials=30, seed=1))
+            for budget in (1, 2**24):
+                monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", budget)
+                assert repr(verify_theorem(corr_x, corr_y, res, trials=30, seed=1)) == want
+            monkeypatch.undo()
+
+    def test_warm_certificate_memory_stays_bounded(self):
+        """A warm certificate at ladder 64 with 200 trials peaks under
+        2 MiB of traced allocations; whole-stack arrays would take about
+        6 MiB."""
+        import tracemalloc
+
+        corr_x, corr_y = ladder_pair(64)
+        res = compose(corr_x, corr_y)
+        verify_theorem(corr_x, corr_y, res, trials=200, seed=0)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            verify_theorem(corr_x, corr_y, res, trials=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+
 def chain_sweep(corr_x, corr_y, res):
     """The basis intertwining sweep through the operations, as first
     written: (worst deviation, its first (arrow, z), check count)."""
@@ -1042,3 +1141,76 @@ class TestRelativePositivity:
         assert not bad.positive_ok and not bad.passed
         line = bad.report().checks[-1]
         assert "relative" in line.name and not line.passed and line.residual == pytest.approx(1e-6)
+
+    def test_non_finite_matrix_reads_nan(self):
+        """LAPACK gives a NaN matrix the eigenvalues 0 and −0, so the ratio
+        is NaN by the entries; a stack keeps each finite matrix's ratio."""
+        from gcorr.cstar import relative_min_eig
+
+        bad, good = np.array([[math.nan, 0.0], [0.0, 1.0]]), np.diag([2.0, -1e-3])
+        assert math.isnan(relative_min_eig(bad))
+        assert math.isnan(relative_min_eig(np.diag([math.inf, 1.0])))
+        ratios = relative_min_eig(np.stack([good, bad, good]))
+        assert math.isnan(ratios[1])
+        assert ratios[0] == ratios[2] == relative_min_eig(good) == -1e-3 / 2
+
+    def test_overflowing_family_fails_positivity(self, tmp_path, capsys):
+        """Both families of `fn-compose` ×10¹⁵⁴ as JSON floats: the files
+        validate, but (m + mᴴ)/2 overflows in some representation
+        matrices, and a NaN ratio fails the positivity line quietly."""
+        import warnings
+
+        from gcorr import cli
+        from gcorr.io_json import serialize_instance
+
+        corr_x, corr_y, _ = catalog.example_pair("fn-compose")
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        x.write_text(serialize_instance([("x", scaled_family(corr_x, 1e154, exact=False))]))
+        y.write_text(serialize_instance([("y", scaled_family(corr_y, 1e154, exact=False))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", str(x)]) == 0
+            assert cli.main(["validate", str(y)]) == 0
+            capsys.readouterr()
+            assert cli.main(["verify", str(x), str(y)]) == 3
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+        assert [ln.split()[0] for ln in lines] == ["[ok]"] * 3 + ["[FAIL]"]
+        assert "positivity" in lines[-1] and lines[-1].endswith("residual=nan")
+
+
+def per_matrix_min_eig(corr_x, corr_y, res, trials, seed):
+    """The positivity check as first written: one `eigvalsh` per
+    representation matrix and a running minimum, after the trials'
+    draws."""
+    composite, g3 = res.composite, corr_y.right
+    rng = SplitMix64(seed)
+    width = 2 * corr_x.space.n_points + 2 * corr_y.space.n_points + corr_x.left.n_arrows
+    rng.cnum_array(trials * width)
+    n_o = composite.space.n_points
+    draws = max(1, min(8, trials)) if n_o else 0
+    fo = ModuleElement(composite, rng.cnum_array(draws * n_o).reshape(draws, n_o))
+    gram = inner_product(fo, fo, composite)
+    min_eig = math.inf
+    for u in range(g3.n_units):
+        basis, apply = representation_matrices(g3, corr_y.right_haar, u)
+        if basis:
+            for m in apply(gram):
+                ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
+                min_eig = min(min_eig, float(ev[0]) / max(1.0, float(np.abs(ev).max())))
+    return 0.0 if min_eig is math.inf else min_eig
+
+
+class TestBatchedPositivity:
+    """One `eigvalsh` per matrix size gives the minimum the per-matrix
+    loop gives, bit for bit and with the sign of a zero."""
+
+    @pytest.mark.parametrize("name", PAIRS_45)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_equals_the_per_matrix_loop(self, name, exact):
+        corr_x, corr_y = pair_45(name)
+        if not exact:
+            corr_x, corr_y = (scaled_family(c, 1, exact=False) for c in (corr_x, corr_y))
+        res = compose(corr_x, corr_y)
+        for trials, seed in ((0, 0), (5, 2)):
+            got = verify_theorem(corr_x, corr_y, res, trials=trials, seed=seed).positivity_min_eig
+            assert repr(got) == repr(per_matrix_min_eig(corr_x, corr_y, res, trials, seed))
