@@ -34,16 +34,16 @@ finite values that differs from CPython's (a + bi)·(r + 0j) only in the
 sign of a zero term, and the scatter adds every term into +0, so each
 output is the same value.
 
-The kernels keep their working set in cache.  `_apply` takes that formula
-in place on the arrays its gathers return, overwriting each factor once
-it is read, so a call allocates its four gathers and one product array
-rather than a new array per arithmetic step.  A stack of more rows ×
-table entries than `WORKING_SET_ENTRIES` (2¹⁴ float64 entries, 128 KiB
-an array) runs in row slices through one set of working arrays, one
-`np.bincount` a slice: every row is still one sum in table order, so the
-slicing moves no value.  The random trials draw in blocks of the same
-size, and positivity stacks the representation matrices of one size into
-a single `eigvalsh`, in which LAPACK still factors each matrix alone.
+The kernels keep their working set in cache.  `_apply` gathers into five
+working arrays and takes that formula in place on them, overwriting each
+factor once it is read, rather than allocating a new array per arithmetic
+step.  The arrays hold at most `WORKING_SET_ENTRIES` (2¹⁴ float64
+entries, 128 KiB an array), or one row when a row alone is larger, so a
+longer stack runs in row slices, one `np.bincount` a slice: every row is
+still one sum in table order, so the slicing moves no value.  The random
+trials draw in blocks of the same size, and positivity stacks the
+representation matrices of one size, up to the same budget, into a single
+`eigvalsh`, in which LAPACK still factors each matrix alone.
 
 The certificate's deviations are relative, |a − b| / max(1, |a|, |b|) per
 entry, with NaN or ∞ counted as an infinite deviation; inner products scale
@@ -95,21 +95,24 @@ POSITIVITY_TOL = 1e-10  # lower bound −tol on `relative_min_eig`
 WORKING_SET_ENTRIES = 2**14
 
 
-def relative_min_eig(m: np.ndarray) -> np.ndarray:
-    """λ_min / max(1, ‖M‖₂) of the Hermitian part of each stacked matrix
-    M, or NaN where that part has a non-finite entry: LAPACK reads a NaN
-    matrix as having eigenvalues 0 and −0, so only the entries show it.
+def relative_min_eig(m: np.ndarray) -> float:
+    """λ_min / max(1, ‖M‖₂) of the Hermitian part of the matrix M, or NaN
+    where that part has a non-finite entry."""
+    return float(_relative_min_eigs(m))
 
-    One `eigvalsh` runs over the stack.  LAPACK still factors each matrix
-    on its own, so every ratio is the one a call on that matrix alone
-    gives.  A single matrix gives a scalar."""
+
+def _relative_min_eigs(m: np.ndarray) -> np.ndarray:
+    """`relative_min_eig` of each matrix of a stack, in one `eigvalsh`.
+    LAPACK still factors each matrix on its own, so every ratio is the one
+    a call on that matrix alone gives.  It reads a NaN matrix as having
+    eigenvalues 0 and −0, so only the entries show it."""
     h = (m + m.conj().swapaxes(-1, -2)) / 2
     finite = np.isfinite(h).all(axis=(-2, -1))
     if not finite.all():
         h = np.where(finite[..., None, None], h, 0.0)
     ev = np.linalg.eigvalsh(h)
     ratio = ev[..., 0] / np.maximum(1.0, np.abs(ev).max(axis=-1))
-    return np.where(finite, ratio, math.nan)[()]
+    return np.where(finite, ratio, math.nan)
 
 
 class Mismatch(GcorrError):
@@ -145,16 +148,16 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _products(table: IndexTable, ur, ui, vr, vi, conj: bool, ti=None):
+def _products(table: IndexTable, ur, ui, vr, vi, ti, conj: bool):
     """((u·pre)·v)·post on the gathered split parts, CPython's product
     formula with each factor overwritten once read: returns the real part
-    in ur and the imaginary part in ti (a new array unless given)."""
+    in ur and the imaginary part in ti."""
     if conj:
         np.negative(ui, out=ui)
     if table.pre is not None:
         ur *= table.pre
         ui *= table.pre
-    ti = np.multiply(ur, vi, out=ti)
+    np.multiply(ur, vi, out=ti)
     ur *= vr
     vr *= ui
     ui *= vi
@@ -170,29 +173,17 @@ def _apply(table: IndexTable, u: np.ndarray, v: np.ndarray, conj: bool = False) 
     """Σ over the table of ((u[left]·pre)·v[right])·post into out, per
     stacked row, each sum in table order; `conj` conjugates u first.
 
-    The working set is bounded.  A stack of more than
-    `WORKING_SET_ENTRIES` gathered entries per part runs in slices of the
-    rows that fit (one row when a row alone does not), all through the
-    same five working arrays, and each slice is summed by one
-    `np.bincount`.  Within the budget the stack is one slice, gathered
-    into new arrays."""
+    The working set is bounded: the rows run in slices of at most
+    `WORKING_SET_ENTRIES` gathered entries per part (one row when a row
+    alone is larger), all through the same five working arrays, and each
+    slice is summed by one `np.bincount`."""
     lead = u.shape[:-1]
     if v.shape[:-1] != lead:
         lead = np.broadcast_shapes(lead, v.shape[:-1])
         u, v = np.broadcast_to(u, lead + u.shape[-1:]), np.broadcast_to(v, lead + v.shape[-1:])
     rows, m, n = math.prod(lead), len(table.out), table.n_out
     left, right = table.left, table.right
-    step = WORKING_SET_ENTRIES // m if m else rows
-    if rows <= step:
-        tr, ti = _products(
-            table, u.real[..., left], u.imag[..., left], v.real[..., right], v.imag[..., right], conj
-        )
-        idx = (np.arange(rows)[:, None] * n + table.out).ravel() if lead else table.out
-        out = np.empty(lead + (n,), dtype=np.complex128)
-        out.real = np.bincount(idx, tr.ravel(), rows * n).reshape(out.shape)
-        out.imag = np.bincount(idx, ti.ravel(), rows * n).reshape(out.shape)
-        return out
-    step = max(1, step)
+    step = max(1, min(rows, WORKING_SET_ENTRIES // m if m else rows))
     u, v = u.reshape(rows, u.shape[-1]), v.reshape(rows, v.shape[-1])
     work = np.empty((5, step, m))
     idx = (np.arange(step)[:, None] * n + table.out).ravel()
@@ -207,7 +198,7 @@ def _apply(table: IndexTable, u: np.ndarray, v: np.ndarray, conj: bool = False) 
         np.take(us.imag, left, axis=1, out=ui, mode="clip")
         np.take(vs.real, right, axis=1, out=vr, mode="clip")
         np.take(vs.imag, right, axis=1, out=vi, mode="clip")
-        tr, ti = _products(table, ur, ui, vr, vi, conj, ti)
+        tr, ti = _products(table, ur, ui, vr, vi, ti, conj)
         out.real[r0 : r0 + k] = np.bincount(idx[: k * m], tr.ravel(), k * n).reshape(k, n)
         out.imag[r0 : r0 + k] = np.bincount(idx[: k * m], ti.ravel(), k * n).reshape(k, n)
     return out.reshape(lead + (n,))
@@ -600,6 +591,44 @@ def _conclusive(rho: float, length: int, fibre: int, tol: float) -> bool:
     return length * (rho + eps) + eps <= tol
 
 
+def _positivity_min_eig(gram: AlgebraElement, haar: HaarSystem) -> float:
+    """The first smallest `relative_min_eig` of the representation
+    matrices of the stacked elements `gram`, in (unit, row) order as a
+    running minimum takes it; NaN when any ratio is NaN, which fails the
+    line, and 0.0 when there is no matrix.
+
+    The matrices of one size run through one `eigvalsh`, in stacks of at
+    most `WORKING_SET_ENTRIES` float64 entries (or one unit's matrices,
+    when they alone are more), so memory does not grow with the units."""
+    g = haar.groupoid
+    rows = math.prod(gram.coeff.shape[:-1])
+    ratios: list[list[float]] = [[] for _ in range(g.n_units)]
+    held: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (unit, matrices)
+    entries = 0
+    for u in range(g.n_units):
+        basis, apply = representation_matrices(g, haar, u)
+        if basis:
+            size = 2 * rows * len(basis) ** 2
+            if entries + size > WORKING_SET_ENTRIES:
+                _eigensolve(held, ratios)
+                entries = 0
+            held.setdefault(len(basis), []).append((u, apply(gram)))
+            entries += size
+    _eigensolve(held, ratios)
+    flat = [r for row in ratios for r in row]
+    return math.nan if any(r != r for r in flat) else min(flat, default=0.0)
+
+
+def _eigensolve(held: dict[int, list[tuple[int, np.ndarray]]], ratios: list[list[float]]) -> None:
+    """Set ratios[u] to the `relative_min_eig` of each of unit u's held
+    matrices, one `eigvalsh` per matrix size, and empty `held`."""
+    for group in held.values():
+        units, stacks = zip(*group)
+        for u, row in zip(units, _relative_min_eigs(np.stack(stacks))):
+            ratios[u] = row.tolist()
+    held.clear()
+
+
 # Every non-finite value of the certificate already reads as a failing
 # deviation (a NaN ratio fails positivity), so numpy's overflow and
 # invalid-value warnings would only repeat the report.
@@ -739,25 +768,12 @@ def verify_theorem(
     # -- (c) surjectivity: the image matrix has full rank -------------------
     rank = image_rank(result)
 
-    # -- positivity spot-checks: one eigvalsh per matrix size ----------------
+    # -- positivity spot-checks: one eigvalsh per matrix size and budget ----
     n_o = composite.space.n_points
     draws = max(1, min(8, trials)) if n_o else 0
     fo = ModuleElement(composite, rng.cnum_array(draws * n_o).reshape(draws, n_o))
     gram = inner_product(fo, fo, composite)
-    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for u in range(g3.n_units):
-        basis, apply = representation_matrices(g3, corr_y.right_haar, u)
-        if basis:
-            by_size.setdefault(len(basis), []).append((u, apply(gram)))
-    ratios: list[list[float]] = [[] for _ in range(g3.n_units)]
-    for group in by_size.values():
-        units, stacks = zip(*group)
-        for u, row in zip(units, relative_min_eig(np.stack(stacks))):
-            ratios[u] = row.tolist()
-    # the first smallest ratio in (unit, draw) order, as a running min takes
-    # it; a NaN ratio makes the minimum NaN, which fails the line
-    flat = [r for row in ratios for r in row]
-    min_eig = math.nan if any(r != r for r in flat) else min(flat, default=0.0)
+    min_eig = _positivity_min_eig(gram, corr_y.right_haar)
 
     return GramReport(
         tol=tol,

@@ -41,6 +41,7 @@ from tests.conftest import (
     line_verdicts,
     pair_45,
     scaled_family,
+    translation_action,
     translation_correspondence,
 )
 
@@ -1145,12 +1146,13 @@ class TestRelativePositivity:
     def test_non_finite_matrix_reads_nan(self):
         """LAPACK gives a NaN matrix the eigenvalues 0 and −0, so the ratio
         is NaN by the entries; a stack keeps each finite matrix's ratio."""
-        from gcorr.cstar import relative_min_eig
+        from gcorr.cstar import _relative_min_eigs, relative_min_eig
 
         bad, good = np.array([[math.nan, 0.0], [0.0, 1.0]]), np.diag([2.0, -1e-3])
         assert math.isnan(relative_min_eig(bad))
         assert math.isnan(relative_min_eig(np.diag([math.inf, 1.0])))
-        ratios = relative_min_eig(np.stack([good, bad, good]))
+        assert type(relative_min_eig(good)) is float
+        ratios = _relative_min_eigs(np.stack([good, bad, good]))
         assert math.isnan(ratios[1])
         assert ratios[0] == ratios[2] == relative_min_eig(good) == -1e-3 / 2
 
@@ -1214,3 +1216,52 @@ class TestBatchedPositivity:
         for trials, seed in ((0, 0), (5, 2)):
             got = verify_theorem(corr_x, corr_y, res, trials=trials, seed=seed).positivity_min_eig
             assert repr(got) == repr(per_matrix_min_eig(corr_x, corr_y, res, trials, seed))
+
+    def test_one_unit_at_a_time_equals_the_per_matrix_loop(self, monkeypatch):
+        """A budget of 1 eigensolves each unit's matrices alone."""
+        import gcorr.cstar as cstar
+
+        monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", 1)
+        for name in PAIRS_45[::4]:
+            corr_x, corr_y = pair_45(name)
+            res = compose(corr_x, corr_y)
+            got = verify_theorem(corr_x, corr_y, res, trials=5, seed=2).positivity_min_eig
+            assert repr(got) == repr(per_matrix_min_eig(corr_x, corr_y, res, 5, 2))
+
+    def test_memory_stays_near_one_units_matrices(self, monkeypatch):
+        """Y's right groupoid is the pair groupoid on 32 units, so each
+        unit has eight 32 × 32 matrices (128 KiB) and all units 4 MiB.  The
+        positivity phase holds one budget's worth at a time: its traced
+        peak stays under 1 MiB, where stacking every unit at once takes
+        over 12 MiB."""
+        import tracemalloc
+
+        import gcorr.cstar as cstar
+        from gcorr import groupoids as gg
+
+        g = gc.pair_groupoid([f"u{i}" for i in range(32)])
+        units = gc.units_only_groupoid(g.unit_ids)
+        space = gg.make_bispace(
+            gg.trivial_action("left", units, g.arrow_ids, g.dst), translation_action("right", g)
+        )
+        family = gc.MeasureFamily(g.arrow_ids, g.unit_ids, g.src, (F(1),) * g.n_arrows)
+        corr = gc.make_correspondence(gc.counting_haar(units), gc.counting_haar(g), space, family)
+        n = corr.space.n_points
+        fo = ModuleElement(corr, SplitMix64(1).cnum_array(8 * n).reshape(8, n))
+        gram = inner_product(fo, fo, corr)
+
+        def peak():
+            cstar._positivity_min_eig(gram, corr.right_haar)  # warms numpy and LAPACK
+            tracemalloc.start()
+            try:
+                value = cstar._positivity_min_eig(gram, corr.right_haar)
+                return value, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        value, bounded = peak()
+        assert bounded < 2**20, bounded
+        monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", 2**40)
+        whole_value, whole = peak()
+        assert whole > 12 * 2**20, whole
+        assert repr(value) == repr(whole_value)
