@@ -702,7 +702,7 @@ def verify_theorem(
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     composite = result.composite
-    g1, g2, g3 = corr_x.left, corr_x.right, corr_y.right
+    g1, g2 = corr_x.left, corr_x.right
     fp, orbits = result.fp, result.orbits
     n_z = len(fp.pairs)
     on_generators = all(

@@ -1217,17 +1217,6 @@ class TestBatchedPositivity:
             got = verify_theorem(corr_x, corr_y, res, trials=trials, seed=seed).positivity_min_eig
             assert repr(got) == repr(per_matrix_min_eig(corr_x, corr_y, res, trials, seed))
 
-    def test_one_unit_at_a_time_equals_the_per_matrix_loop(self, monkeypatch):
-        """A budget of 1 eigensolves each unit's matrices alone."""
-        import gcorr.cstar as cstar
-
-        monkeypatch.setattr(cstar, "WORKING_SET_ENTRIES", 1)
-        for name in PAIRS_45[::4]:
-            corr_x, corr_y = pair_45(name)
-            res = compose(corr_x, corr_y)
-            got = verify_theorem(corr_x, corr_y, res, trials=5, seed=2).positivity_min_eig
-            assert repr(got) == repr(per_matrix_min_eig(corr_x, corr_y, res, 5, 2))
-
     def test_memory_stays_near_one_units_matrices(self, monkeypatch):
         """Y's right groupoid is the pair groupoid on 32 units, so each
         unit has eight 32 × 32 matrices (128 KiB) and all units 4 MiB.  The
